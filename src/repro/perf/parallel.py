@@ -35,11 +35,20 @@ per batch and merge exactly.
 Every entry point degrades gracefully to in-process execution when only
 one worker is requested, when there is only one task, or when the host
 refuses to spawn processes (sandboxes without /dev/shm, 1-core boxes).
+
+The harness starts a pool per call. Serving (``repro.search.executor``)
+instead maps onto one long-lived pool per process
+(``_map_tasks(..., persistent=True)``): started lazily, shared by every
+serving executor, dropped and rebuilt after a worker death, and shut
+down at exit. Its workers are spawned and drop their inherited
+resource-tracker connection.
 """
 
 from __future__ import annotations
 
+import atexit
 import logging
+import multiprocessing
 import os
 from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
@@ -49,6 +58,7 @@ from ..platforms.runspec import RunSpec
 
 __all__ = [
     "available_workers",
+    "shutdown_serving_pool",
     "parallel_run_specs",
     "parallel_workload_results",
     "parallel_simulate_workload",
@@ -74,6 +84,7 @@ def _map_tasks(
     task_fn: Callable,
     tasks: Sequence[Tuple],
     workers: int,
+    persistent: bool = False,
 ) -> List:
     """``pool.map`` with a complete serial fallback.
 
@@ -89,12 +100,20 @@ def _map_tasks(
     Worker deaths are counted as ``perf.parallel.worker_failures`` on
     the active registry so regression tooling can see that a run fell
     back, instead of the failure vanishing into identical results.
+
+    ``persistent`` maps onto the process-wide serving pool instead of a
+    pool of its own; a failure drops that pool, so the next call starts
+    a fresh one rather than reusing the broken one.
     """
     if workers > 1 and len(tasks) > 1:
         try:
-            with ProcessPoolExecutor(max_workers=workers) as pool:
+            if persistent:
+                return list(_serving_pool(workers).map(task_fn, tasks))
+            with _start_pool(workers) as pool:
                 return list(pool.map(task_fn, tasks))
         except (OSError, PermissionError, BrokenExecutor) as exc:
+            if persistent:
+                shutdown_serving_pool(wait=False)
             registry = get_metrics()
             if registry is not None:
                 registry.inc(
@@ -108,6 +127,100 @@ def _map_tasks(
                 len(tasks),
             )
     return [task_fn(task) for task in tasks]
+
+
+def _start_pool(workers: int, persistent: bool = False) -> ProcessPoolExecutor:
+    """Create a process pool: the one place pools are made.
+
+    A persistent pool's workers are spawned, not forked: the pool lives
+    on in a process that may have started threads since.
+    """
+    if not persistent:
+        return ProcessPoolExecutor(max_workers=workers)
+    return ProcessPoolExecutor(
+        max_workers=workers,
+        mp_context=multiprocessing.get_context("spawn"),
+        initializer=_init_pool_worker,
+    )
+
+
+# ----------------------------------------------------------------------
+# The serving pool: one per process, alive across batches.
+
+_serving: Optional[ProcessPoolExecutor] = None
+_serving_width = 0
+_serving_pid = 0
+#: True inside a persistent pool worker (set by its initializer).
+in_pool_worker = False
+
+
+def _init_pool_worker() -> None:
+    """Persistent-worker setup: mark the process, drop the tracker fd.
+
+    A worker inherits the write end of the parent's resource tracker
+    pipe; while any worker holds it, stopping the tracker (which waits
+    for EOF on that pipe) blocks until the pool exits. Workers never
+    register resources (segments are attached untracked), so they drop
+    the fd.
+    """
+    global in_pool_worker
+    in_pool_worker = True
+    from multiprocessing import resource_tracker
+
+    tracker = resource_tracker._resource_tracker
+    fd = getattr(tracker, "_fd", None)
+    if fd is not None:
+        try:
+            os.close(fd)
+        except OSError:
+            pass
+        tracker._fd = None
+
+
+def _serving_pool(workers: int) -> ProcessPoolExecutor:
+    """The process-wide serving pool, started (or widened) on demand."""
+    global _serving, _serving_width, _serving_pid
+    if _serving is not None and (
+        _serving_pid != os.getpid() or _serving_width < workers
+    ):
+        shutdown_serving_pool(wait=False)
+    if _serving is None:
+        _serving = _start_pool(workers, persistent=True)
+        _serving_width, _serving_pid = workers, os.getpid()
+    return _serving
+
+
+def shutdown_serving_pool(wait: bool = True) -> None:
+    """Stop the serving pool; the next persistent map starts a new one.
+
+    A pool inherited through ``fork`` belongs to the parent and is only
+    forgotten.
+    """
+    global _serving
+    pool, _serving = _serving, None
+    if pool is not None and _serving_pid == os.getpid():
+        pool.shutdown(wait=wait, cancel_futures=True)
+
+
+atexit.register(shutdown_serving_pool)
+
+
+def _attach_segment(name: str):
+    """Attach an existing shared-memory segment without tracking it.
+
+    The creating process owns the segment and unlinks it. Attaching
+    normally registers it with this process's resource tracker as well
+    (bpo-39959), which would unlink it at this process's exit, and
+    pool workers have no tracker connection to register with.
+    """
+    from multiprocessing import resource_tracker, shared_memory
+
+    register = resource_tracker.register
+    resource_tracker.register = lambda name, rtype: None
+    try:
+        return shared_memory.SharedMemory(name=name)
+    finally:
+        resource_tracker.register = register
 
 
 # ----------------------------------------------------------------------

@@ -1,28 +1,39 @@
 """Sharded batch execution against the graph database.
 
 Bottom stage of the serving pipeline: a :class:`ShardedExecutor` scores
-each query batch against the database split into contiguous shards,
-ranks every shard's scores locally, and k-way merges the per-shard
-top-k lists into the global ranking. Because ranking and merging both
-honour the :class:`~repro.search.results.SearchResult` total order,
-the merged result is bit-identical to one flat sort over the whole
-database — the property the ``search.serve_vs_direct`` check gates.
+each query batch against the database (or the batch's candidate set),
+ranks contiguous shards of the scores locally, and k-way merges the
+per-shard top-k lists into the global ranking. Because ranking and
+merging both honour the :class:`~repro.search.results.SearchResult`
+total order, the merged result is bit-identical to one flat sort over
+the whole database — the property the ``search.serve_vs_direct`` check
+gates.
 
-Two executions of the same plan:
+Work is deduplicated before it is split. The parent collapses
+byte-identical candidates via
+:func:`~repro.search.storage.graph_signature` — one forward pass per
+*unique* candidate, its score broadcast to the duplicates (the EMF
+dedup-and-broadcast move at database granularity; exact by
+construction, so rankings cannot change) — and then scores the unique
+representatives one of two ways:
 
-- **Serial** (the guaranteed path): the parent scores every query
-  in-process. Before scoring, byte-identical database candidates are
-  collapsed via :func:`~repro.search.storage.graph_signature` — one
-  forward pass per *unique* candidate, score broadcast to duplicates
-  (the EMF dedup-and-broadcast move at database granularity; exact by
-  construction, so rankings cannot change).
-- **Sharded workers** (multi-core hosts): shards fan across the
-  ``perf.parallel`` process pool. The database travels once as an
-  uncompressed ``.npz`` image in a shared-memory segment; each worker
-  attaches, rebuilds only its shard, dedups within it, and returns raw
-  score vectors for the parent to rank and merge. Any pool or
-  shared-memory failure falls back to the serial path transparently
-  (same ``_map_tasks`` contract as the simulation harness).
+- **Serial** (the guaranteed path): in-process.
+- **Worker pool** (multi-core hosts): the representatives are split
+  evenly across the ``perf.parallel`` serving pool, whose workers stay
+  alive across batches. The model, the scorer and the database's
+  uncompressed ``.npz`` image travel once per database version, as one
+  shared-memory *snapshot*; a batch ships only its queries and the ids
+  to score. Each worker caches the last few snapshots by segment name
+  and rebuilds graphs lazily by id. Any pool or shared-memory failure
+  falls back to the serial path (the ``_map_tasks`` contract shared
+  with the simulation harness).
+
+Snapshot lifecycle: the parent publishes a snapshot when the pool path
+first runs against a database size (or a new model or scorer object),
+unmaps its own view right after writing it, and unlinks it when the
+next version is published or the executor is collected, whichever
+comes first; workers copy what they need out of the segment and never
+hold it open.
 
 Request-scoped telemetry crosses the worker boundary explicitly: each
 task tuple carries the batch queries' :class:`~repro.obs.context.
@@ -36,8 +47,14 @@ span at join. A context that fails to deserialize is counted as
 
 from __future__ import annotations
 
+import io
 import logging
+import os
+import pickle
+import struct
 import time
+import weakref
+from collections import OrderedDict
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -48,7 +65,9 @@ from ..models.base import GMNModel
 from ..models.training import LogisticHead
 from ..obs import LATENCY_BUCKETS, get_metrics, metrics_enabled, span
 from ..obs.context import RequestContext, RequestTracker
+from ..perf import parallel
 from ..perf.parallel import (
+    _attach_segment,
     _map_tasks,
     _merge_worker_telemetry,
     _telemetry_payload,
@@ -57,11 +76,17 @@ from ..perf.parallel import (
 from . import results as results_mod
 from .results import SearchResult
 from .scheduler import QueryBatch
-from .storage import graph_signature, graphs_from_buffer, graphs_to_npz_bytes
+from .storage import graph_signature, graphs_from_arrays, graphs_to_npz_bytes
 
 __all__ = ["shard_bounds", "ShardedExecutor"]
 
 logger = logging.getLogger("repro.search.executor")
+
+#: Snapshot segment header: pickled (model, scorer) size, image size.
+_HEADER = struct.Struct("<QQ")
+#: Snapshots a pool worker keeps, least recently used first.
+_SNAPSHOT_CACHE = 4
+_snapshots: "OrderedDict[str, _Snapshot]" = OrderedDict()
 
 
 def shard_bounds(database_size: int, num_shards: int) -> List[Tuple[int, int]]:
@@ -81,38 +106,35 @@ def shard_bounds(database_size: int, num_shards: int) -> List[Tuple[int, int]]:
     ]
 
 
-def _dedup_scores(
-    score_fn: Callable[[Graph], float],
-    graphs: Sequence[Graph],
-    signatures: Sequence[bytes],
-) -> Tuple[np.ndarray, int]:
-    """Score candidates, computing each unique signature once.
+def _dedup_plan(signatures: Sequence[bytes]) -> Tuple[np.ndarray, np.ndarray]:
+    """Collapse byte-identical candidates onto their first occurrence.
 
-    Returns the dense score vector and the number of forward passes
-    saved (duplicates broadcast from their representative).
+    Returns ``(representatives, inverse)``: the positions of each
+    signature's first occurrence in order, and for every position the
+    slot of its representative — so ``rep_scores[inverse]`` broadcasts
+    one score per unique candidate back to all of them.
     """
-    representatives: Dict[bytes, int] = {}
-    scores = np.empty(len(graphs), dtype=np.float64)
+    slots: Dict[bytes, int] = {}
+    representatives: List[int] = []
+    inverse = np.empty(len(signatures), dtype=np.int64)
     for position, signature in enumerate(signatures):
-        representative = representatives.setdefault(signature, position)
-        if representative == position:
-            scores[position] = score_fn(graphs[position])
-        else:
-            scores[position] = scores[representative]
-    return scores, len(graphs) - len(representatives)
+        slot = slots.setdefault(signature, len(representatives))
+        if slot == len(representatives):
+            representatives.append(position)
+        inverse[position] = slot
+    return np.array(representatives, dtype=np.int64), inverse
 
 
-def _score_shard_queries(
+def _score_queries(
     model: GMNModel,
     scorer: Optional[LogisticHead],
-    shard: Sequence[Graph],
-    signatures: Sequence[bytes],
+    graphs: Sequence[Graph],
     queries: Sequence[Graph],
     contexts: Optional[Sequence[Optional[dict]]],
     shard_label: str,
     tracker: Optional[RequestTracker],
 ) -> List[np.ndarray]:
-    """Score every query against one shard, recording telemetry.
+    """Score every query against ``graphs``, recording telemetry.
 
     Shared by the worker body and the serial path so both emit the same
     ``execute.shard`` spans and ``search.serve.shard_seconds``
@@ -125,15 +147,12 @@ def _score_shard_queries(
     vectors: List[np.ndarray] = []
     for position, query in enumerate(queries):
         started = time.monotonic()
-        scores, saved = _dedup_scores(
-            lambda candidate: _pair_score(model, scorer, candidate, query),
-            shard,
-            signatures,
+        scores = np.array(
+            [_pair_score(model, scorer, graph, query) for graph in graphs],
+            dtype=np.float64,
         )
         elapsed = time.monotonic() - started
         if registry is not None:
-            if saved:
-                registry.inc("search.serve.candidate_dedup_hits", saved)
             registry.observe(
                 "search.serve.shard_seconds",
                 elapsed,
@@ -160,73 +179,95 @@ def _score_shard_queries(
     return vectors
 
 
-def _shard_task(task):
-    """Worker body: score every batch query against one database shard.
+class _Snapshot:
+    """One published database version, as a worker reads it.
 
-    Attaches the parent's shared-memory database image, rebuilds only
-    ``[start, stop)``, and returns raw per-query score vectors — the
-    parent owns ranking and merging so the tie-break contract lives in
-    one process. When the task carries request contexts, per-query
-    ``execute.shard`` spans ride back in the telemetry payload.
+    Copies the model, the scorer and the database image out of the
+    segment and closes it at once; graphs are rebuilt lazily by id and
+    kept.
     """
-    (
-        shm_name,
-        size,
-        start,
-        stop,
-        ids,
-        model,
-        scorer,
-        queries,
-        contexts,
-        collect,
-    ) = task
-    from multiprocessing import shared_memory
 
-    shm = shared_memory.SharedMemory(name=shm_name)
-    try:
-        # Attaching registers the segment with this process's resource
-        # tracker (bpo-39959), which would unlink it out from under the
-        # other workers at exit; the parent owns cleanup.
-        from multiprocessing import resource_tracker
-
-        resource_tracker.unregister(shm._name, "shared_memory")
-    except Exception:  # pragma: no cover - tracker internals vary
-        pass
-    view = None
-    try:
-        view = shm.buf[:size]
-        if ids is None:
-            shard = graphs_from_buffer(view, start, stop)
-            shard_label = f"{start}:{stop}"
-        else:
-            # Candidate-retrieval shard: ``[start, stop)`` slices the
-            # batch's candidate id array, not the database itself.
-            shard = graphs_from_buffer(view, indices=ids)
-            shard_label = f"sel{start}:{stop}"
-        signatures = [graph_signature(graph) for graph in shard]
-        if not collect:
-            return (
-                start,
-                _score_shard_queries(
-                    model, scorer, shard, signatures, queries,
-                    None, shard_label, None,
-                ),
-                None,
-            )
-        tracker = RequestTracker() if contexts is not None else None
-        with metrics_enabled() as registry:
-            vectors = _score_shard_queries(
-                model, scorer, shard, signatures, queries,
-                contexts, shard_label, tracker,
-            )
-        return start, vectors, _telemetry_payload(registry, tracker)
-    finally:
-        view = None
+    def __init__(self, name: str) -> None:
+        segment = _attach_segment(name)
         try:
-            shm.close()
-        except BufferError:  # pragma: no cover - views still referenced
-            pass  # process exit unmaps; the parent unlinks
+            model_size, image_size = _HEADER.unpack(
+                bytes(segment.buf[: _HEADER.size])
+            )
+            body = bytes(
+                segment.buf[_HEADER.size : _HEADER.size + model_size + image_size]
+            )
+        finally:
+            segment.close()
+        self.model, self.scorer = pickle.loads(body[:model_size])
+        self._arrays = np.load(
+            io.BytesIO(body[model_size:]), allow_pickle=False
+        )
+        self._graphs: Dict[int, Graph] = {}
+
+    def graphs(self, ids: Sequence[int]) -> List[Graph]:
+        missing = [int(i) for i in ids if int(i) not in self._graphs]
+        if missing:
+            rebuilt = graphs_from_arrays(self._arrays, indices=missing)
+            self._graphs.update(zip(missing, rebuilt))
+        return [self._graphs[int(i)] for i in ids]
+
+
+def _snapshot(name: str) -> _Snapshot:
+    """The named snapshot; pool workers cache the most recent few."""
+    snapshot = _snapshots.get(name)
+    if snapshot is not None:
+        _snapshots.move_to_end(name)
+        return snapshot
+    snapshot = _Snapshot(name)
+    # In-process runs (the serial fallback, tests) read and discard.
+    if parallel.in_pool_worker:
+        _snapshots[name] = snapshot
+        while len(_snapshots) > _SNAPSHOT_CACHE:
+            _snapshots.popitem(last=False)
+    return snapshot
+
+
+def _shard_task(task):
+    """Worker body: score every batch query against a slice of the
+    batch's unique candidates.
+
+    ``ids`` are database indices into the snapshot ``name``;
+    ``[start, stop)`` is the slice's place in the batch's list of
+    unique candidates (the shard label). Returns raw per-query score
+    vectors — the parent owns broadcast, ranking and merging so the
+    tie-break contract lives in one process. When the task carries
+    request contexts, per-query ``execute.shard`` spans ride back in
+    the telemetry payload.
+    """
+    name, start, stop, ids, queries, contexts, collect = task
+    snapshot = _snapshot(name)
+    graphs = snapshot.graphs(ids)
+    label = f"{start}:{stop}"
+    if not collect:
+        return (
+            _score_queries(
+                snapshot.model, snapshot.scorer, graphs, queries,
+                None, label, None,
+            ),
+            None,
+        )
+    tracker = RequestTracker() if contexts is not None else None
+    with metrics_enabled() as registry:
+        vectors = _score_queries(
+            snapshot.model, snapshot.scorer, graphs, queries,
+            contexts, label, tracker,
+        )
+    return vectors, _telemetry_payload(registry, tracker)
+
+
+def _unlink_owned(segment, owner: int) -> None:
+    """Unlink a snapshot segment, but only from the process that made it.
+
+    A forked child inherits the executor and may collect it; the
+    segment is still the parent's.
+    """
+    if os.getpid() == owner:
+        segment.unlink()
 
 
 def _pair_score(
@@ -246,14 +287,14 @@ class ShardedExecutor:
     """Execute query batches against a (possibly growing) database.
 
     Holds a live reference to the index's graph list; signatures and
-    the shared-memory image are cached and extended/invalidated as the
-    database grows.
+    the shared-memory snapshot are cached and extended/republished as
+    the database grows.
 
     Parameters
     ----------
     num_shards:
-        Shard count per query; defaults to the worker count (at least
-        one shard per worker keeps the pool busy).
+        Shard count per query for local ranking and the top-k merge;
+        defaults to the worker count.
     workers:
         Process-pool width; clamped to the host's cores. ``1`` forces
         the serial path.
@@ -286,7 +327,10 @@ class ShardedExecutor:
         self.tracker = tracker
         self.clock = clock
         self._signatures: List[bytes] = []
-        self._image: Optional[Tuple[int, bytes]] = None
+        #: ``(database size, model, scorer, segment name)`` of the live
+        #: snapshot, and the finalizer that unlinks its segment.
+        self._snapshot: Optional[tuple] = None
+        self._unlink: Optional[weakref.finalize] = None
         #: Clock reading when the last batch finished ranking — where
         #: the pipeline's ``respond`` stage span begins.
         self.last_batch_end: Optional[float] = None
@@ -299,12 +343,57 @@ class ShardedExecutor:
         del self._signatures[len(self._graphs) :]
         return self._signatures
 
-    def _database_image(self) -> bytes:
-        """The database as npz bytes, rebuilt when the size changes."""
+    def _publish(self) -> Optional[str]:
+        """Name of the snapshot segment for the current database version.
+
+        Publishes a new one (and unlinks the previous) when the database
+        size, the model or the scorer changed. Returns None when the
+        segment cannot be created, so the caller scores serially.
+        """
         size = len(self._graphs)
-        if self._image is None or self._image[0] != size:
-            self._image = (size, graphs_to_npz_bytes(self._graphs))
-        return self._image[1]
+        live = self._snapshot
+        if (
+            live is not None
+            and live[0] == size
+            and live[1] is self.model
+            and live[2] is self.scorer
+        ):
+            return live[3]
+        from multiprocessing import shared_memory
+
+        state = pickle.dumps(
+            (self.model, self.scorer), protocol=pickle.HIGHEST_PROTOCOL
+        )
+        image = graphs_to_npz_bytes(self._graphs)
+        total = _HEADER.size + len(state) + len(image)
+        try:
+            segment = shared_memory.SharedMemory(create=True, size=total)
+        except (OSError, PermissionError, ValueError) as exc:
+            registry = get_metrics()
+            if registry is not None:
+                registry.inc(
+                    "search.serve.shm_failures", kind=type(exc).__name__
+                )
+            logger.warning(
+                "shared-memory segment unavailable (%s: %s); scoring "
+                "shards serially",
+                type(exc).__name__,
+                exc,
+            )
+            return None
+        buffer = segment.buf
+        buffer[: _HEADER.size] = _HEADER.pack(len(state), len(image))
+        body = _HEADER.size + len(state)
+        buffer[_HEADER.size : body] = state
+        buffer[body:total] = image
+        segment.close()
+        if self._unlink is not None:
+            self._unlink()
+        self._snapshot = (size, self.model, self.scorer, segment.name)
+        self._unlink = weakref.finalize(
+            self, _unlink_owned, segment, os.getpid()
+        )
+        return segment.name
 
     # -- execution ------------------------------------------------------
     def run_batch(
@@ -325,33 +414,37 @@ class ShardedExecutor:
         :class:`~repro.search.sketch.CandidateRetriever`); results rank
         only those candidates, under the same total order and shard
         plan the full database would use. ``None`` scores everything —
-        the flat-retrieval path, byte-identical to before candidates
-        existed.
+        the flat-retrieval path.
         """
         database_size = len(self._graphs)
         if database_size == 0:
             return [tuple() for _ in batch.groups]
-        selection = None
-        if candidates is not None:
-            selection = np.unique(np.asarray(candidates, dtype=np.int64))
-            if selection.size and (
-                selection[0] < 0 or selection[-1] >= database_size
-            ):
+        if candidates is None:
+            ids = np.arange(database_size)
+        else:
+            ids = np.unique(np.asarray(candidates, dtype=np.int64))
+            if ids.size and (ids[0] < 0 or ids[-1] >= database_size):
                 raise IndexError(
                     "candidate ids out of range for database of size "
                     f"{database_size}"
                 )
-            if selection.size == 0:
+            if ids.size == 0:
                 return [tuple() for _ in batch.groups]
-        work_size = database_size if selection is None else len(selection)
         workers = available_workers(self.workers)
         bounds = shard_bounds(
-            work_size,
+            len(ids),
             workers if self.num_shards is None else self.num_shards,
         )
+        signatures = self.signatures()
+        representatives, inverse = _dedup_plan([signatures[i] for i in ids])
+        unique_ids = ids[representatives]
         queries = [group.graph for group in batch.groups]
         contexts = (
-            [group.primary.context for group in batch.groups]
+            [
+                None if group.primary.context is None
+                else group.primary.context.to_wire()
+                for group in batch.groups
+            ]
             if self.tracker is not None
             else None
         )
@@ -376,13 +469,25 @@ class ShardedExecutor:
             queries=len(queries),
             shards=len(bounds),
         ):
-            vectors = None
-            if workers > 1 and len(bounds) > 1:
-                vectors = self._run_sharded(
-                    queries, contexts, bounds, workers, selection
+            saved = len(ids) - len(unique_ids)
+            registry = get_metrics()
+            if saved and registry is not None:
+                registry.inc(
+                    "search.serve.candidate_dedup_hits", saved * len(queries)
                 )
+            vectors = None
+            if workers > 1 and len(unique_ids) > 1:
+                vectors = self._run_pool(queries, contexts, unique_ids, workers)
             if vectors is None:
-                vectors = self._run_serial(queries, contexts, bounds, selection)
+                vectors = _score_queries(
+                    self.model,
+                    self.scorer,
+                    [self._graphs[i] for i in unique_ids],
+                    queries,
+                    contexts,
+                    f"0:{len(unique_ids)}",
+                    tracker,
+                )
         if tracker is not None:
             rank_start = self.clock()
             for request in members:
@@ -396,7 +501,7 @@ class ShardedExecutor:
                 )
         with span("serve.rank", batch=batch.batch_id):
             rankings = [
-                self._rank(vectors[position], bounds, group.top_k, selection)
+                self._rank(vectors[position][inverse], ids, bounds, group.top_k)
                 for position, group in enumerate(batch.groups)
             ]
         if tracker is not None:
@@ -420,146 +525,62 @@ class ShardedExecutor:
             self.last_batch_end = rank_end
         return rankings
 
+    @staticmethod
     def _rank(
-        self,
-        shard_scores: List[np.ndarray],
+        scores: np.ndarray,
+        ids: np.ndarray,
         bounds: List[Tuple[int, int]],
         top_k: int,
-        selection: Optional[np.ndarray] = None,
     ) -> Tuple[SearchResult, ...]:
         """Rank each shard locally, then k-way merge to the global top-k.
 
-        With a candidate ``selection``, results carry the *database*
-        index of each scored candidate, so the total order (descending
-        score, ties ascending database index) is the flat path's order
-        restricted to the candidate set.
+        Results carry the *database* index of each scored candidate, so
+        the total order (descending score, ties ascending database
+        index) is the flat path's order restricted to the candidates.
         """
         partials = [
             results_mod.rank_scores(
-                scores,
-                top_k,
-                indices=(
-                    np.arange(start, stop)
-                    if selection is None
-                    else selection[start:stop]
-                ),
+                scores[start:stop], top_k, indices=ids[start:stop]
             )
-            for scores, (start, stop) in zip(shard_scores, bounds)
+            for start, stop in bounds
         ]
         return tuple(results_mod.merge_topk(partials, top_k))
 
-    def _run_serial(
+    def _run_pool(
         self,
         queries: Sequence[Graph],
-        contexts: Optional[List[Optional[RequestContext]]],
-        bounds: List[Tuple[int, int]],
-        selection: Optional[np.ndarray] = None,
-    ) -> List[List[np.ndarray]]:
-        """Score in-process with database-wide candidate dedup."""
-        wire_contexts = (
-            [
-                None if context is None else context.to_wire()
-                for context in contexts
-            ]
-            if contexts is not None
-            else None
-        )
-        if selection is None:
-            graphs: Sequence[Graph] = self._graphs
-            signatures: Sequence[bytes] = self.signatures()
-            label = f"0:{len(self._graphs)}"
-        else:
-            all_signatures = self.signatures()
-            graphs = [self._graphs[i] for i in selection]
-            signatures = [all_signatures[i] for i in selection]
-            label = f"sel0:{len(graphs)}"
-        vectors = _score_shard_queries(
-            self.model,
-            self.scorer,
-            graphs,
-            signatures,
-            queries,
-            wire_contexts,
-            label,
-            self.tracker,
-        )
-        return [
-            [scores[start:stop] for start, stop in bounds]
-            for scores in vectors
-        ]
-
-    def _run_sharded(
-        self,
-        queries: Sequence[Graph],
-        contexts: Optional[List[Optional[RequestContext]]],
-        bounds: List[Tuple[int, int]],
+        contexts: Optional[List[Optional[dict]]],
+        unique_ids: np.ndarray,
         workers: int,
-        selection: Optional[np.ndarray] = None,
-    ) -> Optional[List[List[np.ndarray]]]:
-        """Fan shards across the process pool via shared memory.
+    ) -> Optional[List[np.ndarray]]:
+        """Score the unique candidates on the serving pool.
 
-        Returns None when the segment cannot be created so the caller
-        falls back to the serial path.
+        Returns per-query score vectors over ``unique_ids``, or None
+        when no snapshot can be published so the caller scores serially.
         """
-        try:
-            from multiprocessing import shared_memory
-        except ImportError:  # pragma: no cover - stdlib always has it
+        name = self._publish()
+        if name is None:
             return None
-        image = self._database_image()
-        try:
-            segment = shared_memory.SharedMemory(create=True, size=len(image))
-        except (OSError, PermissionError, ValueError) as exc:
-            registry = get_metrics()
-            if registry is not None:
-                registry.inc(
-                    "search.serve.shm_failures", kind=type(exc).__name__
-                )
-            logger.warning(
-                "shared-memory segment unavailable (%s: %s); scoring "
-                "shards serially",
-                type(exc).__name__,
-                exc,
+        collect = get_metrics() is not None or self.tracker is not None
+        tasks = [
+            (
+                name,
+                start,
+                stop,
+                unique_ids[start:stop],
+                list(queries),
+                contexts,
+                collect,
             )
-            return None
-        registry = get_metrics()
-        collect = registry is not None or self.tracker is not None
-        wire_contexts = (
-            [
-                None if context is None else context.to_wire()
-                for context in contexts
-            ]
-            if contexts is not None
-            else None
-        )
-        try:
-            segment.buf[: len(image)] = image
-            tasks = [
-                (
-                    segment.name,
-                    len(image),
-                    start,
-                    stop,
-                    None if selection is None else selection[start:stop],
-                    self.model,
-                    self.scorer,
-                    list(queries),
-                    wire_contexts,
-                    collect,
-                )
-                for start, stop in bounds
-            ]
-            raw = _map_tasks(_shard_task, tasks, workers)
-        finally:
-            segment.close()
-            segment.unlink()
-        raw.sort(key=lambda item: item[0])
-        for _, _, telemetry in raw:
+            for start, stop in shard_bounds(len(unique_ids), workers)
+        ]
+        raw = _map_tasks(_shard_task, tasks, workers, persistent=True)
+        for _, telemetry in raw:
             spans = _merge_worker_telemetry(telemetry)
             if self.tracker is not None and spans:
                 self.tracker.ingest(spans, parent="execute")
-        # raw is per-shard [per-query scores]; transpose to per-query
-        # [per-shard scores] in shard order.
+        # raw is per-slice [per-query scores]; join the slices per query.
         return [
-            [vectors[position] for _, vectors, _ in raw]
+            np.concatenate([vectors[position] for vectors, _ in raw])
             for position in range(len(queries))
         ]

@@ -84,7 +84,7 @@ class SimilaritySearchIndex:
             )
         self._graphs.append(graph)
         # The cached default pipeline carries per-database derived state
-        # (executor signature/image caches, retriever band buckets);
+        # (executor signature/snapshot caches, retriever band buckets);
         # invalidate on mutation so the next query is guaranteed a
         # pipeline consistent with the grown database rather than
         # trusting every cache layer to self-extend.

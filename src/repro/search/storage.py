@@ -17,9 +17,10 @@ encoding:
   method makes at the node level (Algorithm 1), lifted to whole graphs.
   Byte keys cannot collide, so dedup is exact by construction.
 
-The codec is also how database shards travel to worker processes: the
-executor publishes one uncompressed ``.npz`` image of the database into
-shared memory and each worker rebuilds only its shard's graphs from it.
+The codec is also how the database travels to worker processes: the
+executor publishes one uncompressed ``.npz`` image of the database in
+its shared-memory snapshot, and each worker rebuilds only the graphs it
+is asked to score.
 """
 
 from __future__ import annotations
@@ -36,7 +37,6 @@ __all__ = [
     "database_arrays",
     "graphs_from_arrays",
     "graphs_to_npz_bytes",
-    "graphs_from_buffer",
     "sketch_from_arrays",
     "graph_signature",
 ]
@@ -152,23 +152,10 @@ def sketch_from_arrays(data) -> Optional[Tuple[np.ndarray, np.ndarray]]:
 
 
 def graphs_to_npz_bytes(graphs: Sequence[Graph]) -> bytes:
-    """The database as one uncompressed ``.npz`` image (shard transport)."""
+    """The database as one uncompressed ``.npz`` image (worker transport)."""
     buffer = io.BytesIO()
     np.savez(buffer, **database_arrays(graphs))
     return buffer.getvalue()
-
-
-def graphs_from_buffer(
-    buffer,
-    start: int = 0,
-    stop: int = None,
-    indices: Optional[Iterable[int]] = None,
-) -> List[Graph]:
-    """Rebuild graphs from a :func:`graphs_to_npz_bytes` image (bytes
-    or a shared-memory view) — a ``start:stop`` slice or an explicit
-    ``indices`` selection."""
-    with np.load(io.BytesIO(bytes(buffer)), allow_pickle=False) as data:
-        return graphs_from_arrays(data, start, stop, indices=indices)
 
 
 def graph_signature(graph: Graph) -> bytes:

@@ -1097,6 +1097,21 @@ def _mutate_request_signatures():
     )
 
 
+def _mutate_stale_snapshot():
+    from ..search import executor as executor_mod
+
+    original = executor_mod.ShardedExecutor._publish
+
+    def first_snapshot_only(self):
+        if self._snapshot is not None:
+            return self._snapshot[-1]
+        return original(self)
+
+    return _patched(
+        executor_mod.ShardedExecutor, "_publish", first_snapshot_only
+    )
+
+
 @register_check(
     "search.serve_vs_direct",
     kind="differential",
@@ -1108,19 +1123,23 @@ def _mutate_request_signatures():
         "executor_drops_last_shard": _mutate_shard_bounds,
         "merge_skips_best_result": _mutate_merge_order,
         "scheduler_collides_all_requests": _mutate_request_signatures,
+        "workers_score_stale_snapshot": _mutate_stale_snapshot,
     },
 )
 def check_serve_vs_direct(context: CheckContext):
     """The staged serving pipeline returns exactly the flat rankings.
 
     The pipeline reshapes execution four ways — request dedup in the
-    scheduler, database sharding, candidate dedup inside each shard,
-    and a k-way top-k merge — and every one of them must be invisible
-    in the results: same indices, bit-identical scores, ties broken by
+    scheduler, database-wide candidate dedup, database sharding, and a
+    k-way top-k merge — and every one of them must be invisible in the
+    results: same indices, bit-identical scores, ties broken by
     ascending database index. The request stream contains duplicate
     queries (dedup sharing), the database contains duplicate and
-    empty-graph entries (candidate broadcast, PR 5 degenerate shapes),
-    and shards deliberately don't divide the database evenly.
+    empty-graph entries (candidate broadcast, degenerate shapes), and
+    shards deliberately don't divide the database evenly. A pool leg
+    serves the stream on the worker pool (``workers=2``, clamped to the
+    host's cores) while the database grows between rounds, so it
+    crosses a snapshot republish.
     """
     from ..graphs.datasets import generate_graph
     from ..graphs.graph import Graph
@@ -1173,6 +1192,36 @@ def check_serve_vs_direct(context: CheckContext):
             )
             compared += 1
 
+    pool_index = index_mod.SimilaritySearchIndex(model)
+    pool_index.add_many(database)
+    pipeline = pool_index.pipeline(
+        max_batch_queries=2, num_shards=3, workers=2
+    )
+    growth = [substitute_edges(base[4], 1, rng), generate_graph("AIDS", rng)]
+    for round_index in range(len(growth) + 1):
+        try:
+            responses = pipeline.serve(stream, top_k=top_k)
+        except Exception as exc:  # the flat path serves this stream
+            raise CheckFailure(
+                f"[pool round {round_index}] serving raised "
+                f"{type(exc).__name__}: {exc}"
+            ) from exc
+        for graph, response in zip(stream, responses):
+            _require(
+                response is not None and response.ok,
+                f"[pool round {round_index}] request was not served: "
+                f"{response}",
+            )
+            expected = pool_index._query_flat(graph, top_k)
+            _require(
+                list(response.results) == expected,
+                f"[pool round {round_index}] served top-k diverges from "
+                f"the flat path: {list(response.results)} != {expected}",
+            )
+            compared += 1
+        if round_index < len(growth):
+            pool_index.add(growth[round_index])
+
     # Deadline shedding is part of the response contract: with an
     # injected clock, an expired request must come back empty and
     # marked, never half-served.
@@ -1196,8 +1245,9 @@ def check_serve_vs_direct(context: CheckContext):
         "live request served wrong results alongside an expired one",
     )
     return (
-        f"{compared} served requests x {len(policies)} policies "
-        "bit-identical to the flat path; deadline shedding clean"
+        f"{compared} served requests ({len(policies)} policies and a "
+        "growing pool leg) bit-identical to the flat path; deadline "
+        "shedding clean"
     )
 
 

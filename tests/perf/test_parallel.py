@@ -11,6 +11,7 @@ from repro.experiments.common import (
     prewarm_workloads,
     workload_results,
 )
+from repro.perf import parallel
 from repro.perf.parallel import (
     _chunk_bounds,
     _merge_worker_telemetry,
@@ -125,16 +126,23 @@ class TestWorkerDeathFallback:
     metrics registry stay complete."""
 
     class _DyingPool:
-        """Stands in for ProcessPoolExecutor; dies partway into map()."""
+        """Stands in for a started pool; dies partway into map()."""
 
-        def __init__(self, max_workers=None):
-            self.max_workers = max_workers
+        started = 0
+
+        def __init__(self, workers, persistent=False):
+            self.max_workers = workers
+            self.persistent = persistent
+            type(self).started += 1
 
         def __enter__(self):
             return self
 
         def __exit__(self, *exc):
             return False
+
+        def shutdown(self, wait=True, cancel_futures=False):
+            pass
 
         def map(self, fn, tasks):
             from concurrent.futures.process import BrokenProcessPool
@@ -151,11 +159,8 @@ class TestWorkerDeathFallback:
 
     @pytest.fixture
     def _dying_pool(self, monkeypatch):
-        from repro.perf import parallel
-
-        monkeypatch.setattr(
-            parallel, "ProcessPoolExecutor", self._DyingPool
-        )
+        monkeypatch.setattr(parallel, "_start_pool", self._DyingPool)
+        monkeypatch.setattr(self._DyingPool, "started", 0)
         # Bypass the CPU-count clamp so the pool path engages even on
         # single-core CI hosts — the pool itself is the fake above.
         monkeypatch.setattr(
@@ -163,6 +168,10 @@ class TestWorkerDeathFallback:
             "available_workers",
             lambda requested=None: requested or 2,
         )
+        # Start from no serving pool and leave none behind.
+        parallel.shutdown_serving_pool()
+        yield
+        parallel.shutdown_serving_pool()
 
     def test_results_complete_after_worker_death(self, _dying_pool):
         workloads = [("GMN-Li", "AIDS"), ("SimGNN", "AIDS")]
@@ -200,6 +209,25 @@ class TestWorkerDeathFallback:
         )
         assert (
             registry.counter("sim.pairs", platform="CEGMA") == spec.num_pairs
+        )
+
+    def test_serving_pool_is_replaced_after_worker_death(self, _dying_pool):
+        from repro.obs.metrics import metrics_enabled
+        from repro.perf.parallel import _map_tasks
+
+        tasks = [(1,), (2,), (3,)]
+        with metrics_enabled() as registry:
+            first = _map_tasks(sum, tasks, 2, persistent=True)
+            assert parallel._serving is None  # the broken pool is dropped
+            second = _map_tasks(sum, tasks, 2, persistent=True)
+        # Both batches completed serially, and each got a fresh pool.
+        assert first == second == [1, 2, 3]
+        assert self._DyingPool.started == 2
+        assert (
+            registry.counter(
+                "perf.parallel.worker_failures", kind="BrokenProcessPool"
+            )
+            == 2
         )
 
     def test_fallback_logs_a_warning(self, _dying_pool, caplog, monkeypatch):
