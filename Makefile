@@ -22,25 +22,23 @@ lint:
 bench:
 	$(PYTHON) -m pytest benchmarks/ --benchmark-only
 
-# EMF + harness microbenchmarks; writes BENCH_emf.json / BENCH_harness.json
-# and appends each run to results/obs/bench_history/.
+# EMF, harness and search microbenchmarks; appends each run to the run
+# store under results/obs/runs/.
 bench-quick:
 	$(PYTHON) -m repro.perf.bench --quick
 
-# Serving-pipeline benchmark (flat query loop vs. staged pipeline);
-# writes BENCH_search.json with queries/sec and p50/p99 latency.
+# Serving-pipeline benchmark only (flat query loop vs. staged pipeline).
 bench-search:
 	$(PYTHON) -m repro.perf.bench --quick --only search
 
-# Gate the newest recorded bench run against its config-matching
-# predecessor: exit 1 on deterministic check drift, 2 on a statistical
-# timing regression (or no comparable baseline).
+# Gate each series' newest run against its config-matching predecessor:
+# exit 1 on exact-value drift, 2 on a timing regression (or no baseline).
 bench-compare:
-	$(PYTHON) -m repro obs bench compare
+	$(PYTHON) -m repro obs compare
 
 # Per-metric history with changepoints marked.
 bench-trend:
-	$(PYTHON) -m repro obs bench trend
+	$(PYTHON) -m repro obs trend
 
 examples:
 	@for script in examples/*.py; do \

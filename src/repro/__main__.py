@@ -22,13 +22,11 @@ Subcommands::
         --metrics --trace trace.json
     python -m repro obs show results/obs/..._report.json
     python -m repro obs diff old_report.json new_report.json
-    python -m repro obs check results/obs/..._report.json [--update]
+    python -m repro obs record results/obs/..._report.json [--store DIR]
+    python -m repro obs compare [results/obs/..._report.json] [--json-out FILE]
+    python -m repro obs trend [--markdown] [--json-out FILE]
     python -m repro obs provenance results/experiments.json
     python -m repro obs dashboard --output dashboard.html
-    python -m repro obs baselines
-    python -m repro obs bench record BENCH_emf.json BENCH_search.json
-    python -m repro obs bench compare [--bench NAME] [--json-out FILE]
-    python -m repro obs bench trend [--bench NAME] [--markdown]
     python -m repro validate [--quick] [--only NAME] [--list] [--smoke]
 
 ``profile`` + ``replay`` implement the paper's trace-file methodology:
@@ -40,14 +38,12 @@ optional ``@key=value`` overrides (``repro platforms`` lists both).
 run: counters and spans recorded by the simulator, EMF, and CGC are
 written as a schema-versioned RunReport under ``results/obs/`` and a
 Perfetto-loadable Chrome trace. ``repro obs`` pretty-prints, validates,
-and diffs those reports; ``obs check`` compares a fresh report against
-the baseline store and fails on deterministic-counter drift, ``obs
-provenance`` validates artifact stamps, and ``obs dashboard`` renders
-metric trends as static HTML. ``repro bench`` appends every run to the
-append-only history under ``results/obs/bench_history/``; ``obs bench
-record|compare|trend`` ingests legacy BENCH files, gates the newest
-entry (deterministic checks exactly, timings statistically), and
-renders changepoint-annotated trends. ``serve --request-trace`` joins every
+and diffs those reports. RunReports and ``repro bench`` runs share one
+append-only run store (``results/obs/runs/``): ``obs record`` appends,
+``obs compare`` gates (exact values exactly, timings statistically),
+``obs trend`` renders changepoint-annotated trends, and ``obs
+dashboard`` renders them as static HTML. ``obs provenance`` validates
+artifact stamps. ``serve --request-trace`` joins every
 response to a per-stage span tree with SLO budget attribution and tail
 exemplars; ``--window-seconds`` adds windowed rates/quantiles that
 ``obs tail`` replays from a RunReport or ``--window-log`` JSONL file,
@@ -377,61 +373,30 @@ def _cmd_obs(args) -> int:
     return 0
 
 
-def _cmd_obs_check(args) -> int:
-    """Compare a fresh RunReport against its archived baseline.
-
-    Exit codes: 0 clean (or baseline created with ``--update``),
-    1 regressions found, 2 no baseline to compare against.
-    """
-    import json
-
-    from .obs import BaselineStore, RegressionPolicy, RunReport, compare_reports
-
-    current = RunReport.load(args.report)
-    store = BaselineStore(args.baseline_dir)
-    if args.baseline:
-        baseline = RunReport.load(args.baseline)
-        baseline_name = args.baseline
-    else:
-        if current.spec is None:
-            print("cannot check an unkeyed report (no RunSpec) against a store")
-            return 2
-        baseline = store.latest(current.spec)
-        baseline_name = str(store.latest_path(current.spec))
-    if baseline is None:
-        if args.update:
-            path = store.save(current, retain=args.retain)
-            print(f"no prior baseline; archived this run as {path}")
-            return 0
-        print(
-            f"no baseline for {current.spec.stem} under {store.root} "
-            "(run with --update to create one)"
-        )
-        return 2
-    policy = RegressionPolicy(timing_rel_tol=args.timing_tol)
-    result = compare_reports(baseline, current, policy)
-    print(f"baseline: {baseline_name}")
-    print(result.render())
-    if args.json_out:
-        with open(args.json_out, "w") as handle:
-            json.dump(result.to_dict(), handle, indent=2, sort_keys=True)
-            handle.write("\n")
-        print(f"wrote RegressionReport to {args.json_out}")
-    if not result.ok:
-        return 1
-    if args.update:
-        path = store.save(current, retain=args.retain)
-        print(f"archived clean run as new baseline {path}")
-    return 0
-
-
 def _cmd_obs_provenance(args) -> int:
-    """Inspect and validate the provenance stamp of an artifact."""
+    """Validate the provenance stamp of an artifact, or of every run in
+    a run store directory."""
     import json
+    from pathlib import Path
 
-    from .obs import read_stamp, validate_stamp
+    from .obs import RunStore, read_stamp, validate_stamp
     from .obs.provenance import render_stamp
 
+    if Path(args.artifact).is_dir():
+        store = RunStore(args.artifact)
+        runs = [run for name in store.series() for run in store.read(name)]
+        problems = [
+            f"{run.series}/{run.entry_id}: {problem}"
+            for run in runs
+            for problem in validate_stamp(run.provenance)
+        ]
+        for problem in problems:
+            print(f"INVALID: {problem}")
+        if problems or not runs:
+            print(f"{len(runs)} recorded run(s) under {store.root}")
+            return 1
+        print(f"{args.artifact}: all {len(runs)} recorded run(s) carry a valid stamp")
+        return 0
     with open(args.artifact) as handle:
         payload = json.load(handle)
     stamp = read_stamp(payload)
@@ -449,40 +414,12 @@ def _cmd_obs_provenance(args) -> int:
 
 
 def _cmd_obs_dashboard(args) -> int:
-    """Render the static HTML dashboard over the baseline store."""
-    from .obs import BaselineStore, BenchHistory, write_dashboard
+    """Render the static HTML dashboard over the run store."""
+    from .obs import RunStore, write_dashboard
 
-    store = BaselineStore(args.baseline_dir)
-    history = BenchHistory(args.history_dir)
-    path = write_dashboard(
-        store, args.output, max_points=args.max_points, history=history
-    )
-    print(
-        f"wrote dashboard ({len(store.specs())} workload(s), "
-        f"{len(history.benches())} bench histor"
-        f"{'y' if len(history.benches()) == 1 else 'ies'}) to {path}"
-    )
-    return 0
-
-
-def _cmd_obs_baselines(args) -> int:
-    """List archived baselines per workload identity."""
-    from .obs import BaselineStore
-
-    store = BaselineStore(args.baseline_dir)
-    specs = store.specs()
-    if not specs:
-        print(f"no baselines under {store.root}")
-        return 0
-    table = ResultTable(["workload", "baselines", "newest"])
-    for key in sorted(specs):
-        history = store.history(specs[key])
-        table.add_row(
-            specs[key].stem,
-            len(history),
-            history[-1].name if history else "-",
-        )
-    print(table.render())
+    store = RunStore(args.store)
+    path = write_dashboard(store, args.output, max_points=args.max_points)
+    print(f"wrote dashboard ({len(store.series())} series) to {path}")
     return 0
 
 
@@ -521,124 +458,123 @@ def _cmd_obs_tail(args) -> int:
 def _cmd_bench(args) -> int:
     from .perf.bench import main as bench_main
 
-    forwarded = []
+    forwarded = ["--repeats", str(args.repeats)]
     if args.quick:
         forwarded.append("--quick")
     if args.only:
         forwarded.extend(["--only", args.only])
     if args.workers is not None:
         forwarded.extend(["--workers", str(args.workers)])
-    forwarded.extend(["--repeats", str(args.repeats)])
-    forwarded.extend(["--output-dir", args.output_dir])
-    if args.history_dir:
-        forwarded.extend(["--history-dir", args.history_dir])
-    if args.no_history:
-        forwarded.append("--no-history")
+    if args.store:
+        forwarded.extend(["--store", args.store])
     return bench_main(forwarded)
 
 
-def _bench_history(args):
-    from .obs import BenchHistory
+def _write_json(path: str, payload: dict, what: str) -> None:
+    import json
 
-    return BenchHistory(args.history_dir)
+    with open(path, "w") as handle:
+        json.dump(payload, handle, indent=2, sort_keys=True)
+        handle.write("\n")
+    print(f"wrote {what} to {path}")
 
 
-def _cmd_obs_bench(args) -> int:
-    """The benchmark-history surface: record, compare, trend.
+def _cmd_obs_record(args) -> int:
+    """Append RunReport / BENCH JSON files to the run store.
 
-    ``record`` ingests BENCH_*.json files (idempotent — re-recording
-    the same payload is a no-op). ``compare`` gates the newest (or a
-    supplied candidate) entry per bench against its latest
-    config-matching predecessor; exit codes follow ``obs check``:
-    0 clean, 1 deterministic check drift, 2 statistical timing
-    regression or no comparable baseline. ``trend`` prints each
-    metric's history with changepoints marked.
+    Idempotent: re-recording the same artifact is a no-op. Exit 1 when
+    a file cannot be read or is not a recordable artifact.
     """
     import json
 
-    from .obs import compare_history, render_markdown_table, trend_report
-    from .obs.analytics import render_trend
-    from .obs.history import HistoryEntry
+    from .obs import RunStore
 
-    history = _bench_history(args)
-    if args.bench_command == "record":
-        status = 0
-        for path in args.files:
-            try:
-                entry, appended = history.record_file(path)
-            except (OSError, ValueError, json.JSONDecodeError) as exc:
-                print(f"cannot record {path}: {exc}")
-                status = 1
-                continue
-            verb = "recorded" if appended else "already recorded"
-            print(
-                f"{verb} {path} as {entry.bench}/{entry.entry_id} "
-                f"under {history.root}"
-            )
-        return status
+    store = RunStore(args.store)
+    status = 0
+    for path in args.files:
+        try:
+            run, appended = store.record_file(path)
+        except (OSError, ValueError, json.JSONDecodeError) as exc:
+            print(f"cannot record {path}: {exc}")
+            status = 1
+            continue
+        verb = "recorded" if appended else "already recorded"
+        print(f"{verb} {path} as {run.series}/{run.entry_id} under {store.root}")
+    return status
 
-    if args.bench_command == "compare":
-        candidates = None
-        if args.candidate:
-            with open(args.candidate) as handle:
-                entry = HistoryEntry.from_bench_report(json.load(handle))
-            candidates = {entry.bench: entry}
-            benches = [entry.bench]
-        else:
-            benches = [args.bench] if args.bench else None
-        comparisons = compare_history(
-            history, benches=benches, candidates=candidates
-        )
-        if not comparisons:
-            print(f"no bench history under {history.root}")
+
+def _cmd_obs_compare(args) -> int:
+    """The one regression gate: exit 0 clean, 1 exact-value drift,
+    2 timing regression or no comparable baseline.
+
+    With FILE, that artifact is gated (not recorded) against the newest
+    comparable run of its series; without, the newest run of every
+    series is gated against the runs before it.
+    """
+    import json
+
+    from .obs import RunStore, compare, ingest
+
+    store = RunStore(args.store)
+    if args.file:
+        try:
+            with open(args.file) as handle:
+                candidate = ingest(json.load(handle))
+        except (OSError, ValueError, json.JSONDecodeError) as exc:
+            print(f"cannot compare {args.file}: {exc}")
             return 2
-        for comparison in comparisons:
-            print(comparison.render())
-            print()
-        if args.json_out:
-            payload = {
-                "schema_version": 1,
-                "kind": "repro-bench-compare-report",
-                "comparisons": [c.to_dict() for c in comparisons],
-            }
-            with open(args.json_out, "w") as handle:
-                json.dump(payload, handle, indent=2, sort_keys=True)
-                handle.write("\n")
-            print(f"wrote comparison report to {args.json_out}")
-        return max(comparison.exit_code for comparison in comparisons)
+        comparisons = [compare(store.read(candidate.series), candidate)]
+    else:
+        comparisons = [compare(store.read(name)) for name in store.series()]
+    if not comparisons:
+        print(f"no runs recorded under {store.root}")
+        return 2
+    for comparison in comparisons:
+        print(comparison.render())
+        print()
+    if args.json_out:
+        payload = {
+            "schema_version": 1,
+            "kind": "repro-compare-report",
+            "comparisons": [c.to_dict() for c in comparisons],
+        }
+        _write_json(args.json_out, payload, "comparison report")
+    return max(comparison.exit_code for comparison in comparisons)
 
-    # trend
+
+def _cmd_obs_trend(args) -> int:
+    """Each series' metrics over its runs, changepoints marked (or the
+    README speedup table with ``--markdown``)."""
+    from .obs import RunStore, render_markdown_table, render_trend, trend_report
+
+    store = RunStore(args.store)
     if args.markdown:
-        print(render_markdown_table(history))
+        print(render_markdown_table(store))
         return 0
-    benches = [args.bench] if args.bench else history.benches()
-    if not benches:
-        print(f"no bench history under {history.root}")
+    names = store.series()
+    if not names:
+        print(f"no runs recorded under {store.root}")
         return 2
     reports = []
-    for name in benches:
-        entries = history.read(name)
-        report = trend_report(entries, window=args.window)
+    for name in names:
+        report = trend_report(store.read(name))
         reports.append(report)
         print(render_trend(report))
         print()
     if args.json_out:
         payload = {
             "schema_version": 1,
-            "kind": "repro-bench-trend-report",
+            "kind": "repro-trend-report",
             "trends": reports,
         }
-        with open(args.json_out, "w") as handle:
-            json.dump(payload, handle, indent=2, sort_keys=True)
-            handle.write("\n")
-        print(f"wrote trend report to {args.json_out}")
+        _write_json(args.json_out, payload, "trend report")
     return 0
 
 
 def _cmd_validate(args) -> int:
     """Run the differential/invariant validation checks.
 
-    Exit codes follow ``obs check``: 0 all pass, 1 divergences found,
+    Exit codes follow ``obs compare``: 0 all pass, 1 divergences found,
     2 usage error (unknown check name).
     """
     import json
@@ -1142,34 +1078,30 @@ def main(argv: Optional[List[str]] = None) -> int:
     )
     experiments.set_defaults(handler=_cmd_experiments)
 
+    def _add_store_argument(sub_parser) -> None:
+        sub_parser.add_argument(
+            "--store",
+            default=None,
+            metavar="DIR",
+            help="run store root (default: results/obs/runs)",
+        )
+
     bench = subparsers.add_parser(
         "bench",
         help="run the EMF/harness/search microbenchmarks "
-        "(writes BENCH_*.json and appends to the bench history)",
+        "(each run is appended to the run store)",
     )
     bench.add_argument("--quick", action="store_true")
     bench.add_argument("--repeats", type=int, default=3)
     bench.add_argument("--workers", type=int, default=None)
-    bench.add_argument("--output-dir", default=".")
     bench.add_argument(
         "--only", choices=("emf", "harness", "search"), default=None
     )
-    bench.add_argument(
-        "--history-dir",
-        default=None,
-        metavar="DIR",
-        help="bench history root (default: results/obs/bench_history, "
-        "or the REPRO_BENCH_HISTORY env var; 'off' disables)",
-    )
-    bench.add_argument(
-        "--no-history",
-        action="store_true",
-        help="do not append this run to the bench history",
-    )
+    _add_store_argument(bench)
     bench.set_defaults(handler=_cmd_bench)
 
     obs = subparsers.add_parser(
-        "obs", help="inspect, validate, and diff RunReport artifacts"
+        "obs", help="inspect RunReports; record, gate and chart runs"
     )
     obs_sub = obs.add_subparsers(dest="obs_command", required=True)
     obs_show = obs_sub.add_parser(
@@ -1190,63 +1122,59 @@ def main(argv: Optional[List[str]] = None) -> int:
     obs_diff.add_argument("new")
     obs_diff.set_defaults(handler=_cmd_obs)
 
-    def _add_store_argument(sub_parser) -> None:
-        sub_parser.add_argument(
-            "--baseline-dir",
-            default=None,
-            metavar="DIR",
-            help="baseline store root (default: results/obs/baselines)",
-        )
+    obs_record = obs_sub.add_parser(
+        "record",
+        help="append RunReport / BENCH JSON files to the run store "
+        "(idempotent; exit 1 on unreadable files)",
+    )
+    obs_record.add_argument("files", nargs="+", metavar="FILE")
+    _add_store_argument(obs_record)
+    obs_record.set_defaults(handler=_cmd_obs_record)
 
-    obs_check = obs_sub.add_parser(
-        "check",
-        help="compare a RunReport against its baseline; exit 1 on "
-        "regressions (deterministic counters exact, timings in band)",
+    obs_compare = obs_sub.add_parser(
+        "compare",
+        help="gate FILE (default: each series' newest run) against the "
+        "store: exit 1 on exact-value drift, 2 on a timing regression "
+        "or no baseline",
     )
-    obs_check.add_argument("report")
-    _add_store_argument(obs_check)
-    obs_check.add_argument(
-        "--baseline",
-        metavar="FILE",
-        help="explicit baseline RunReport (skips the store lookup)",
-    )
-    obs_check.add_argument(
-        "--timing-tol",
-        type=float,
-        default=None,
-        metavar="FRAC",
-        help="fail stages slower than baseline by more than FRAC "
-        "(e.g. 0.25 = +25%%); default: timings reported as info only",
-    )
-    obs_check.add_argument(
-        "--update",
-        action="store_true",
-        help="archive the report as the new baseline (after a clean "
-        "check, or as the first baseline for its spec)",
-    )
-    obs_check.add_argument(
-        "--retain",
-        type=int,
-        default=20,
-        help="baselines kept per workload when archiving (default 20)",
-    )
-    obs_check.add_argument(
+    obs_compare.add_argument("file", nargs="?", metavar="FILE")
+    _add_store_argument(obs_compare)
+    obs_compare.add_argument(
         "--json-out",
         metavar="FILE",
-        help="also write the RegressionReport as JSON",
+        help="also write the comparison report as JSON",
     )
-    obs_check.set_defaults(handler=_cmd_obs_check)
+    obs_compare.set_defaults(handler=_cmd_obs_compare)
+
+    obs_trend = obs_sub.add_parser(
+        "trend",
+        help="print each series' metrics over its runs with "
+        "changepoints marked",
+    )
+    _add_store_argument(obs_trend)
+    obs_trend.add_argument(
+        "--markdown",
+        action="store_true",
+        help="print the README speedup table from the newest runs instead",
+    )
+    obs_trend.add_argument(
+        "--json-out",
+        metavar="FILE",
+        help="also write the trend report as JSON",
+    )
+    obs_trend.set_defaults(handler=_cmd_obs_trend)
 
     obs_prov = obs_sub.add_parser(
         "provenance",
-        help="inspect/validate the provenance stamp of a JSON artifact",
+        help="inspect/validate the provenance stamp of a JSON artifact, "
+        "or of every run in a store directory",
     )
     obs_prov.add_argument("artifact")
     obs_prov.set_defaults(handler=_cmd_obs_provenance)
 
     obs_dash = obs_sub.add_parser(
         "dashboard",
-        help="render a static HTML dashboard of baseline metric trends",
+        help="render a static HTML dashboard of the run store",
     )
     _add_store_argument(obs_dash)
     obs_dash.add_argument(
@@ -1259,108 +1187,9 @@ def main(argv: Optional[List[str]] = None) -> int:
         "--max-points",
         type=int,
         default=30,
-        help="baselines per workload shown in trend lines",
-    )
-    obs_dash.add_argument(
-        "--history-dir",
-        default=None,
-        metavar="DIR",
-        help="bench history root for the trajectory page "
-        "(default: results/obs/bench_history)",
+        help="newest runs per series shown in trend lines",
     )
     obs_dash.set_defaults(handler=_cmd_obs_dashboard)
-
-    obs_baselines = obs_sub.add_parser(
-        "baselines", help="list archived baselines per workload"
-    )
-    _add_store_argument(obs_baselines)
-    obs_baselines.set_defaults(handler=_cmd_obs_baselines)
-
-    obs_bench = obs_sub.add_parser(
-        "bench",
-        help="benchmark history: record runs, gate regressions, "
-        "render trends",
-    )
-    obs_bench_sub = obs_bench.add_subparsers(
-        dest="bench_command", required=True
-    )
-
-    def _add_history_argument(sub_parser) -> None:
-        sub_parser.add_argument(
-            "--history-dir",
-            default=None,
-            metavar="DIR",
-            help="bench history root "
-            "(default: results/obs/bench_history)",
-        )
-
-    obs_bench_record = obs_bench_sub.add_parser(
-        "record",
-        help="ingest BENCH_*.json files into the history "
-        "(idempotent; exit 1 on unreadable files)",
-    )
-    obs_bench_record.add_argument(
-        "files", nargs="+", help="BENCH_*.json payloads to ingest"
-    )
-    _add_history_argument(obs_bench_record)
-    obs_bench_record.set_defaults(handler=_cmd_obs_bench)
-
-    obs_bench_compare = obs_bench_sub.add_parser(
-        "compare",
-        help="gate the newest history entry per bench against its "
-        "config-matching predecessor (exit 1: check drift, "
-        "exit 2: timing regression or no baseline)",
-    )
-    obs_bench_compare.add_argument(
-        "--bench",
-        default=None,
-        metavar="NAME",
-        help="gate only this bench (default: all recorded benches)",
-    )
-    obs_bench_compare.add_argument(
-        "--candidate",
-        default=None,
-        metavar="FILE",
-        help="gate this BENCH_*.json payload instead of the newest "
-        "recorded entry (the file is not appended)",
-    )
-    obs_bench_compare.add_argument(
-        "--json-out",
-        metavar="FILE",
-        help="also write the comparison report as JSON",
-    )
-    _add_history_argument(obs_bench_compare)
-    obs_bench_compare.set_defaults(handler=_cmd_obs_bench)
-
-    obs_bench_trend = obs_bench_sub.add_parser(
-        "trend",
-        help="print each metric's history with changepoints marked",
-    )
-    obs_bench_trend.add_argument(
-        "--bench",
-        default=None,
-        metavar="NAME",
-        help="only this bench (default: all recorded benches)",
-    )
-    obs_bench_trend.add_argument(
-        "--window",
-        type=int,
-        default=5,
-        help="sliding changepoint window (default 5 entries)",
-    )
-    obs_bench_trend.add_argument(
-        "--markdown",
-        action="store_true",
-        help="print the README speedup table generated from the "
-        "newest entries instead",
-    )
-    obs_bench_trend.add_argument(
-        "--json-out",
-        metavar="FILE",
-        help="also write the trend report as JSON",
-    )
-    _add_history_argument(obs_bench_trend)
-    obs_bench_trend.set_defaults(handler=_cmd_obs_bench)
 
     obs_tail = obs_sub.add_parser(
         "tail",

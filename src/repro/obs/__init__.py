@@ -20,27 +20,23 @@ Three cooperating pieces:
 On top of those, the **consumption layer** closes the loop — a report
 is only useful if something notices when it changes:
 
-- :mod:`repro.obs.baseline` — archives known-good RunReports under
-  ``results/obs/baselines/`` keyed by RunSpec, with retention.
-- :mod:`repro.obs.regress` — compares a fresh report against its
-  baseline (deterministic counters exact, timings within tolerance)
-  and powers ``repro obs check``.
+- :mod:`repro.obs.store` — the one append-only store of runs under
+  ``results/obs/runs/``: every RunReport (keyed by RunSpec) and every
+  ``repro bench`` report (keyed by bench name) is one provenance-stamped
+  JSONL entry, classified once into exact values, environmental values
+  and timing samples.
+- :mod:`repro.obs.analytics` — the gate over that store
+  (``repro obs compare``: exact values must match, timings get a
+  median ± k·MAD decision), changepoint-annotated trends
+  (``repro obs trend``), and per-stage slowdown attribution.
+- :mod:`repro.obs.dashboard` — a zero-dependency static HTML view of
+  the store: bench trajectories, RunReport metric trends, serving
+  windows and tail exemplars.
 - :mod:`repro.obs.provenance` — stamps every written artifact with
   RunSpec + git SHA + timestamp + metrics digest
   (``repro obs provenance FILE`` inspects it).
 - :mod:`repro.obs.profiling` — cProfile harness stages into collapsed
   stacks for speedscope/flamegraph tools.
-- :mod:`repro.obs.dashboard` — a zero-dependency static HTML view of
-  metric trends across the baseline store (and, when history is
-  present, the benchmark trajectory with changepoints marked).
-- :mod:`repro.obs.history` — the append-only benchmark history store
-  under ``results/obs/bench_history/``: every ``repro bench`` run is
-  one schema-versioned JSONL entry, idempotently keyed by content
-  digest.
-- :mod:`repro.obs.analytics` — noise-aware analytics over that
-  history: statistical timing gates (median ± k·MAD intervals),
-  changepoint-annotated trends, and per-stage slowdown attribution
-  against serving budget histograms.
 
 The **request-scoped layer** serves the long-lived serving pipeline,
 where run-scoped aggregates are blind:
@@ -56,146 +52,40 @@ where run-scoped aggregates are blind:
 - :mod:`repro.obs.export` — Prometheus-style text exposition and the
   ``repro obs tail`` window renderer.
 
-Plus :func:`configure_logging` for the ``repro.*`` stdlib-logging
-hierarchy used by the library in place of ``print``.
+Plus :func:`~repro.obs.logging.configure_logging` for the ``repro.*``
+stdlib-logging hierarchy used by the library in place of ``print``.
 """
 
-from .analytics import (
-    BenchComparison,
-    attribute_stages,
-    compare_entry,
-    compare_history,
-    detect_changepoints,
-    render_attribution,
-    render_markdown_table,
-    render_trend,
-    stage_budget_means,
-    timing_decision,
-    trend_report,
-)
-from .baseline import BaselineStore, spec_key
-from .context import RequestContext, RequestTracker, StageSpan, render_tree
-from .dashboard import render_dashboard, write_dashboard
-from .exemplars import Exemplar, ExemplarBuffer
-from .export import (
-    read_windows,
-    render_exposition,
-    render_window,
-    split_metric_key,
-    write_exposition,
-)
-from .history import (
-    DEFAULT_HISTORY_DIR,
-    HISTORY_SCHEMA_VERSION,
-    BenchHistory,
-    HistoryEntry,
-    config_digest,
-)
-from .logging import configure_logging
-from .metrics import (
-    LATENCY_BUCKETS,
-    Histogram,
-    MetricsRegistry,
-    get_metrics,
-    metrics_enabled,
-    set_metrics,
-)
-from .profiling import collapsed_stacks, profiled, write_collapsed
-from .provenance import (
-    current_git_sha,
-    make_stamp,
-    metrics_digest,
-    now_iso,
-    read_stamp,
-    stamp_payload,
-    validate_stamp,
-)
-from .regress import (
-    DETERMINISTIC_PREFIXES,
-    SERVING_DETERMINISTIC_PREFIXES,
-    Finding,
-    RegressionPolicy,
-    RegressionReport,
-    compare_reports,
-)
-from .report import (
-    RUN_REPORT_SCHEMA_VERSION,
-    SUPPORTED_SCHEMA_VERSIONS,
-    RunReport,
-    default_report_path,
-    diff_reports,
-    validate_report,
-)
-from .timeseries import TimeseriesRecorder, Window, delta_quantile
-from .tracing import Tracer, get_tracer, set_tracer, span, tracing_enabled
+from .analytics import compare, render_markdown_table, render_trend, trend_report
+from .context import render_tree
+from .dashboard import write_dashboard
+from .export import read_windows, render_window, write_exposition
+from .metrics import LATENCY_BUCKETS, get_metrics, metrics_enabled
+from .provenance import read_stamp, validate_stamp
+from .report import RunReport, diff_reports, validate_report
+from .store import RunStore, ingest
+from .tracing import span, tracing_enabled
 
 __all__ = [
-    "Histogram",
     "LATENCY_BUCKETS",
-    "MetricsRegistry",
+    "RunReport",
+    "RunStore",
+    "compare",
+    "diff_reports",
     "get_metrics",
+    "ingest",
     "metrics_enabled",
-    "set_metrics",
-    "Tracer",
-    "get_tracer",
-    "set_tracer",
+    "read_stamp",
+    "read_windows",
+    "render_markdown_table",
+    "render_tree",
+    "render_trend",
+    "render_window",
     "span",
     "tracing_enabled",
-    "RunReport",
-    "RUN_REPORT_SCHEMA_VERSION",
-    "SUPPORTED_SCHEMA_VERSIONS",
-    "default_report_path",
-    "diff_reports",
-    "validate_report",
-    "configure_logging",
-    "BaselineStore",
-    "spec_key",
-    "DETERMINISTIC_PREFIXES",
-    "RegressionPolicy",
-    "RegressionReport",
-    "Finding",
-    "compare_reports",
-    "current_git_sha",
-    "now_iso",
-    "metrics_digest",
-    "make_stamp",
-    "stamp_payload",
-    "read_stamp",
-    "validate_stamp",
-    "profiled",
-    "collapsed_stacks",
-    "write_collapsed",
-    "render_dashboard",
-    "write_dashboard",
-    "RequestContext",
-    "RequestTracker",
-    "StageSpan",
-    "render_tree",
-    "TimeseriesRecorder",
-    "Window",
-    "delta_quantile",
-    "Exemplar",
-    "ExemplarBuffer",
-    "SERVING_DETERMINISTIC_PREFIXES",
-    "render_exposition",
-    "write_exposition",
-    "render_window",
-    "read_windows",
-    "split_metric_key",
-    "BenchHistory",
-    "HistoryEntry",
-    "config_digest",
-    "DEFAULT_HISTORY_DIR",
-    "HISTORY_SCHEMA_VERSION",
-    "BenchComparison",
-    "timing_decision",
-    "compare_entry",
-    "compare_history",
-    "detect_changepoints",
     "trend_report",
-    "render_trend",
-    "render_markdown_table",
-    "stage_budget_means",
-    "attribute_stages",
-    "render_attribution",
+    "validate_report",
+    "validate_stamp",
+    "write_dashboard",
+    "write_exposition",
 ]

@@ -1,26 +1,20 @@
-"""Noise-aware analytics over the benchmark history store.
+"""The gate over the run store: one comparison, trends, attribution.
 
-Three consumers sit on top of :class:`~repro.obs.history.BenchHistory`:
-
-- :func:`compare_entry` — the regression gate behind ``repro obs bench
-  compare``. Deterministic check values (equivalence verdicts, unique
-  counts, dedup totals) must match the latest comparable baseline
-  **exactly**; wall-clock timings get a statistical decision
-  (:func:`timing_decision`) built from the raw per-repeat samples the
-  v2 :class:`~repro.perf.timing.BenchReport` retains — median ± k·MAD
-  confidence intervals with a minimum-effect threshold, falling back to
-  a deliberately wide ratio band when either side is a legacy
-  single-number entry. Timing regressions *warn* (exit 2); check drift
-  *fails* (exit 1) — the same honest/deterministic split
-  :mod:`repro.obs.regress` applies to RunReports.
-- :func:`trend_report` — rolling metric series (one point per history
-  entry, timings as sample medians) with a sliding z-score
-  :func:`detect_changepoints` pass that flags the entry — and therefore
-  the commit — where a metric shifted.
-- :func:`attribute_stages` — joins a bench-level slowdown to the
-  per-stage ``search.serve.budget_seconds{stage=...}`` histograms of a
-  serving RunReport, so "search got slower" becomes "execute got
-  slower" (admission / schedule / execute / rank / respond).
+- :func:`compare` — the regression gate behind ``repro obs compare``.
+  A run's exact values (deterministic counters, gauges and histogram
+  fingerprints of a RunReport; non-environmental checks of a bench)
+  must match the newest comparable run **exactly**. Every timing goes
+  through :func:`timing_decision`: median ± k·MAD confidence intervals
+  with a minimum effect when both sides carry enough raw repeats, and a
+  deliberately wide ratio band otherwise (RunReport stage timings are
+  single readings). Exact drift *fails* (exit 1); a timing regression
+  or a missing baseline *warns* (exit 2).
+- :func:`trend_report` — one series point per run (timings as sample
+  medians) with a sliding z-score :func:`detect_changepoints` pass that
+  flags the run — and therefore the commit — where a metric shifted.
+- :func:`attribute_stages` — joins a slowdown to the per-stage
+  ``search.serve.budget_seconds{stage=...}`` histograms of two serving
+  RunReports, so "search got slower" becomes "execute got slower".
 
 Everything is plain stdlib math over plain dicts: no numpy in the
 decision path, so the gate runs identically everywhere.
@@ -32,8 +26,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .history import BenchHistory, HistoryEntry
-from .regress import Finding, RegressionPolicy
+from .store import Run, RunStore
 
 __all__ = [
     "COMPARISON_SCHEMA_VERSION",
@@ -41,9 +34,9 @@ __all__ = [
     "median",
     "mad",
     "timing_decision",
-    "BenchComparison",
-    "compare_entry",
-    "compare_history",
+    "Finding",
+    "Comparison",
+    "compare",
     "metric_names",
     "metric_series",
     "detect_changepoints",
@@ -56,7 +49,16 @@ __all__ = [
 ]
 
 COMPARISON_SCHEMA_VERSION = 1
-COMPARISON_KIND = "repro-bench-comparison"
+COMPARISON_KIND = "repro-comparison"
+
+#: A timing only regresses when its median moves by more than this
+#: (relative) and the two median±k·MAD/√n intervals are disjoint.
+MIN_EFFECT = 0.10
+MAD_K = 3.0
+#: Raw readings each side needs before the interval test applies.
+MIN_SAMPLES = 3
+#: Ratio band for fewer readings: a 2x slowdown trips, noise does not.
+FALLBACK_REL_TOL = 0.5
 
 #: Consistency constant relating MAD to the standard deviation of a
 #: normal distribution (sigma ~= 1.4826 * MAD).
@@ -87,33 +89,28 @@ def _interval(values: Sequence[float], k: float) -> Tuple[float, float, float]:
 
 
 def timing_decision(
-    baseline: Sequence[float],
-    current: Sequence[float],
-    policy: Optional[RegressionPolicy] = None,
+    baseline: Sequence[float], current: Sequence[float]
 ) -> Dict[str, object]:
     """Statistical verdict on one timing variant.
 
-    With enough raw samples on both sides (``policy.bench_min_samples``)
-    the decision is CI-overlap: *regressed* only when the current
-    median exceeds the baseline median by more than
-    ``bench_min_effect`` (relative) **and** the two median±k·MAD/√n
-    intervals are disjoint — so a byte-identical rerun (identical
-    samples, identical intervals) can never be flagged, and ordinary
-    repeat-to-repeat noise widens the intervals until it silences
-    itself. *improved* is the symmetric verdict. Without samples
-    (legacy single-number entries) only a ratio beyond the wide
-    ``bench_fallback_rel_tol`` band is called: a 2x slowdown still
-    trips, noise does not.
+    With :data:`MIN_SAMPLES` raw readings on both sides the decision is
+    CI-overlap: *regressed* only when the current median exceeds the
+    baseline median by more than :data:`MIN_EFFECT` **and** the two
+    median±k·MAD/√n intervals are disjoint — so a byte-identical rerun
+    can never be flagged, and repeat-to-repeat noise widens the
+    intervals until it silences itself. *improved* is the symmetric
+    verdict. With fewer readings only a ratio beyond the wide
+    :data:`FALLBACK_REL_TOL` band is called. A side without readings,
+    or a baseline that took no time, is ``no-data``.
     """
-    policy = policy if policy is not None else RegressionPolicy()
     base = [float(v) for v in baseline]
     cur = [float(v) for v in current]
-    if not base or not cur:
+    if not base or not cur or median(base) <= 0:
         return {"decision": "no-data", "method": "none"}
     base_med = median(base)
     cur_med = median(cur)
-    ratio = cur_med / base_med if base_med > 0 else float("inf")
-    effect = ratio - 1.0 if base_med > 0 else float("inf")
+    ratio = cur_med / base_med
+    effect = ratio - 1.0
     result: Dict[str, object] = {
         "baseline_median": base_med,
         "current_median": cur_med,
@@ -122,27 +119,23 @@ def timing_decision(
         "ratio": ratio,
         "effect": effect,
     }
-    if (
-        len(base) >= policy.bench_min_samples
-        and len(cur) >= policy.bench_min_samples
-    ):
-        _, base_lo, base_hi = _interval(base, policy.bench_mad_k)
-        _, cur_lo, cur_hi = _interval(cur, policy.bench_mad_k)
+    if len(base) >= MIN_SAMPLES and len(cur) >= MIN_SAMPLES:
+        _, base_lo, base_hi = _interval(base, MAD_K)
+        _, cur_lo, cur_hi = _interval(cur, MAD_K)
         result["method"] = "ci-overlap"
         result["baseline_interval"] = [base_lo, base_hi]
         result["current_interval"] = [cur_lo, cur_hi]
-        if effect > policy.bench_min_effect and cur_lo > base_hi:
+        if effect > MIN_EFFECT and cur_lo > base_hi:
             result["decision"] = "regressed"
-        elif effect < -policy.bench_min_effect and cur_hi < base_lo:
+        elif effect < -MIN_EFFECT and cur_hi < base_lo:
             result["decision"] = "improved"
         else:
             result["decision"] = "ok"
     else:
         result["method"] = "ratio-fallback"
-        band = policy.bench_fallback_rel_tol
-        if effect > band:
+        if effect > FALLBACK_REL_TOL:
             result["decision"] = "regressed"
-        elif base_med > 0 and ratio < 1.0 / (1.0 + band):
+        elif ratio < 1.0 / (1.0 + FALLBACK_REL_TOL):
             result["decision"] = "improved"
         else:
             result["decision"] = "ok"
@@ -153,18 +146,56 @@ def timing_decision(
 # Regression gate
 
 
-@dataclass
-class BenchComparison:
-    """Outcome of gating one bench entry against its history.
+@dataclass(frozen=True)
+class Finding:
+    """One gated difference between a run and its baseline."""
 
-    ``findings`` are hard failures (deterministic check drift, exit 1);
-    ``warnings`` are statistical timing regressions (exit 2, the
-    "probably slower — look" band); ``infos`` are observations
-    (improvements, environmental check drift). ``status`` is one of
-    ``ok`` / ``regressed`` / ``warned`` / ``no-baseline``.
+    kind: str  # counter | gauge | histogram | check | timing | spec
+    name: str
+    baseline: object
+    current: object
+    detail: str = ""
+
+    def to_dict(self) -> Dict[str, object]:
+        return {
+            "kind": self.kind,
+            "name": self.name,
+            "baseline": self.baseline,
+            "current": self.current,
+            "detail": self.detail,
+        }
+
+    @classmethod
+    def from_dict(cls, payload: Dict[str, object]) -> "Finding":
+        return cls(
+            kind=str(payload["kind"]),
+            name=str(payload["name"]),
+            baseline=payload.get("baseline"),
+            current=payload.get("current"),
+            detail=str(payload.get("detail", "")),
+        )
+
+    def render(self) -> str:
+        text = (
+            f"[{self.kind}] {self.name}: "
+            f"baseline={self.baseline} current={self.current}"
+        )
+        if self.detail:
+            text += f" ({self.detail})"
+        return text
+
+
+@dataclass
+class Comparison:
+    """Outcome of gating one run against its series.
+
+    ``findings`` are exact-value drift (exit 1); ``warnings`` are timing
+    regressions (exit 2, the "probably slower — look" band); ``infos``
+    are observations (improvements, environmental drift). ``status`` is
+    one of ``ok`` / ``regressed`` / ``warned`` / ``no-baseline``.
     """
 
-    bench: str
+    series: str
     baseline_id: str = ""
     current_id: str = ""
     status: str = "ok"
@@ -180,21 +211,15 @@ class BenchComparison:
             return 2
         return 0
 
-    def resolve_status(self) -> None:
-        if self.status == "no-baseline":
-            return
-        if self.findings:
-            self.status = "regressed"
-        elif self.warnings:
-            self.status = "warned"
-        else:
-            self.status = "ok"
+    @property
+    def ok(self) -> bool:
+        return self.exit_code == 0
 
     def to_dict(self) -> Dict[str, object]:
         return {
             "schema_version": COMPARISON_SCHEMA_VERSION,
             "kind": COMPARISON_KIND,
-            "bench": self.bench,
+            "series": self.series,
             "baseline_id": self.baseline_id,
             "current_id": self.current_id,
             "status": self.status,
@@ -204,16 +229,39 @@ class BenchComparison:
             "infos": [item.to_dict() for item in self.infos],
         }
 
+    @classmethod
+    def from_dict(cls, payload: Dict[str, object]) -> "Comparison":
+        version = payload.get("schema_version")
+        if version != COMPARISON_SCHEMA_VERSION:
+            raise ValueError(
+                f"unsupported Comparison schema version {version!r} "
+                f"(supported: {COMPARISON_SCHEMA_VERSION})"
+            )
+        if payload.get("kind") != COMPARISON_KIND:
+            raise ValueError(
+                f"kind is {payload.get('kind')!r}, not {COMPARISON_KIND!r}"
+            )
+        return cls(
+            series=str(payload.get("series", "")),
+            baseline_id=str(payload.get("baseline_id", "")),
+            current_id=str(payload.get("current_id", "")),
+            status=str(payload.get("status", "ok")),
+            **{
+                key: [Finding.from_dict(item) for item in payload.get(key, [])]
+                for key in ("findings", "warnings", "infos")
+            },
+        )
+
     def render(self) -> str:
         lines = [
-            f"== bench compare: {self.bench} "
+            f"== compare: {self.series or '(empty)'} "
             f"({self.current_id or 'current'} vs "
             f"{self.baseline_id or 'no baseline'}) =="
         ]
         if self.status == "no-baseline":
             lines.append(
-                "NO BASELINE: no prior history entry with a matching "
-                "config (record one with `repro obs bench record`)"
+                "NO BASELINE: no earlier run with a matching config "
+                "(record one with `repro obs record`)"
             )
             return "\n".join(lines)
         if self.findings:
@@ -224,8 +272,7 @@ class BenchComparison:
             lines.extend(f"  {item.render()}" for item in self.warnings)
         if not self.findings and not self.warnings:
             lines.append(
-                "OK: deterministic checks match; timings within the "
-                "statistical band"
+                "OK: exact values match; timings within the statistical band"
             )
         if self.infos:
             lines.append(f"info ({len(self.infos)}):")
@@ -233,183 +280,140 @@ class BenchComparison:
         return "\n".join(lines)
 
 
-def _entry_label(entry: HistoryEntry) -> str:
-    sha = (entry.git_sha or "unknown")[:12]
-    return f"{entry.entry_id}@{sha}"
+def _label(run: Run) -> str:
+    return f"{run.entry_id}@{run.git_sha[:12]}"
 
 
-def _is_environmental_value(name: str, value: object, policy) -> bool:
-    if policy.is_environmental_check(name):
-        return True
-    return not isinstance(value, (bool, int, float, str))
+def _section_values(run: Run, section: str) -> Dict[str, object]:
+    return {
+        **run.environmental.get(section, {}),
+        **run.exact.get(section, {}),
+    }
 
 
-def compare_entry(
-    history: Sequence[HistoryEntry],
-    candidate: HistoryEntry,
-    policy: Optional[RegressionPolicy] = None,
-    explicit: bool = False,
-) -> BenchComparison:
-    """Gate one entry against the latest comparable history entry.
+def compare(history: Sequence[Run], candidate: Optional[Run] = None) -> Comparison:
+    """Gate a run against the newest comparable run of ``history``.
 
-    Comparable means: same bench, same config digest (quick-mode runs
-    never gate full-mode history and vice versa), and not the candidate
-    itself (so gating the newest recorded entry compares it against its
-    predecessor).  ``explicit`` marks a candidate supplied from outside
-    the history (``--candidate``): if its content digest already exists
-    in the store it is an exact duplicate of a gated entry, which
-    passes rather than reporting a missing baseline.
+    Without ``candidate`` the newest run of ``history`` is gated against
+    the runs before it — the "did the run I just recorded regress
+    anything" shape. Comparable means the same series and config digest
+    (quick-mode runs never gate full-mode history). A history of other
+    series only is itself a finding: the caller matched the wrong
+    baseline.
     """
-    policy = policy if policy is not None else RegressionPolicy()
-    result = BenchComparison(
-        bench=candidate.bench, current_id=_entry_label(candidate)
-    )
+    if candidate is None:
+        if not history:
+            return Comparison(series="", status="no-baseline")
+        *history, candidate = history
+    result = Comparison(series=candidate.series, current_id=_label(candidate))
+    if history and all(run.series != candidate.series for run in history):
+        result.findings.append(
+            Finding(
+                "spec",
+                "series",
+                history[-1].series,
+                candidate.series,
+                "runs describe different workloads",
+            )
+        )
+        result.status = "regressed"
+        return result
     comparable = [
-        entry
-        for entry in history
-        if entry.bench == candidate.bench
-        and entry.config_key == candidate.config_key
-        and entry.entry_id != candidate.entry_id
+        run
+        for run in history
+        if run.series == candidate.series
+        and run.config_key == candidate.config_key
     ]
     if not comparable:
-        # An explicit candidate that exactly duplicates a recorded
-        # entry (same content digest) has nothing new to gate: that is
-        # a pass, not a missing baseline.
-        if explicit and any(
-            entry.entry_id == candidate.entry_id for entry in history
-        ):
-            result.baseline_id = result.current_id
-            result.status = "ok"
-            return result
         result.status = "no-baseline"
         return result
     baseline = comparable[-1]
-    result.baseline_id = _entry_label(baseline)
+    result.baseline_id = _label(baseline)
 
-    # Deterministic check values: exact match, like sim.* counters in
-    # `obs check`. Environmental check values (throughput, latency
-    # quantiles) are info-only.
-    for name in sorted(set(baseline.checks) | set(candidate.checks)):
-        base_value = baseline.checks.get(name)
-        cur_value = candidate.checks.get(name)
-        reference = cur_value if cur_value is not None else base_value
-        environmental = _is_environmental_value(name, reference, policy)
-        sink = result.infos if environmental else result.findings
-        if name not in candidate.checks:
-            sink.append(
-                Finding("check", name, base_value, None, "missing from run")
-            )
-        elif name not in baseline.checks:
-            result.infos.append(
-                Finding("check", name, None, cur_value, "not in baseline")
-            )
-        elif base_value != cur_value:
-            sink.append(Finding("check", name, base_value, cur_value))
-
-    # Timings: statistical decision per variant from the raw samples.
-    for variant in sorted(
-        set(baseline.timings) & set(candidate.timings)
-    ):
-        verdict = timing_decision(
-            baseline.sample_values(variant),
-            candidate.sample_values(variant),
-            policy,
+    sections = sorted(
+        set(baseline.exact)
+        | set(baseline.environmental)
+        | set(candidate.exact)
+        | set(candidate.environmental)
+    )
+    for section in sections:
+        base = _section_values(baseline, section)
+        cur = _section_values(candidate, section)
+        exact = set(baseline.exact.get(section, {})) | set(
+            candidate.exact.get(section, {})
         )
-        decision = verdict.get("decision")
+        for name in sorted(set(base) | set(cur)):
+            sink = result.findings if name in exact else result.infos
+            if name not in cur:
+                sink.append(
+                    Finding(section, name, base[name], None, "missing from run")
+                )
+            elif name not in base:
+                sink.append(
+                    Finding(section, name, None, cur[name], "not in baseline")
+                )
+            elif base[name] != cur[name]:
+                sink.append(Finding(section, name, base[name], cur[name]))
+
+    for variant in sorted(set(baseline.samples) | set(candidate.samples)):
+        if variant not in candidate.samples or variant not in baseline.samples:
+            side = "run" if variant not in candidate.samples else "baseline"
+            result.infos.append(
+                Finding("timing", variant, None, None, f"missing from {side}")
+            )
+            continue
+        verdict = timing_decision(
+            baseline.samples[variant], candidate.samples[variant]
+        )
+        decision = verdict["decision"]
+        if decision not in ("regressed", "improved"):
+            continue
         detail = (
-            f"{verdict['method']}: ratio {verdict.get('ratio', 0.0):.3f} "
-            f"(n={verdict.get('baseline_n')}->{verdict.get('current_n')})"
+            f"{verdict['method']}: ratio {verdict['ratio']:.3f} "
+            f"(n={verdict['baseline_n']}->{verdict['current_n']})"
         )
         finding = Finding(
             "timing",
             variant,
-            verdict.get("baseline_median"),
-            verdict.get("current_median"),
-            detail,
+            verdict["baseline_median"],
+            verdict["current_median"],
+            detail if decision == "regressed" else f"improved; {detail}",
         )
-        if decision == "regressed":
-            result.warnings.append(finding)
-        elif decision == "improved":
-            result.infos.append(
-                Finding(
-                    "timing",
-                    variant,
-                    verdict.get("baseline_median"),
-                    verdict.get("current_median"),
-                    f"improved; {detail}",
-                )
-            )
-    for variant in sorted(set(baseline.timings) - set(candidate.timings)):
-        result.infos.append(
-            Finding(
-                "timing",
-                variant,
-                baseline.timings[variant],
-                None,
-                "variant missing from run",
-            )
+        (result.warnings if decision == "regressed" else result.infos).append(
+            finding
         )
-    result.resolve_status()
+    if result.findings:
+        result.status = "regressed"
+    elif result.warnings:
+        result.status = "warned"
     return result
-
-
-def compare_history(
-    history: BenchHistory,
-    benches: Optional[Sequence[str]] = None,
-    candidates: Optional[Dict[str, HistoryEntry]] = None,
-    policy: Optional[RegressionPolicy] = None,
-) -> List[BenchComparison]:
-    """Gate each bench's newest (or supplied candidate) entry.
-
-    Without explicit ``candidates`` the newest recorded entry per bench
-    is gated against its predecessor — the "did the run I just appended
-    regress anything" CI shape.
-    """
-    names = list(benches) if benches else history.benches()
-    results: List[BenchComparison] = []
-    for name in names:
-        entries = history.read(name)
-        candidate = (candidates or {}).get(name)
-        explicit = candidate is not None
-        if candidate is None:
-            if not entries:
-                comparison = BenchComparison(bench=name, status="no-baseline")
-                results.append(comparison)
-                continue
-            candidate = entries[-1]
-        results.append(
-            compare_entry(entries, candidate, policy, explicit=explicit)
-        )
-    return results
 
 
 # ---------------------------------------------------------------------------
 # Trends and changepoints
 
 
-def metric_names(entries: Sequence[HistoryEntry]) -> List[str]:
+def metric_names(runs: Sequence[Run]) -> List[str]:
     """All trendable metric names: ``timing:<variant>``, ``speedup:<label>``."""
     names = set()
-    for entry in entries:
-        names.update(f"timing:{variant}" for variant in entry.timings)
-        names.update(f"speedup:{label}" for label in entry.speedups)
+    for run in runs:
+        names.update(f"timing:{variant}" for variant in run.samples)
+        names.update(f"speedup:{label}" for label in run.speedups)
     return sorted(names)
 
 
-def metric_series(
-    entries: Sequence[HistoryEntry], metric: str
-) -> List[Optional[float]]:
-    """One value per entry (``None`` where absent). Timings use the
+def metric_series(runs: Sequence[Run], metric: str) -> List[Optional[float]]:
+    """One value per run (``None`` where absent). Timings use the
     sample median — the robust point — rather than the stored best-of
     aggregate, so a single lucky repeat does not bend the trend."""
     kind, _, name = metric.partition(":")
     series: List[Optional[float]] = []
-    for entry in entries:
+    for run in runs:
         if kind == "timing":
-            samples = entry.sample_values(name)
+            samples = run.samples.get(name)
             series.append(median(samples) if samples else None)
         elif kind == "speedup":
-            value = entry.speedups.get(name)
+            value = run.speedups.get(name)
             series.append(None if value is None else float(value))
         else:
             raise ValueError(
@@ -456,47 +460,37 @@ def detect_changepoints(
     return flagged
 
 
-def trend_report(
-    entries: Sequence[HistoryEntry],
-    window: int = 5,
-    z_threshold: float = 3.0,
-    min_rel_shift: float = 0.25,
-) -> Dict[str, object]:
-    """Series + changepoints for every metric of one bench's history."""
+def trend_report(runs: Sequence[Run]) -> Dict[str, object]:
+    """Series + changepoints for every metric of one series' runs."""
     points = [
         {
-            "entry_id": entry.entry_id,
-            "git_sha": entry.git_sha,
-            "created_at": entry.created_at,
-            "config_key": entry.config_key,
+            "entry_id": run.entry_id,
+            "git_sha": run.git_sha,
+            "created_at": run.created_at,
+            "config_key": run.config_key,
         }
-        for entry in entries
+        for run in runs
     ]
     metrics: Dict[str, object] = {}
-    for name in metric_names(entries):
-        series = metric_series(entries, name)
+    for name in metric_names(runs):
+        values = metric_series(runs, name)
         metrics[name] = {
-            "values": series,
-            "changepoints": detect_changepoints(
-                series,
-                window=window,
-                z_threshold=z_threshold,
-                min_rel_shift=min_rel_shift,
-            ),
+            "values": values,
+            "changepoints": detect_changepoints(values),
         }
     return {
         "schema_version": 1,
-        "kind": "repro-bench-trend",
-        "bench": entries[0].bench if entries else "",
+        "kind": "repro-trend",
+        "series": runs[0].series if runs else "",
         "points": points,
         "metrics": metrics,
     }
 
 
 def render_trend(report: Dict[str, object]) -> str:
-    """Terminal view of one bench's trend report."""
+    """Terminal view of one series' trend report."""
     lines = [
-        f"== bench trend: {report.get('bench') or '(empty)'} "
+        f"== trend: {report.get('series') or '(empty)'} "
         f"({len(report.get('points', []))} entr{'y' if len(report.get('points', [])) == 1 else 'ies'}) =="
     ]
     points = report.get("points", [])
@@ -523,26 +517,25 @@ def render_trend(report: Dict[str, object]) -> str:
     return "\n".join(lines)
 
 
-def render_markdown_table(history: BenchHistory) -> str:
-    """The README performance table, generated from the history store.
+def render_markdown_table(store: RunStore) -> str:
+    """The README performance table, generated from the run store.
 
-    One row per speedup label of each bench's newest entry, so the
-    README numbers are always traceable to a recorded, provenance-
-    stamped history point instead of hand-transcribed.
+    One row per speedup label of each series' newest run, so the README
+    numbers are always traceable to a recorded, provenance-stamped run
+    instead of hand-transcribed.
     """
     lines = [
         "| bench | speedup | ratio | commit |",
         "|---|---|---|---|",
     ]
-    for bench in history.benches():
-        entry = history.latest(bench)
-        if entry is None:
+    for series in store.series():
+        run = store.latest(series)
+        if run is None:
             continue
-        sha = (entry.git_sha or "unknown")[:12]
-        for label in sorted(entry.speedups):
+        for label in sorted(run.speedups):
             lines.append(
-                f"| `{bench}` | `{label}` | "
-                f"~{entry.speedups[label]:.1f}x | `{sha}` |"
+                f"| `{series}` | `{label}` | "
+                f"~{run.speedups[label]:.1f}x | `{run.git_sha[:12]}` |"
             )
     return "\n".join(lines)
 

@@ -1,37 +1,30 @@
-"""Static HTML dashboard of metric trends across the baseline store.
+"""Static HTML dashboard over the run store.
 
-``python -m repro obs dashboard`` renders every archived workload's
-deterministic counters and stage timings as inline-SVG sparklines over
-baseline history — one self-contained HTML file, no JavaScript, no
-external assets, viewable from ``file://`` and uploadable as a CI
-artifact. The newest value is compared against the previous baseline so
-drifting counters stand out before ``repro obs check`` ever fails.
+``python -m repro obs dashboard`` renders one self-contained HTML file
+(inline-SVG sparklines, no JavaScript, no external assets, viewable
+from ``file://`` and uploadable as a CI artifact) with two parts:
 
-When the newest baseline is a schema-v3 RunReport carrying serving
-telemetry, each workload section also renders the *within-run* view:
-per-window ``search.serve.*`` histogram p50/p99 sparklines (one point
-per window) and the tail exemplars' span trees — the K slowest plus
-all deadline-expired requests.
-
-When a benchmark history store is supplied (``--history-dir``), a
-**benchmark trajectory** page precedes the workload sections: one
-sparkline per bench metric over the full recorded history, with
-changepoints marked on the line and listed with the commit they landed
-in — and, when the baseline store holds serving reports with per-stage
-``search.serve.budget_seconds{stage=}`` histograms, a stage-level
-attribution table so a search-bench slowdown names the guilty stage.
+- the **benchmark trajectory**: one sparkline per bench metric over its
+  recorded runs, changepoints marked on the line and listed with the
+  commit they landed in, plus a stage-level attribution table when two
+  serving RunReports carry per-stage
+  ``search.serve.budget_seconds{stage=}`` histograms;
+- one section per **RunReport series**: its exact counters and stage
+  timings over the recorded runs, the newest value compared against the
+  previous one so drift stands out before ``repro obs compare`` fails,
+  and — when the newest report carries serving telemetry — per-window
+  ``search.serve.*`` p50/p99 sparklines and the tail exemplars' span
+  trees.
 """
 
 from __future__ import annotations
 
 import html
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Union
 
-from .baseline import BaselineStore
-from .history import BenchHistory
-from .regress import RegressionPolicy
 from .report import RunReport
+from .store import Run, RunStore
 
 __all__ = ["render_dashboard", "write_dashboard", "DEFAULT_DASHBOARD_PATH"]
 
@@ -131,29 +124,10 @@ def _series_rows(
     return rows
 
 
-def _collect(
-    reports: Sequence[RunReport], policy: RegressionPolicy
-) -> Tuple[Dict[str, List[Optional[float]]], Dict[str, List[Optional[float]]]]:
-    """(deterministic counter series, stage-seconds series) per metric."""
-    counters: Dict[str, List[Optional[float]]] = {}
-    timings: Dict[str, List[Optional[float]]] = {}
-    names = {
-        name
-        for report in reports
-        for name in report.metrics.counters
-        if policy.is_deterministic(name)
-    }
-    stages = {stage for report in reports for stage in report.timings}
-    for report in reports:
-        report_counters = report.metrics.counters
-        for name in names:
-            counters.setdefault(name, []).append(report_counters.get(name))
-        for stage in stages:
-            entry = report.timings.get(stage)
-            timings.setdefault(stage, []).append(
-                None if entry is None else entry.get("seconds")
-            )
-    return counters, timings
+def _collect(per_run: Sequence[Dict[str, float]]) -> Dict[str, List[Optional[float]]]:
+    """One series per name over the runs (``None`` where a run lacks it)."""
+    names = {name for values in per_run for name in values}
+    return {name: [values.get(name) for values in per_run] for name in names}
 
 
 def _window_quantile_series(
@@ -163,7 +137,7 @@ def _window_quantile_series(
 
     One series point per window, so the sparkline is the quantile's
     trajectory *within* the newest run — the request-scoped view,
-    versus the per-baseline trend of the other tables.
+    versus the per-run trend of the other tables.
     """
     names = {
         name
@@ -226,95 +200,76 @@ def _serving_rows(report: RunReport) -> List[str]:
     return parts
 
 
-def _trajectory_rows(history: BenchHistory, max_points: int) -> List[str]:
-    """The benchmark trajectory page: one sparkline per bench metric
-    over the recorded history, changepoints circled on the line and
-    listed with the commit they landed in."""
+def _trajectory_rows(bench: str, runs: Sequence[Run]) -> List[str]:
+    """One bench's trajectory: a sparkline per metric over its runs,
+    changepoints circled on the line and listed with their commit."""
     from .analytics import detect_changepoints, metric_names, metric_series
 
-    parts: List[str] = []
-    for bench in history.benches():
-        entries = history.read(bench)[-max_points:]
-        if not entries:
-            continue
-        newest = entries[-1]
-        parts.append(f"<h2>bench: {html.escape(bench)}</h2>")
-        parts.append(
-            f'<p class="meta">{len(entries)} recorded run(s) &middot; '
-            f"newest commit {html.escape(newest.git_sha or '?')} "
-            f"at {html.escape(newest.created_at or '?')}</p>"
-        )
-        rows = [
-            "<table>",
-            "<tr><th>metric</th><th>trend</th><th>latest</th>"
-            "<th>vs prev</th><th>changepoints</th></tr>",
-        ]
-        for name in metric_names(entries):
-            series = metric_series(entries, name)
-            changepoints = detect_changepoints(series)
-            # Compact out the Nones for drawing, remapping changepoint
-            # indices onto the compacted line.
-            compact: List[float] = []
-            remap: Dict[int, int] = {}
-            for index, value in enumerate(series):
-                if value is None:
-                    continue
-                remap[index] = len(compact)
-                compact.append(value)
-            if not compact:
+    newest = runs[-1]
+    rows = [
+        f"<h2>bench: {html.escape(bench)}</h2>",
+        f'<p class="meta">{len(runs)} recorded run(s) &middot; '
+        f"newest commit {html.escape(newest.git_sha)} "
+        f"at {html.escape(newest.created_at or '?')}</p>",
+        "<table>",
+        "<tr><th>metric</th><th>trend</th><th>latest</th>"
+        "<th>vs prev</th><th>changepoints</th></tr>",
+    ]
+    for name in metric_names(runs):
+        series = metric_series(runs, name)
+        changepoints = detect_changepoints(series)
+        # Compact out the Nones for drawing, remapping changepoint
+        # indices onto the compacted line.
+        compact: List[float] = []
+        remap: Dict[int, int] = {}
+        for index, value in enumerate(series):
+            if value is None:
                 continue
-            marks = [remap[i] for i in changepoints if i in remap]
-            latest = compact[-1]
-            previous = compact[-2] if len(compact) > 1 else None
-            if changepoints:
-                shifts = ", ".join(
-                    html.escape(
-                        str(entries[i].git_sha or "?")[:12]
-                    )
-                    for i in changepoints
-                )
-                change_cell = f'<td class="up">{shifts}</td>'
-            else:
-                change_cell = '<td class="flat">&mdash;</td>'
-            rows.append(
-                f"<tr><td>{html.escape(name)}</td>"
-                f"<td>{_sparkline(compact, marks)}</td>"
-                f'<td class="num">{latest:g}</td>'
-                f"{_delta_cell(previous, latest)}"
-                f"{change_cell}</tr>"
+            remap[index] = len(compact)
+            compact.append(value)
+        if not compact:
+            continue
+        marks = [remap[i] for i in changepoints if i in remap]
+        latest = compact[-1]
+        previous = compact[-2] if len(compact) > 1 else None
+        if changepoints:
+            shifts = ", ".join(
+                html.escape(runs[i].git_sha[:12]) for i in changepoints
             )
-        rows.append("</table>")
-        parts.extend(rows)
-    return parts
+            change_cell = f'<td class="up">{shifts}</td>'
+        else:
+            change_cell = '<td class="flat">&mdash;</td>'
+        rows.append(
+            f"<tr><td>{html.escape(name)}</td>"
+            f"<td>{_sparkline(compact, marks)}</td>"
+            f'<td class="num">{latest:g}</td>'
+            f"{_delta_cell(previous, latest)}"
+            f"{change_cell}</tr>"
+        )
+    rows.append("</table>")
+    return rows
 
 
-def _attribution_rows(store: BaselineStore) -> List[str]:
+def _attribution_rows(reports: Dict[str, List[Run]]) -> List[str]:
     """Stage-level slowdown attribution between the two newest serving
-    baselines that carry ``search.serve.budget_seconds{stage=}``
+    reports of a series that carry ``search.serve.budget_seconds{stage=}``
     histograms — the table that turns "the search bench got slower"
     into "the execute stage got slower"."""
     from .analytics import attribute_stages, stage_budget_means
 
-    serving: List[RunReport] = []
-    for spec in store.specs().values():
-        reports = []
-        for path in store.history(spec)[-2:]:
-            try:
-                report = RunReport.load(path)
-            except (OSError, ValueError):
-                continue
-            if stage_budget_means(report):
-                reports.append(report)
-        if len(reports) >= 2:
-            serving = reports
+    for runs in reports.values():
+        serving = [
+            report
+            for report in (run.report() for run in runs[-2:])
+            if stage_budget_means(report)
+        ]
+        if len(serving) == 2:
             break
-    if len(serving) < 2:
+    else:
         return []
-    rows = attribute_stages(serving[-2], serving[-1])
-    if not rows:
-        return []
+    rows = attribute_stages(serving[0], serving[1])
     parts = [
-        '<p class="meta">stage attribution: newest serving baseline vs '
+        '<p class="meta">stage attribution: newest serving report vs '
         "its predecessor (mean seconds/request from "
         "search.serve.budget_seconds{stage=})</p>",
         "<table>",
@@ -335,90 +290,66 @@ def _attribution_rows(store: BaselineStore) -> List[str]:
     return parts
 
 
-def render_dashboard(
-    store: BaselineStore,
-    policy: Optional[RegressionPolicy] = None,
-    max_points: int = 30,
-    history: Optional[BenchHistory] = None,
-) -> str:
-    """The dashboard HTML for a baseline store (empty store included)."""
-    policy = policy if policy is not None else RegressionPolicy()
+def render_dashboard(store: RunStore, max_points: int = 30) -> str:
+    """The dashboard HTML for a run store (empty store included)."""
+    runs = {name: store.read(name)[-max_points:] for name in store.series()}
+    benches = {name: r for name, r in runs.items() if r and r[0].kind == "bench"}
+    reports = {name: r for name, r in runs.items() if r and r[0].kind == "report"}
+    root = html.escape(str(store.root))
     parts = [
         "<!doctype html>",
         '<html><head><meta charset="utf-8">',
         "<title>repro obs dashboard</title>",
         f"<style>{_STYLE}</style></head><body>",
         "<h1>repro observability dashboard</h1>",
-        f'<p class="meta">baseline store: {html.escape(str(store.root))}</p>',
+        f'<p class="meta">run store: {root}</p>',
     ]
-    if history is not None:
-        trajectory = _trajectory_rows(history, max_points)
-        if trajectory:
-            parts.append("<h1>benchmark trajectory</h1>")
-            parts.append(
-                f'<p class="meta">bench history: '
-                f"{html.escape(str(history.root))}</p>"
-            )
-            parts.extend(trajectory)
-            parts.extend(_attribution_rows(store))
-        else:
-            parts.append(
-                f'<p class="meta">no bench history recorded under '
-                f"{html.escape(str(history.root))}</p>"
-            )
-    specs = store.specs()
-    if not specs:
+    if benches:
+        parts.append("<h1>benchmark trajectory</h1>")
+        for name, bench_runs in benches.items():
+            parts.extend(_trajectory_rows(name, bench_runs))
+        parts.extend(_attribution_rows(reports))
+    else:
+        parts.append(f'<p class="meta">no bench history recorded under {root}</p>')
+    if not reports:
         parts.append(
-            "<p>No baselines archived yet. Create one with "
-            "<code>python -m repro obs check REPORT --update</code>.</p>"
+            "<p>No RunReports recorded yet. Record one with "
+            "<code>python -m repro obs record REPORT</code>.</p>"
         )
-    for key, spec in specs.items():
-        paths = store.history(spec)[-max_points:]
-        reports = []
-        for path in paths:
-            try:
-                reports.append(RunReport.load(path))
-            except (OSError, ValueError):  # unreadable baseline: skip
-                continue
-        parts.append(f"<h2>{html.escape(spec.stem)}</h2>")
+    for key, report_runs in reports.items():
+        newest = report_runs[-1]
+        report = newest.report()
+        parts.append(f"<h2>{html.escape(report.spec.stem)}</h2>")
         parts.append(
-            f'<p class="meta">{len(reports)} baseline(s) &middot; '
-            f"key {html.escape(key)}"
-            + (
-                f" &middot; newest commit "
-                f"{html.escape(reports[-1].git_sha or '?')}"
-                f" at {html.escape(reports[-1].created_at or '?')}"
-                if reports
-                else ""
-            )
-            + "</p>"
+            f'<p class="meta">{len(report_runs)} run(s) &middot; '
+            f"key {html.escape(key)} &middot; newest commit "
+            f"{html.escape(newest.git_sha)} "
+            f"at {html.escape(newest.created_at or '?')}</p>"
         )
-        if not reports:
-            continue
-        counters, timings = _collect(reports, policy)
+        counters = _collect([run.exact.get("counter", {}) for run in report_runs])
+        timings = _collect(
+            [
+                {stage: readings[0] for stage, readings in run.samples.items()}
+                for run in report_runs
+            ]
+        )
         parts.extend(_series_rows(counters, "deterministic counter"))
         parts.extend(_series_rows(timings, "stage seconds"))
-        parts.extend(_serving_rows(reports[-1]))
+        parts.extend(_serving_rows(report))
     parts.append("</body></html>")
     return "\n".join(parts)
 
 
 def write_dashboard(
-    store: BaselineStore,
+    store: RunStore,
     path: Union[str, Path, None] = None,
-    policy: Optional[RegressionPolicy] = None,
     max_points: int = 30,
-    history: Optional[BenchHistory] = None,
 ) -> Path:
     """Render and write the dashboard; returns the written path."""
     path = Path(path) if path is not None else DEFAULT_DASHBOARD_PATH
     if path.parent != Path("."):
         path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w") as handle:
-        handle.write(
-            render_dashboard(
-                store, policy=policy, max_points=max_points, history=history
-            )
-        )
+        handle.write(render_dashboard(store, max_points=max_points))
         handle.write("\n")
     return path

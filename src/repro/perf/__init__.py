@@ -4,15 +4,16 @@ This package holds the infrastructure that makes the reproduction run
 "as fast as the hardware allows":
 
 - :mod:`repro.perf.timing` — wall-clock stage timers and the
-  machine-readable ``BENCH_*.json`` report format.
+  machine-readable :class:`BenchReport` format.
 - :mod:`repro.perf.trace_cache` — a persistent on-disk workload-trace
   cache (keyed by model/dataset/seed/pair-count/batch) so repeated
   harness invocations skip re-profiling entirely.
 - :mod:`repro.perf.parallel` — a ``ProcessPoolExecutor`` runner that
   fans (model, dataset) workloads and graph-pair chunks across cores.
 - :mod:`repro.perf.bench` — ``python -m repro.perf.bench``, the
-  microbenchmark that records the scalar-vs-vectorized EMF and
-  serial-vs-optimized harness speedups.
+  microbenchmark that records the scalar-vs-vectorized EMF,
+  serial-vs-optimized harness and flat-vs-pipelined search speedups in
+  the run store.
 """
 
 from .timing import BenchReport, StageTimer, time_stage

@@ -1,29 +1,25 @@
 """Microbenchmarks backing the repository's performance claims.
 
 Run as ``python -m repro.perf.bench`` (add ``--quick`` for a fast
-smoke-sized run). Two reports are written to the current directory:
+smoke-sized run). Each benchmark produces one
+:class:`~repro.perf.timing.BenchReport` (aggregates plus raw per-repeat
+samples) and appends it to the run store (``results/obs/runs/``, see
+:mod:`repro.obs.store`), where ``repro obs compare|trend`` gate and
+chart it:
 
-- ``BENCH_emf.json`` — scalar vs. vectorized EMF: raw XXH32 hashing of
-  an (N, D) feature matrix, and the full filter (Algorithm 1). The two
-  backends are also checked for bit-identical tags and filter results,
-  so the report certifies equivalence along with speed.
-- ``BENCH_harness.json`` — the experiment harness on quick-mode
-  workloads: per-query fresh profiling (the uncached path) vs. the
-  cached harness with a cold and a warm on-disk trace cache, fanned
-  across whatever cores the host offers. Results are checked identical
-  between the cached and uncached paths.
-- ``BENCH_search.json`` — a clone-search query stream served by the
-  flat per-query loop vs. the staged serving pipeline (request dedup,
+- ``emf`` — scalar vs. vectorized EMF: raw XXH32 hashing of an (N, D)
+  feature matrix, and the full filter (Algorithm 1). The two backends
+  are also checked for bit-identical tags and filter results, so the
+  report certifies equivalence along with speed.
+- ``harness`` — the experiment harness on quick-mode workloads:
+  per-query fresh profiling (the uncached path) vs. the cached harness
+  with a cold and a warm on-disk trace cache, fanned across whatever
+  cores the host offers. Results are checked identical between the
+  cached and uncached paths.
+- ``search`` — a clone-search query stream served by the flat
+  per-query loop vs. the staged serving pipeline (request dedup,
   sharded execution, candidate dedup), with queries/sec and p50/p99
   latency recorded and served rankings checked bit-identical.
-
-Reports use the :class:`~repro.perf.timing.BenchReport` layout (schema
-v2: aggregates plus raw per-repeat samples). Every run is additionally
-appended to the append-only benchmark history store
-(``results/obs/bench_history/``, see :mod:`repro.obs.history`) unless
-``--no-history`` / ``REPRO_BENCH_HISTORY=off`` — the history is what
-``repro obs bench compare|trend`` gate and chart, so the perf
-trajectory survives the snapshot files being overwritten.
 """
 
 from __future__ import annotations
@@ -39,6 +35,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..obs.logging import configure_logging
+from ..obs.store import RunStore
 from .parallel import available_workers, parallel_workload_results
 from .timing import BenchReport
 
@@ -50,7 +47,7 @@ def _sample_times(repeats: int, func) -> List[float]:
 
     Callers keep the min as the headline aggregate (classic timeit
     discipline) but record the full list on the BenchReport, so the
-    history analytics can run median/MAD statistics over real samples.
+    gate can run median/MAD statistics over real samples.
     """
     samples = []
     for _ in range(repeats):
@@ -196,7 +193,7 @@ def bench_harness(
     )
 
     # Each harness pass is expensive, so every variant is timed once:
-    # the samples list is the single reading, and the history gate's
+    # the samples list is the single reading, and the gate's
     # ratio fallback (not the CI test) applies to this bench.
     report.repeats = 1
 
@@ -510,29 +507,11 @@ def bench_search(
     return report
 
 
-def _resolve_history(history_dir: Optional[str], disabled: bool):
-    """The BenchHistory to append runs to, or ``None`` when off.
-
-    Resolution order: ``--no-history`` > ``--history-dir`` > the
-    ``REPRO_BENCH_HISTORY`` env var > the default store location. The
-    value ``off`` (flag or env) disables recording.
-    """
-    if disabled:
-        return None
-    target = history_dir
-    if target is None:
-        target = os.environ.get("REPRO_BENCH_HISTORY")
-    if target is not None and target.strip().lower() == "off":
-        return None
-    from ..obs.history import BenchHistory
-
-    return BenchHistory(target)
-
-
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.perf.bench",
-        description="EMF and harness microbenchmarks (writes BENCH_*.json)",
+        description="EMF, harness and search microbenchmarks "
+        "(appends each run to the run store)",
     )
     parser.add_argument(
         "--quick", action="store_true", help="smaller matrices and workloads"
@@ -544,26 +523,16 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "--workers", type=int, default=None, help="harness worker processes"
     )
     parser.add_argument(
-        "--output-dir", default=".", help="where BENCH_*.json are written"
-    )
-    parser.add_argument(
         "--only",
         choices=("emf", "harness", "search"),
         default=None,
         help="run a single benchmark",
     )
     parser.add_argument(
-        "--history-dir",
+        "--store",
         default=None,
         metavar="DIR",
-        help="bench history store to append each run to (default "
-        "results/obs/bench_history, or the REPRO_BENCH_HISTORY env "
-        "var; 'off' disables recording)",
-    )
-    parser.add_argument(
-        "--no-history",
-        action="store_true",
-        help="do not append this run to the bench history store",
+        help="run store to append each run to (default results/obs/runs)",
     )
     args = parser.parse_args(argv)
     # Bench results are the command's whole point: log them at INFO.
@@ -582,21 +551,18 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             )
         )
 
-    history = _resolve_history(args.history_dir, args.no_history)
+    # Appending happens after all timing is done, so recording costs
+    # the benchmark nothing.
+    store = RunStore(args.store)
     failures = 0
     for report in reports:
-        path = report.write(args.output_dir)
-        logger.info("wrote %s", path)
-        if history is not None:
-            # Appending happens after all timing is done, so history
-            # recording costs the benchmark nothing.
-            entry, appended = history.append(report.as_dict())
-            logger.info(
-                "%s history entry %s to %s",
-                "appended" if appended else "already recorded",
-                entry.entry_id,
-                history.path_for(entry.bench),
-            )
+        run, appended = store.append(report.as_dict())
+        logger.info(
+            "%s run %s to %s",
+            "appended" if appended else "already recorded",
+            run.entry_id,
+            store.path_for(run.series),
+        )
         for label, value in report.speedups.items():
             logger.info("  %s: %.2fx", label, value)
         for label, value in report.checks.items():

@@ -408,21 +408,13 @@ def _shm_chunk_task(
     pages belonging to other chunks are never touched.
     """
     shm_name, size, platforms, start, stop, batch_size, collect, backend = task
-    from multiprocessing import shared_memory
-
     from ..core.api import simulate_traces
     from ..trace.io import traces_from_buffer
 
-    shm = shared_memory.SharedMemory(name=shm_name)
-    try:
-        # Attaching registers the segment with this process's resource
-        # tracker (bpo-39959), which would unlink it out from under the
-        # other workers at exit; the parent owns cleanup.
-        from multiprocessing import resource_tracker
-
-        resource_tracker.unregister(shm._name, "shared_memory")
-    except Exception:  # pragma: no cover - tracker internals vary
-        pass
+    # Untracked attach: forked workers share the parent's tracker, so
+    # registering (and then unregistering) here would drop the parent's
+    # own registration of the segment it later unlinks.
+    shm = _attach_segment(shm_name)
     view = None
     chunk = None
     try:

@@ -1,9 +1,9 @@
 """Wall-clock instrumentation and machine-readable bench reports.
 
 Every performance claim in this repository is backed by a
-``BENCH_<name>.json`` file written through :class:`BenchReport`, so the
-perf trajectory can be tracked across revisions by diffing two JSON
-files instead of re-reading log output.
+:class:`BenchReport` recorded in the run store (:mod:`repro.obs.store`),
+so the perf trajectory is tracked across revisions by the gate and the
+trend views instead of re-reading log output.
 """
 
 from __future__ import annotations
@@ -104,9 +104,9 @@ class BenchReport:
           "checks": {...}           # equivalence verdicts, counts, ...
         }
 
-    The provenance stamp uses the same schema as RunReport baselines
-    (see :mod:`repro.obs.provenance`), so a BENCH file can be matched to
-    the baseline-store entries produced at the same commit. Legacy (v1)
+    The provenance stamp uses the same schema as every other stamped
+    artifact (see :mod:`repro.obs.provenance`), so a bench run can be
+    matched to the RunReports produced at the same commit. Legacy (v1)
     payloads — no ``schema_version``, no ``samples`` — still load via
     :meth:`from_dict`, with the raw-sample sections empty.
     """

@@ -15,7 +15,7 @@ named, independently runnable correctness checks, each either a
   adversarial inputs.
 
 ``python -m repro validate [--quick] [--only NAME] [--list] [--smoke]``
-runs them with ``obs check``-style exit codes (0 pass, 1 failures,
+runs them with ``obs compare``-style exit codes (0 pass, 1 failures,
 2 usage error). Every check also declares *mutators* — deliberate
 single-implementation perturbations — and the mutation smoke tier
 (``--smoke``, also ``tests/validate/test_mutation_smoke.py``) asserts

@@ -13,9 +13,10 @@ themselves with :func:`register_check`, carrying
   implementation; :func:`mutation_smoke` asserts the check fails under
   every one of them, proving the check is able to fail at all.
 
-:func:`run_checks` executes checks under the active
-:mod:`repro.obs` registry (``validate.checks.*`` counters, one
-``validate.check`` span per check) and returns structured
+:func:`run_checks` executes each check body with no metrics registry
+installed (checks that compare metric streams install their own),
+counts ``validate.checks.*`` on the caller's registry, records one
+``validate.check`` span per check, and returns structured
 :class:`CheckResult` rows the CLI renders and serializes.
 """
 
@@ -25,7 +26,7 @@ import time
 import traceback
 from typing import Callable, ContextManager, Dict, List, Optional, Sequence, Tuple
 
-from ..obs.metrics import get_metrics
+from ..obs.metrics import set_metrics
 from ..obs.tracing import span
 
 __all__ = [
@@ -169,7 +170,11 @@ def get_check(name: str) -> Check:
 
 
 def _run_one(check: Check, context: CheckContext) -> CheckResult:
-    registry = get_metrics()
+    # The check body runs with no registry installed, so its
+    # "metric-free" legs take the same paths as production with
+    # telemetry off; the legs that want metrics install their own.
+    # validate.* bookkeeping goes to the caller's registry afterwards.
+    registry = set_metrics(None)
     start = time.perf_counter()
     try:
         with span("validate.check", check=check.name):
@@ -184,6 +189,8 @@ def _run_one(check: Check, context: CheckContext) -> CheckResult:
         message = "".join(
             traceback.format_exception_only(type(exc), exc)
         ).strip()
+    finally:
+        set_metrics(registry)
     duration = time.perf_counter() - start
     if registry is not None:
         registry.inc("validate.checks.run")

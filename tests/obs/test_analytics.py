@@ -4,11 +4,11 @@ import random
 
 import pytest
 
+from repro.obs import analytics
 from repro.obs.analytics import (
-    BenchComparison,
+    Comparison,
     attribute_stages,
-    compare_entry,
-    compare_history,
+    compare,
     detect_changepoints,
     mad,
     median,
@@ -20,29 +20,33 @@ from repro.obs.analytics import (
     timing_decision,
     trend_report,
 )
-from repro.obs.history import BenchHistory, HistoryEntry
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.regress import RegressionPolicy
 from repro.obs.report import RunReport
+from repro.obs.store import RunStore, ingest, is_environmental_check
 
 
 def _entry(seconds=1.0, noise=0.0, seed=0, checks=None, config=None, tag=""):
-    """One history entry with three noisy samples around ``seconds``."""
+    """One bench run with five noisy samples around ``seconds``."""
     rng = random.Random(seed)
     samples = [
         seconds * (1.0 + rng.uniform(-noise, noise)) for _ in range(5)
     ]
-    return HistoryEntry(
-        bench="unit",
-        entry_id=f"id-{seed}-{seconds}-{tag}",
-        config=dict(config or {"n": 4}),
-        timings={"fast": min(samples)},
-        samples={"fast": samples},
-        repeats=5,
-        speedups={"gain": 2.0},
-        checks=dict(checks or {"identical": True, "num_unique": 128}),
-        git_sha=f"sha{seed:04d}",
-        created_at="2026-08-08T00:00:00+00:00",
+    return ingest(
+        {
+            "schema_version": 2,
+            "name": "unit",
+            "provenance": {
+                "git_sha": f"sha{seed:04d}",
+                "created_at": "2026-08-08T00:00:00+00:00",
+                "generator": f"test{tag}",
+            },
+            "config": dict(config or {"n": 4}),
+            "timings": {"fast": min(samples)},
+            "samples": {"fast": samples},
+            "repeats": 5,
+            "speedups": {"gain": 2.0},
+            "checks": dict(checks or {"identical": True, "num_unique": 128}),
+        }
     )
 
 
@@ -113,7 +117,7 @@ class TestCompareEntry:
     def test_byte_identical_rerun_exits_0(self):
         baseline = _entry(seed=1)
         rerun = _entry(seed=1, tag="rerun")  # same samples, new id
-        result = compare_entry([baseline], rerun)
+        result = compare([baseline], rerun)
         assert result.status == "ok"
         assert result.exit_code == 0
 
@@ -122,35 +126,35 @@ class TestCompareEntry:
         drifted = _entry(
             seed=2, checks={"identical": True, "num_unique": 127}
         )
-        result = compare_entry([baseline], drifted)
+        result = compare([baseline], drifted)
         assert result.exit_code == 1
         assert any(f.name == "num_unique" for f in result.findings)
 
     def test_timing_regression_exits_2(self):
         baseline = _entry(seconds=1.0, noise=0.02, seed=3)
         slower = _entry(seconds=2.0, noise=0.02, seed=4)
-        result = compare_entry([baseline], slower)
+        result = compare([baseline], slower)
         assert result.status == "warned"
         assert result.exit_code == 2
         assert any(f.name == "fast" for f in result.warnings)
 
     def test_explicit_exact_duplicate_of_recorded_entry_passes(self):
-        # An explicit --candidate that is already in the history (same
+        # An explicit candidate that is already in the history (same
         # content digest) is a pass, not a missing baseline...
         recorded = _entry(seed=1)
-        result = compare_entry([recorded], recorded, explicit=True)
+        result = compare([recorded], recorded)
         assert result.status == "ok"
         assert result.exit_code == 0
         # ...but the default newest-vs-predecessor shape still reports
         # a sole recorded entry as having no baseline.
-        assert compare_entry([recorded], recorded).status == "no-baseline"
+        assert compare([recorded]).status == "no-baseline"
 
     def test_no_comparable_baseline_exits_2(self):
         candidate = _entry()
-        assert compare_entry([], candidate).exit_code == 2
+        assert compare([], candidate).exit_code == 2
         # A prior entry under a different config is not comparable.
         other_config = _entry(config={"n": 9999}, tag="othercfg")
-        result = compare_entry([other_config], candidate)
+        result = compare([other_config], candidate)
         assert result.status == "no-baseline"
         assert result.exit_code == 2
 
@@ -161,7 +165,7 @@ class TestCompareEntry:
         current = _entry(
             seed=5, checks={"identical": True, "queries_per_second": 5.0}
         )
-        result = compare_entry([baseline], current)
+        result = compare([baseline], current)
         assert result.exit_code == 0
         assert any(
             info.name == "queries_per_second" for info in result.infos
@@ -171,44 +175,42 @@ class TestCompareEntry:
         old = _entry(checks={"num_unique": 100}, tag="old")
         new = _entry(checks={"num_unique": 128}, seed=6, tag="new")
         candidate = _entry(checks={"num_unique": 128}, seed=7, tag="cand")
-        result = compare_entry([old, new], candidate)
+        result = compare([old, new], candidate)
         assert result.exit_code == 0
 
 
 class TestCompareHistory:
     def test_gates_newest_entry_per_bench(self, tmp_path):
-        history = BenchHistory(tmp_path)
-        history.append(_entry(seed=1))
-        history.append(_entry(seed=1, tag="rerun"))
-        results = compare_history(history)
-        assert [r.bench for r in results] == ["unit"]
+        store = RunStore(tmp_path)
+        store.append(_entry(seed=1))
+        store.append(_entry(seed=1, tag="rerun"))
+        results = [compare(store.read(name)) for name in store.series()]
+        assert [r.series for r in results] == ["unit"]
         assert results[0].exit_code == 0
 
     def test_explicit_candidate_not_required_on_file(self, tmp_path):
-        history = BenchHistory(tmp_path)
-        history.append(_entry(seed=1))
+        store = RunStore(tmp_path)
+        store.append(_entry(seed=1))
         candidate = _entry(seconds=2.5, seed=2, tag="cand")
-        results = compare_history(
-            history, benches=["unit"], candidates={"unit": candidate}
-        )
-        assert results[0].exit_code == 2  # statistical regression
+        result = compare(store.read("unit"), candidate)
+        assert result.exit_code == 2  # statistical regression
+        assert len(store.read("unit")) == 1
 
     def test_empty_history_reports_no_baseline(self, tmp_path):
-        history = BenchHistory(tmp_path)
-        results = compare_history(history, benches=["ghost"])
-        assert results[0].status == "no-baseline"
-        assert results[0].exit_code == 2
+        result = compare(RunStore(tmp_path).read("ghost"))
+        assert result.status == "no-baseline"
+        assert result.exit_code == 2
 
 
 class TestExitCodeContract:
     def test_findings_dominate_warnings(self):
-        comparison = BenchComparison(bench="unit")
+        comparison = Comparison(series="unit")
         comparison.findings.append(object())  # any truthy content
         comparison.warnings.append(object())
         assert comparison.exit_code == 1
 
     def test_render_mentions_status(self):
-        comparison = BenchComparison(bench="unit", status="no-baseline")
+        comparison = Comparison(series="unit", status="no-baseline")
         assert "NO BASELINE" in comparison.render()
 
 
@@ -245,8 +247,8 @@ class TestTrend:
             _entry(seconds=1.0, seed=i, tag=str(i)) for i in range(4)
         ]
         report = trend_report(entries)
-        assert report["kind"] == "repro-bench-trend"
-        assert report["bench"] == "unit"
+        assert report["kind"] == "repro-trend"
+        assert report["series"] == "unit"
         assert len(report["points"]) == 4
         assert "timing:fast" in report["metrics"]
         assert "speedup:gain" in report["metrics"]
@@ -266,9 +268,9 @@ class TestTrend:
             metric_series([_entry()], "bogus:thing")
 
     def test_markdown_table_from_history(self, tmp_path):
-        history = BenchHistory(tmp_path)
-        history.append(_entry(seed=1))
-        table = render_markdown_table(history)
+        store = RunStore(tmp_path)
+        store.append(_entry(seed=1))
+        table = render_markdown_table(store)
         assert "| bench | speedup | ratio | commit |" in table
         assert "`unit`" in table and "`gain`" in table
         assert "~2.0x" in table
@@ -309,8 +311,7 @@ class TestStageAttribution:
         assert "execute" in text
 
     def test_policy_knobs_are_carried_by_regression_policy(self):
-        policy = RegressionPolicy()
-        assert policy.bench_min_samples >= 2
-        assert policy.is_environmental_check("queries_per_second")
-        assert policy.is_environmental_check("latency_p50_seconds")
-        assert not policy.is_environmental_check("num_unique")
+        assert analytics.MIN_SAMPLES >= 2
+        assert is_environmental_check("queries_per_second")
+        assert is_environmental_check("latency_p50_seconds")
+        assert not is_environmental_check("num_unique")

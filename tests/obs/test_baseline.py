@@ -1,10 +1,10 @@
-"""Tests for the baseline store: layout, lookup, retention."""
+"""Tests for RunReport series in the run store: keys and lookup."""
 
 import pytest
 
-from repro.obs.baseline import BaselineStore, spec_key
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.report import RunReport
+from repro.obs.store import RunStore, spec_key
 from repro.platforms import RunSpec
 
 SPEC = RunSpec.make("GMN-Li", "AIDS", 4, 4, 0)
@@ -19,9 +19,13 @@ def _report(spec=SPEC, created_at="2026-08-07T00:00:00Z", sha="deadbeef", macs=1
     )
 
 
+def _macs(run):
+    return run.report().metrics.counter("sim.macs", platform="CEGMA")
+
+
 @pytest.fixture
 def store(tmp_path):
-    return BaselineStore(tmp_path / "baselines")
+    return RunStore(tmp_path / "runs")
 
 
 class TestLayout:
@@ -30,79 +34,40 @@ class TestLayout:
         assert key.startswith(SPEC.stem + "-")
         assert len(key) == len(SPEC.stem) + 1 + 8
 
-    def test_save_writes_report_and_spec_json(self, store):
-        path = store.save(_report())
-        assert path.is_file()
-        assert path.parent.name == spec_key(SPEC)
-        assert (path.parent / "spec.json").is_file()
-        assert "deadbeef" in path.name
-        assert path.name.startswith("20260807T000000Z")
-
     def test_unkeyed_report_rejected(self, store):
         with pytest.raises(ValueError, match="unkeyed"):
-            store.save(RunReport())
-
-    def test_collision_gets_suffix(self, store):
-        first = store.save(_report())
-        second = store.save(_report())
-        assert first != second
-        assert second.stem.endswith("-1")
+            store.append(RunReport().to_dict())
 
 
 class TestLookup:
     def test_latest_none_when_empty(self, store):
-        assert store.latest(SPEC) is None
-        assert store.history(SPEC) == []
+        assert store.latest(spec_key(SPEC)) is None
+        assert store.read(spec_key(SPEC)) == []
 
     def test_latest_returns_newest_by_created_at(self, store):
-        store.save(_report(created_at="2026-08-05T00:00:00Z", macs=1))
-        store.save(_report(created_at="2026-08-07T00:00:00Z", macs=3))
-        store.save(_report(created_at="2026-08-06T00:00:00Z", macs=2))
-        latest = store.latest(SPEC)
-        assert latest.metrics.counter("sim.macs", platform="CEGMA") == 3
-        assert len(store.history(SPEC)) == 3
+        store.append(_report(created_at="2026-08-05T00:00:00Z", macs=1).to_dict())
+        store.append(_report(created_at="2026-08-07T00:00:00Z", macs=3).to_dict())
+        store.append(_report(created_at="2026-08-06T00:00:00Z", macs=2).to_dict())
+        assert _macs(store.latest(spec_key(SPEC))) == 3
+        assert len(store.read(spec_key(SPEC))) == 3
 
     def test_v1_report_without_created_at_sorts_oldest(self, store):
         old = _report(macs=1)
         old.created_at = None
         old.git_sha = None
-        store.save(old)
-        store.save(_report(created_at="2026-08-07T00:00:00Z", macs=2))
-        assert store.latest(SPEC).metrics.counter("sim.macs", platform="CEGMA") == 2
+        store.append(_report(created_at="2026-08-07T00:00:00Z", macs=2).to_dict())
+        store.append(old.to_dict())
+        assert _macs(store.latest(spec_key(SPEC))) == 2
 
     def test_specs_lists_all_keys(self, store):
-        store.save(_report())
-        store.save(_report(spec=OTHER))
-        specs = store.specs()
-        assert set(specs.values()) == {SPEC, OTHER}
+        store.append(_report().to_dict())
+        store.append(_report(spec=OTHER).to_dict())
+        assert store.series() == sorted([spec_key(SPEC), spec_key(OTHER)])
 
-    def test_specs_skips_broken_entries(self, store, tmp_path):
-        store.save(_report())
-        broken = store.root / "broken-key"
-        broken.mkdir()
-        (broken / "spec.json").write_text("not json")
-        assert set(store.specs().values()) == {SPEC}
-
-
-class TestRetention:
-    def test_save_prunes_beyond_retain(self, store):
-        for day in range(1, 6):
-            store.save(
-                _report(created_at=f"2026-08-0{day}T00:00:00Z", macs=day),
-                retain=3,
-            )
-        history = store.history(SPEC)
-        assert len(history) == 3
-        # The oldest two were pruned; the newest survives.
-        assert store.latest(SPEC).metrics.counter("sim.macs", platform="CEGMA") == 5
-        assert history[0].name.startswith("20260803")
-
-    def test_prune_is_per_spec(self, store):
-        store.save(_report())
-        store.save(_report(spec=OTHER))
-        store.prune(SPEC, keep=1)
-        assert len(store.history(OTHER)) == 1
-
-    def test_retain_must_be_positive(self, store):
-        with pytest.raises(ValueError, match="retain"):
-            store.save(_report(), retain=0)
+    def test_specs_skips_broken_entries(self, store):
+        store.append(_report().to_dict())
+        with open(store.path_for(spec_key(SPEC)), "a") as handle:
+            handle.write("not json\n")
+        runs = store.read(spec_key(SPEC))
+        assert [run.series for run in runs] == [spec_key(SPEC)]
+        assert store.last_skipped == 1

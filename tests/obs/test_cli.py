@@ -122,59 +122,53 @@ class TestObsSubcommand:
 
 
 class TestObsCheck:
+    """``obs record`` + ``obs compare`` on RunReports."""
+
     def test_no_baseline_exits_2(self, tmp_path, capsys):
         _, report_path = _simulate_with_obs(tmp_path)
         capsys.readouterr()
-        assert main(["obs", "check", str(report_path)]) == 2
-        assert "no baseline" in capsys.readouterr().out
+        assert main(["obs", "compare", str(report_path)]) == 2
+        assert "NO BASELINE" in capsys.readouterr().out
 
     def test_update_creates_baseline_then_check_is_clean(
         self, tmp_path, capsys
     ):
         _, report_path = _simulate_with_obs(tmp_path)
         capsys.readouterr()
-        assert main(["obs", "check", str(report_path), "--update"]) == 0
-        output = capsys.readouterr().out
-        assert "archived this run" in output
-        assert (tmp_path / "results" / "obs" / "baselines").is_dir()
-        # An unmodified re-check against the archived baseline passes.
-        assert main(["obs", "check", str(report_path)]) == 0
-        assert "OK: all deterministic metrics match" in capsys.readouterr().out
+        assert main(["obs", "record", str(report_path)]) == 0
+        assert "recorded" in capsys.readouterr().out
+        assert (tmp_path / "results" / "obs" / "runs").is_dir()
+        # An unmodified re-check against the recorded run passes.
+        assert main(["obs", "compare", str(report_path)]) == 0
+        assert "OK: exact values match" in capsys.readouterr().out
 
     def test_perturbed_counter_fails_with_named_metric(
         self, tmp_path, capsys
     ):
         _, report_path = _simulate_with_obs(tmp_path)
-        assert main(["obs", "check", str(report_path), "--update"]) == 0
+        assert main(["obs", "record", str(report_path)]) == 0
         payload = json.loads(report_path.read_text())
         key = "sim.macs{platform=CEGMA}"
         payload["metrics"]["counters"][key] += 1
         report_path.write_text(json.dumps(payload))
         capsys.readouterr()
-        assert main(["obs", "check", str(report_path)]) == 1
+        assert main(["obs", "compare", str(report_path)]) == 1
         output = capsys.readouterr().out
         assert "REGRESSIONS" in output
         assert key in output
 
     def test_explicit_baseline_and_json_out(self, tmp_path, capsys):
         _, report_path = _simulate_with_obs(tmp_path)
+        assert main(["obs", "record", str(report_path)]) == 0
         json_out = tmp_path / "regress.json"
         capsys.readouterr()
         status = main(
-            [
-                "obs",
-                "check",
-                str(report_path),
-                "--baseline",
-                str(report_path),
-                "--json-out",
-                str(json_out),
-            ]
+            ["obs", "compare", str(report_path), "--json-out", str(json_out)]
         )
         assert status == 0
         payload = json.loads(json_out.read_text())
-        assert payload["kind"] == "repro-regression-report"
-        assert payload["ok"] is True
+        assert payload["kind"] == "repro-compare-report"
+        assert payload["comparisons"][0]["status"] == "ok"
 
 
 class TestObsProvenance:
@@ -197,30 +191,49 @@ class TestObsProvenance:
         assert main(["obs", "provenance", str(bare)]) == 1
         assert "no provenance stamp" in capsys.readouterr().out
 
+    def test_store_directory_checks_every_run(self, tmp_path, capsys):
+        stamped = _bench_file(tmp_path)
+        assert main(["obs", "record", str(stamped)]) == 0
+        capsys.readouterr()
+        assert main(["obs", "provenance", "results/obs/runs"]) == 0
+        assert "all 1 recorded run(s)" in capsys.readouterr().out
+        payload = json.loads(stamped.read_text())
+        payload["name"] = "unstamped"
+        del payload["provenance"]
+        unstamped = tmp_path / "unstamped.json"
+        unstamped.write_text(json.dumps(payload))
+        assert main(["obs", "record", str(unstamped)]) == 0
+        capsys.readouterr()
+        assert main(["obs", "provenance", "results/obs/runs"]) == 1
+        assert "INVALID: unstamped/" in capsys.readouterr().out
+
 
 class TestObsDashboardAndBaselines:
     def test_dashboard_renders_archived_workloads(self, tmp_path, capsys):
         _, report_path = _simulate_with_obs(tmp_path)
-        assert main(["obs", "check", str(report_path), "--update"]) == 0
+        assert main(["obs", "record", str(report_path)]) == 0
         out_path = tmp_path / "dash.html"
         capsys.readouterr()
         assert main(["obs", "dashboard", "--output", str(out_path)]) == 0
-        assert "wrote dashboard (1 workload(s)" in capsys.readouterr().out
+        assert "wrote dashboard (1 series)" in capsys.readouterr().out
         page = out_path.read_text()
         stem = f"GMN-Li_AIDS_p{QUICK_PAIRS}_b{QUICK_BATCH}_s0_quick"
         assert stem in page
 
     def test_baselines_lists_store_contents(self, tmp_path, capsys):
         _, report_path = _simulate_with_obs(tmp_path)
-        assert main(["obs", "check", str(report_path), "--update"]) == 0
+        assert main(["obs", "record", str(report_path)]) == 0
         capsys.readouterr()
-        assert main(["obs", "baselines"]) == 0
+        assert main(["obs", "trend"]) == 0
         output = capsys.readouterr().out
         assert f"GMN-Li_AIDS_p{QUICK_PAIRS}_b{QUICK_BATCH}_s0_quick" in output
+        assert "timing:profile" in output
 
-    def test_baselines_empty_store(self, capsys):
-        assert main(["obs", "baselines"]) == 0
-        assert "no baselines" in capsys.readouterr().out
+    def test_baselines_empty_store(self, tmp_path, capsys):
+        out_path = tmp_path / "dash.html"
+        assert main(["obs", "dashboard", "--output", str(out_path)]) == 0
+        assert "wrote dashboard (0 series)" in capsys.readouterr().out
+        assert "No RunReports recorded yet" in out_path.read_text()
 
 
 class TestProfileFlag:
@@ -271,26 +284,26 @@ def _bench_file(tmp_path, name="unit", seconds=1.0, unique=128, stem=None):
 class TestObsBenchRecord:
     def test_record_is_idempotent(self, tmp_path, capsys):
         path = _bench_file(tmp_path)
-        assert main(["obs", "bench", "record", str(path)]) == 0
+        assert main(["obs", "record", str(path)]) == 0
         assert "recorded" in capsys.readouterr().out
-        assert main(["obs", "bench", "record", str(path)]) == 0
+        assert main(["obs", "record", str(path)]) == 0
         assert "already recorded" in capsys.readouterr().out
-        history_file = tmp_path / "results/obs/bench_history/unit.jsonl"
-        assert len(history_file.read_text().splitlines()) == 1
+        series_file = tmp_path / "results/obs/runs/unit.jsonl"
+        assert len(series_file.read_text().splitlines()) == 1
 
     def test_unreadable_file_exits_1(self, tmp_path, capsys):
         bad = tmp_path / "BENCH_bad.json"
         bad.write_text("not json")
-        assert main(["obs", "bench", "record", str(bad)]) == 1
+        assert main(["obs", "record", str(bad)]) == 1
         assert "cannot record" in capsys.readouterr().out
 
 
 class TestObsBenchCompare:
     def test_no_baseline_exits_2(self, tmp_path, capsys):
         path = _bench_file(tmp_path)
-        main(["obs", "bench", "record", str(path)])
+        main(["obs", "record", str(path)])
         capsys.readouterr()
-        assert main(["obs", "bench", "compare"]) == 2
+        assert main(["obs", "compare"]) == 2
         assert "NO BASELINE" in capsys.readouterr().out
 
     def test_identical_rerun_exits_0_with_json(self, tmp_path, capsys):
@@ -299,68 +312,52 @@ class TestObsBenchCompare:
         first = _bench_file(tmp_path, stem="BENCH_first.json")
         second = tmp_path / "BENCH_second.json"
         payload = json.loads(first.read_text())
-        payload["name"] = "unit"
         payload["provenance"]["created_at"] = "2030-01-01T00:00:00+00:00"
         second.write_text(json.dumps(payload))
-        main(["obs", "bench", "record", str(first), str(second)])
+        main(["obs", "record", str(first), str(second)])
         out_json = tmp_path / "compare.json"
-        status = main(
-            ["obs", "bench", "compare", "--json-out", str(out_json)]
-        )
+        status = main(["obs", "compare", "--json-out", str(out_json)])
         assert status == 0
         report = json.loads(out_json.read_text())
         assert report["comparisons"][0]["status"] == "ok"
 
     def test_deterministic_drift_exits_1(self, tmp_path, capsys):
-        main(["obs", "bench", "record", str(_bench_file(tmp_path))])
-        drifted = _bench_file(
-            tmp_path, unique=127, stem="BENCH_drift.json"
-        )
-        status = main(
-            ["obs", "bench", "compare", "--candidate", str(drifted)]
-        )
-        assert status == 1
+        main(["obs", "record", str(_bench_file(tmp_path))])
+        drifted = _bench_file(tmp_path, unique=127, stem="BENCH_drift.json")
+        assert main(["obs", "compare", str(drifted)]) == 1
         assert "num_unique" in capsys.readouterr().out
 
     def test_timing_regression_exits_2(self, tmp_path, capsys):
-        main(["obs", "bench", "record", str(_bench_file(tmp_path))])
-        slower = _bench_file(
-            tmp_path, seconds=2.5, stem="BENCH_slow.json"
-        )
-        status = main(
-            ["obs", "bench", "compare", "--candidate", str(slower)]
-        )
-        assert status == 2
+        main(["obs", "record", str(_bench_file(tmp_path))])
+        slower = _bench_file(tmp_path, seconds=2.5, stem="BENCH_slow.json")
+        assert main(["obs", "compare", str(slower)]) == 2
         assert "timing warnings" in capsys.readouterr().out
 
     def test_empty_history_exits_2(self, tmp_path, capsys):
-        assert main(["obs", "bench", "compare"]) == 2
-        assert "no bench history" in capsys.readouterr().out
+        assert main(["obs", "compare"]) == 2
+        assert "no runs recorded" in capsys.readouterr().out
 
 
 class TestObsBenchTrend:
     def test_trend_renders_and_writes_json(self, tmp_path, capsys):
-        main(["obs", "bench", "record", str(_bench_file(tmp_path))])
+        main(["obs", "record", str(_bench_file(tmp_path))])
         capsys.readouterr()
         out_json = tmp_path / "trend.json"
-        status = main(
-            ["obs", "bench", "trend", "--json-out", str(out_json)]
-        )
-        assert status == 0
+        assert main(["obs", "trend", "--json-out", str(out_json)]) == 0
         assert "timing:fast" in capsys.readouterr().out
         payload = json.loads(out_json.read_text())
-        assert payload["trends"][0]["bench"] == "unit"
+        assert payload["trends"][0]["series"] == "unit"
 
     def test_markdown_table(self, tmp_path, capsys):
-        main(["obs", "bench", "record", str(_bench_file(tmp_path))])
+        main(["obs", "record", str(_bench_file(tmp_path))])
         capsys.readouterr()
-        assert main(["obs", "bench", "trend", "--markdown"]) == 0
+        assert main(["obs", "trend", "--markdown"]) == 0
         out = capsys.readouterr().out
         assert "| bench | speedup | ratio | commit |" in out
         assert "`unit`" in out
 
     def test_empty_history_exits_2(self, tmp_path, capsys):
-        assert main(["obs", "bench", "trend"]) == 2
+        assert main(["obs", "trend"]) == 2
 
 
 class TestObsTailEmptyLog:
@@ -386,18 +383,10 @@ class TestBenchForwarding:
 
         monkeypatch.setattr(bench_module, "main", fake_main)
         status = main(
-            [
-                "bench",
-                "--quick",
-                "--only",
-                "search",
-                "--history-dir",
-                "hist",
-                "--no-history",
-            ]
+            ["bench", "--quick", "--only", "search", "--store", "runs"]
         )
         assert status == 0
         argv = captured["argv"]
-        assert ["--only", "search"] == argv[1:3] or "search" in argv
-        assert "--history-dir" in argv and "hist" in argv
-        assert "--no-history" in argv
+        assert argv[argv.index("--only") + 1] == "search"
+        assert argv[argv.index("--store") + 1] == "runs"
+        assert "--quick" in argv

@@ -1,11 +1,11 @@
-"""Tests for the static HTML dashboard over the baseline store."""
+"""Tests for the static HTML dashboard over the run store."""
 
 import pytest
 
-from repro.obs.baseline import BaselineStore
 from repro.obs.dashboard import render_dashboard, write_dashboard
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.report import RunReport
+from repro.obs.store import RunStore
 from repro.perf.timing import StageTimer
 from repro.platforms import RunSpec
 
@@ -70,21 +70,25 @@ def _exemplar(request_id, latency, status="ok"):
     }
 
 
+def _save(store, report):
+    return store.append(report.to_dict())
+
+
 @pytest.fixture
 def store(tmp_path):
-    return BaselineStore(tmp_path / "baselines")
+    return RunStore(tmp_path / "runs")
 
 
 class TestRender:
     def test_empty_store_renders_hint(self, store):
         page = render_dashboard(store)
         assert "<!doctype html>" in page
-        assert "No baselines archived yet" in page
-        assert "obs check" in page
+        assert "No RunReports recorded yet" in page
+        assert "obs record" in page
 
     def test_history_renders_sparkline_and_counters(self, store):
-        store.save(_report("2026-08-05T00:00:00Z", macs=100))
-        store.save(_report("2026-08-06T00:00:00Z", macs=110))
+        _save(store, _report("2026-08-05T00:00:00Z", macs=100))
+        _save(store, _report("2026-08-06T00:00:00Z", macs=110))
         page = render_dashboard(store)
         assert SPEC.stem in page
         assert "sim.macs{platform=CEGMA}" in page
@@ -94,32 +98,32 @@ class TestRender:
         assert "+10.00%" in page
 
     def test_environmental_counters_excluded(self, store):
-        store.save(_report("2026-08-05T00:00:00Z", macs=100))
-        store.save(_report("2026-08-06T00:00:00Z", macs=110))
+        _save(store, _report("2026-08-05T00:00:00Z", macs=100))
+        _save(store, _report("2026-08-06T00:00:00Z", macs=110))
         page = render_dashboard(store)
         assert "harness.trace_memo.hit" not in page
 
     def test_stage_seconds_included(self, store):
-        store.save(_report("2026-08-05T00:00:00Z", macs=1, simulate_s=1.0))
-        store.save(_report("2026-08-06T00:00:00Z", macs=1, simulate_s=2.0))
+        _save(store, _report("2026-08-05T00:00:00Z", macs=1, simulate_s=1.0))
+        _save(store, _report("2026-08-06T00:00:00Z", macs=1, simulate_s=2.0))
         page = render_dashboard(store)
         assert "stage seconds" in page
         assert "simulate" in page
 
     def test_single_point_has_no_sparkline(self, store):
-        store.save(_report("2026-08-05T00:00:00Z", macs=100))
+        _save(store, _report("2026-08-05T00:00:00Z", macs=100))
         page = render_dashboard(store)
         assert "<polyline" not in page
         assert "sim.macs{platform=CEGMA}" in page
 
     def test_max_points_bounds_history(self, store):
         for day in range(1, 8):
-            store.save(_report(f"2026-08-0{day}T00:00:00Z", macs=day))
+            _save(store, _report(f"2026-08-0{day}T00:00:00Z", macs=day))
         page = render_dashboard(store, max_points=2)
-        assert "2 baseline(s)" in page
+        assert "2 run(s)" in page
 
     def test_no_external_assets(self, store):
-        store.save(_report("2026-08-05T00:00:00Z", macs=100))
+        _save(store, _report("2026-08-05T00:00:00Z", macs=100))
         page = render_dashboard(store)
         assert "http://" not in page and "https://" not in page
         assert "<script" not in page
@@ -127,7 +131,7 @@ class TestRender:
 
 class TestServingPanels:
     def test_window_quantiles_sparkline_over_windows(self, store):
-        store.save(
+        _save(store, 
             _report(
                 "2026-08-05T00:00:00Z",
                 macs=1,
@@ -142,7 +146,7 @@ class TestServingPanels:
         assert "<polyline" in page  # two points → a sparkline
 
     def test_exemplar_trees_render(self, store):
-        store.save(
+        _save(store, 
             _report(
                 "2026-08-05T00:00:00Z",
                 macs=1,
@@ -159,18 +163,18 @@ class TestServingPanels:
         assert "- execute: 250.000 ms" in page
 
     def test_only_newest_reports_telemetry_shown(self, store):
-        store.save(
+        _save(store, 
             _report(
                 "2026-08-05T00:00:00Z", macs=1, windows=[_window(0, 0.004)]
             )
         )
-        store.save(_report("2026-08-06T00:00:00Z", macs=1))
+        _save(store, _report("2026-08-06T00:00:00Z", macs=1))
         page = render_dashboard(store)
-        # The newest baseline has no windows, so no serving panel.
+        # The newest report has no windows, so no serving panel.
         assert "serving telemetry" not in page
 
     def test_reports_without_telemetry_render_unchanged(self, store):
-        store.save(_report("2026-08-05T00:00:00Z", macs=1))
+        _save(store, _report("2026-08-05T00:00:00Z", macs=1))
         page = render_dashboard(store)
         assert "serving telemetry" not in page
         assert "tail exemplar" not in page
@@ -178,65 +182,61 @@ class TestServingPanels:
 
 class TestWrite:
     def test_write_creates_file(self, store, tmp_path):
-        store.save(_report("2026-08-05T00:00:00Z", macs=100))
+        _save(store, _report("2026-08-05T00:00:00Z", macs=100))
         path = write_dashboard(store, tmp_path / "dash" / "index.html")
         assert path.is_file()
         assert "</html>" in path.read_text()
 
 
 def _history_entry(seconds, seed, tag=""):
-    from repro.obs.history import HistoryEntry
-
-    return HistoryEntry(
-        bench="emf",
-        entry_id=f"id-{seed}{tag}",
-        config={"n": 4},
-        timings={"fast": seconds},
-        samples={"fast": [seconds, 1.01 * seconds, 0.99 * seconds]},
-        repeats=3,
-        speedups={"gain": 2.0},
-        checks={"identical": True},
-        git_sha=f"sha{seed:04d}cafe",
-        created_at="2026-08-08T00:00:00+00:00",
-    )
+    return {
+        "schema_version": 2,
+        "name": "emf",
+        "provenance": {
+            "git_sha": f"sha{seed:04d}cafe",
+            "created_at": "2026-08-08T00:00:00+00:00",
+            "generator": f"test{tag}",
+        },
+        "config": {"n": 4},
+        "timings": {"fast": seconds},
+        "samples": {"fast": [seconds, 1.01 * seconds, 0.99 * seconds]},
+        "repeats": 3,
+        "speedups": {"gain": 2.0},
+        "checks": {"identical": True},
+    }
 
 
 class TestTrajectoryPage:
-    @pytest.fixture
-    def history(self, tmp_path):
-        from repro.obs.history import BenchHistory
-
-        return BenchHistory(tmp_path / "bench_history")
-
-    def test_no_history_renders_hint(self, store, history):
-        page = render_dashboard(store, history=history)
+    def test_no_history_renders_hint(self, store):
+        page = render_dashboard(store)
         assert "no bench history recorded" in page
 
     def test_omitted_history_renders_no_trajectory(self, store):
+        _save(store, _report("2026-08-05T00:00:00Z", macs=1))
         page = render_dashboard(store)
         assert "benchmark trajectory" not in page
 
-    def test_trajectory_sparklines_per_metric(self, store, history):
+    def test_trajectory_sparklines_per_metric(self, store):
         for seed in range(3):
-            history.append(_history_entry(1.0, seed, tag=str(seed)))
-        page = render_dashboard(store, history=history)
+            store.append(_history_entry(1.0, seed, tag=str(seed)))
+        page = render_dashboard(store)
         assert "benchmark trajectory" in page
         assert "bench: emf" in page
         assert "timing:fast" in page
         assert "speedup:gain" in page
         assert "<polyline" in page
 
-    def test_changepoint_commit_listed(self, store, history):
+    def test_changepoint_commit_listed(self, store):
         for seed in range(6):
-            history.append(_history_entry(1.0, seed, tag=str(seed)))
-        history.append(_history_entry(3.0, 99, tag="shift"))
-        page = render_dashboard(store, history=history)
+            store.append(_history_entry(1.0, seed, tag=str(seed)))
+        store.append(_history_entry(3.0, 99, tag="shift"))
+        page = render_dashboard(store)
         assert "sha0099cafe" in page  # the commit that shifted the metric
 
     def test_stage_attribution_table_from_serving_baselines(
-        self, store, history
+        self, store
     ):
-        history.append(_history_entry(1.0, 0))
+        store.append(_history_entry(1.0, 0))
 
         def serving_report(created_at, execute_s):
             registry = MetricsRegistry()
@@ -254,16 +254,16 @@ class TestTrajectoryPage:
                 git_sha="deadbeef",
             )
 
-        store.save(serving_report("2026-08-05T00:00:00Z", 0.01))
-        store.save(serving_report("2026-08-06T00:00:00Z", 0.03))
-        page = render_dashboard(store, history=history)
+        _save(store, serving_report("2026-08-05T00:00:00Z", 0.01))
+        _save(store, serving_report("2026-08-06T00:00:00Z", 0.03))
+        page = render_dashboard(store)
         assert "stage attribution" in page
         assert "execute" in page
 
     def test_unrenderable_exemplar_tree_degrades_gracefully(self, store):
         broken = _exemplar(9, 0.1)
         broken["tree"]["spans"] = [{"unexpected": "shape"}]
-        store.save(
+        _save(store, 
             _report("2026-08-05T00:00:00Z", macs=1, exemplars=[broken])
         )
         page = render_dashboard(store)

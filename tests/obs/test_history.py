@@ -1,16 +1,17 @@
-"""Tests for the append-only benchmark history store."""
+"""Tests for bench series in the append-only run store."""
 
 import json
 from pathlib import Path
 
 import pytest
 
-from repro.obs.history import (
-    HISTORY_ENTRY_KIND,
-    HISTORY_SCHEMA_VERSION,
-    BenchHistory,
-    HistoryEntry,
+from repro.obs.store import (
+    ENTRY_KIND,
+    STORE_SCHEMA_VERSION,
+    Run,
+    RunStore,
     config_digest,
+    ingest,
 )
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
@@ -52,95 +53,90 @@ class TestConfigDigest:
 
 class TestHistoryEntryRoundTrip:
     def test_to_from_dict_round_trips(self):
-        entry = HistoryEntry.from_bench_report(_bench_payload())
-        clone = HistoryEntry.from_dict(entry.to_dict())
-        assert clone == entry
-        assert clone.config_key == entry.config_key
+        run = ingest(_bench_payload())
+        clone = Run.from_dict(run.to_dict())
+        assert clone == run
+        assert clone.config_key == run.config_key
 
     def test_dict_carries_schema_and_kind(self):
-        payload = HistoryEntry.from_bench_report(_bench_payload()).to_dict()
-        assert payload["schema_version"] == HISTORY_SCHEMA_VERSION
-        assert payload["kind"] == HISTORY_ENTRY_KIND
+        payload = ingest(_bench_payload()).to_dict()
+        assert payload["schema_version"] == STORE_SCHEMA_VERSION
+        assert payload["kind"] == ENTRY_KIND
 
     def test_unknown_schema_version_errors_with_upgrade_hint(self):
-        payload = HistoryEntry.from_bench_report(_bench_payload()).to_dict()
-        payload["schema_version"] = HISTORY_SCHEMA_VERSION + 1
+        payload = ingest(_bench_payload()).to_dict()
+        payload["schema_version"] = STORE_SCHEMA_VERSION + 1
         with pytest.raises(ValueError, match="upgrade"):
-            HistoryEntry.from_dict(payload)
+            Run.from_dict(payload)
 
     def test_wrong_kind_errors(self):
-        payload = HistoryEntry.from_bench_report(_bench_payload()).to_dict()
+        payload = ingest(_bench_payload()).to_dict()
         payload["kind"] = "something-else"
         with pytest.raises(ValueError, match="kind"):
-            HistoryEntry.from_dict(payload)
+            Run.from_dict(payload)
 
     def test_missing_required_key_errors(self):
-        payload = HistoryEntry.from_bench_report(_bench_payload()).to_dict()
-        del payload["timings"]
-        with pytest.raises(ValueError, match="timings"):
-            HistoryEntry.from_dict(payload)
+        payload = ingest(_bench_payload()).to_dict()
+        del payload["artifact"]
+        with pytest.raises(ValueError, match="artifact"):
+            Run.from_dict(payload)
 
     def test_sample_values_fall_back_to_aggregate(self):
-        entry = HistoryEntry.from_bench_report(_bench_payload())
-        assert len(entry.sample_values("fast")) == 3
-        legacy = HistoryEntry(
-            bench="legacy", entry_id="x", timings={"only": 1.5}
-        )
-        assert legacy.sample_values("only") == [1.5]
-        assert legacy.sample_values("absent") == []
+        assert len(ingest(_bench_payload()).samples["fast"]) == 3
+        legacy = _bench_payload()
+        del legacy["samples"]
+        assert ingest(legacy).samples["fast"] == [legacy["timings"]["fast"]]
 
     def test_ingesting_unknown_bench_schema_errors(self):
         payload = _bench_payload()
         payload["schema_version"] = 99
         with pytest.raises(ValueError, match="schema version"):
-            HistoryEntry.from_bench_report(payload)
+            ingest(payload)
 
     def test_legacy_v1_payload_ingests_without_samples(self):
         payload = _bench_payload()
         del payload["schema_version"]
         del payload["samples"]
         del payload["repeats"]
-        entry = HistoryEntry.from_bench_report(payload)
-        assert entry.samples == {}
-        assert entry.repeats is None
-        assert entry.sample_values("fast") == [payload["timings"]["fast"]]
+        run = ingest(payload)
+        assert run.samples == {
+            variant: [seconds] for variant, seconds in payload["timings"].items()
+        }
+        assert run.artifact == payload  # kept verbatim
 
 
 class TestBenchHistoryStore:
     def test_append_and_read_in_order(self, tmp_path):
-        history = BenchHistory(tmp_path)
-        first, appended = history.append(_bench_payload(seconds=1.0))
+        store = RunStore(tmp_path)
+        first, appended = store.append(_bench_payload(seconds=1.0))
         assert appended
-        second, appended = history.append(_bench_payload(seconds=1.3))
+        second, appended = store.append(_bench_payload(seconds=1.3))
         assert appended
-        entries = history.read("unit")
-        assert [e.entry_id for e in entries] == [
-            first.entry_id,
-            second.entry_id,
-        ]
-        assert history.latest("unit").entry_id == second.entry_id
-        assert history.benches() == ["unit"]
+        runs = store.read("unit")
+        assert [r.entry_id for r in runs] == [first.entry_id, second.entry_id]
+        assert store.latest("unit").entry_id == second.entry_id
+        assert store.series() == ["unit"]
 
     def test_append_is_idempotent(self, tmp_path):
-        history = BenchHistory(tmp_path)
+        store = RunStore(tmp_path)
         payload = _bench_payload()
-        _, appended = history.append(payload)
+        _, appended = store.append(payload)
         assert appended
-        _, appended = history.append(payload)
+        _, appended = store.append(payload)
         assert not appended
-        assert len(history.read("unit")) == 1
+        assert len(store.read("unit")) == 1
 
     def test_invalid_bench_name_rejected(self, tmp_path):
-        history = BenchHistory(tmp_path)
+        store = RunStore(tmp_path)
         for name in ("", "a/b", ".hidden"):
-            with pytest.raises(ValueError, match="bench name"):
-                history.path_for(name)
+            with pytest.raises(ValueError, match="series name"):
+                store.path_for(name)
 
     def test_missing_file_reads_empty(self, tmp_path):
-        history = BenchHistory(tmp_path)
-        assert history.read("nothing") == []
-        assert history.latest("nothing") is None
-        assert history.benches() == []
+        store = RunStore(tmp_path)
+        assert store.read("nothing") == []
+        assert store.latest("nothing") is None
+        assert store.series() == []
 
     def test_truncated_line_skipped_and_counted(
         self, tmp_path, caplog, monkeypatch
@@ -150,60 +146,44 @@ class TestBenchHistoryStore:
         # configure_logging (run by CLI tests) turns off propagation on
         # the "repro" logger; restore it so caplog sees the warning.
         monkeypatch.setattr(logging.getLogger("repro"), "propagate", True)
-        history = BenchHistory(tmp_path)
-        entry, _ = history.append(_bench_payload())
-        path = history.path_for("unit")
-        with open(path, "a") as handle:
-            handle.write('{"schema_version": 1, "kind": "repro-ben')
-        with caplog.at_level("WARNING", logger="repro.obs.history"):
-            entries = history.read("unit")
-        assert [e.entry_id for e in entries] == [entry.entry_id]
-        assert history.last_skipped == 1
+        store = RunStore(tmp_path)
+        run, _ = store.append(_bench_payload())
+        with open(store.path_for("unit"), "a") as handle:
+            handle.write('{"schema_version": 1, "kind": "repro-run')
+        with caplog.at_level("WARNING", logger="repro.obs.store"):
+            runs = store.read("unit")
+        assert [r.entry_id for r in runs] == [run.entry_id]
+        assert store.last_skipped == 1
         assert "truncated" in caplog.text
 
     def test_valid_line_with_newer_schema_still_raises(self, tmp_path):
-        history = BenchHistory(tmp_path)
-        history.append(_bench_payload())
-        payload = history.read("unit")[0].to_dict()
-        payload["schema_version"] = HISTORY_SCHEMA_VERSION + 1
-        with open(history.path_for("unit"), "a") as handle:
+        store = RunStore(tmp_path)
+        store.append(_bench_payload())
+        payload = store.read("unit")[0].to_dict()
+        payload["schema_version"] = STORE_SCHEMA_VERSION + 1
+        with open(store.path_for("unit"), "a") as handle:
             handle.write(json.dumps(payload) + "\n")
         with pytest.raises(ValueError, match="schema version"):
-            history.read("unit")
+            store.read("unit")
 
     def test_record_file_ingests_bench_json(self, tmp_path):
         bench_file = tmp_path / "BENCH_unit.json"
         bench_file.write_text(json.dumps(_bench_payload()))
-        history = BenchHistory(tmp_path / "hist")
-        entry, appended = history.record_file(bench_file)
+        store = RunStore(tmp_path / "runs")
+        run, appended = store.record_file(bench_file)
         assert appended
-        assert entry.bench == "unit"
-        _, appended = history.record_file(bench_file)
+        assert run.series == "unit"
+        _, appended = store.record_file(bench_file)
         assert not appended
 
 
 class TestCommittedMigration:
-    """The committed BENCH_*.json files and their migrated history."""
+    """The committed bench history, migrated into the run store."""
 
     @pytest.mark.parametrize("bench", ["emf", "harness", "search"])
     def test_committed_history_contains_bench_entry(self, bench):
-        history = BenchHistory(REPO_ROOT / "results" / "obs" / "bench_history")
-        entries = history.read(bench)
-        assert entries, f"no migrated history for {bench}"
-        assert all(entry.bench == bench for entry in entries)
-        assert all(entry.git_sha != "unknown" for entry in entries)
-
-    @pytest.mark.parametrize("bench", ["emf", "harness", "search"])
-    def test_re_recording_committed_file_is_noop(self, bench, tmp_path):
-        committed = BenchHistory(
-            REPO_ROOT / "results" / "obs" / "bench_history"
-        )
-        source = REPO_ROOT / f"BENCH_{bench}.json"
-        # Copy the committed store so the repo files are never written.
-        scratch = BenchHistory(tmp_path)
-        for entry in committed.read(bench):
-            scratch.append(entry)
-        before = len(scratch.read(bench))
-        _, appended = scratch.record_file(source)
-        assert not appended
-        assert len(scratch.read(bench)) == before
+        store = RunStore(REPO_ROOT / "results" / "obs" / "runs")
+        runs = store.read(bench)
+        assert runs, f"no migrated history for {bench}"
+        assert all(run.series == bench and run.kind == "bench" for run in runs)
+        assert all(run.git_sha != "unknown" for run in runs)

@@ -1,15 +1,11 @@
-"""Tests for the regression detector and RegressionReport schema."""
+"""Tests for the gate on RunReports and the Comparison schema."""
 
 import pytest
 
+from repro.obs.analytics import Comparison, compare
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.regress import (
-    DETERMINISTIC_PREFIXES,
-    RegressionPolicy,
-    RegressionReport,
-    compare_reports,
-)
 from repro.obs.report import RunReport
+from repro.obs.store import DETERMINISTIC_PREFIXES, ingest, is_deterministic
 from repro.perf.timing import StageTimer
 from repro.platforms import RunSpec
 
@@ -33,9 +29,12 @@ def _report(macs=100.0, hits=5.0, simulate_s=1.0, occupancy=(4, 8)):
     )
 
 
+def _compare(baseline, current):
+    return compare([ingest(baseline.to_dict())], ingest(current.to_dict()))
+
+
 class TestPolicy:
     def test_default_prefixes_cover_sim_layers(self):
-        policy = RegressionPolicy()
         for name in (
             "sim.macs{platform=CEGMA}",
             "emf.filter.calls",
@@ -43,22 +42,21 @@ class TestPolicy:
             "dram.bytes{pattern=row}",
             "pe.gemm.cycles",
         ):
-            assert policy.is_deterministic(name), name
+            assert is_deterministic(name), name
 
     def test_environmental_counters_excluded(self):
-        policy = RegressionPolicy()
         for name in (
             "harness.trace_memo.hit",
             "trace_cache.miss",
             "perf.parallel.worker_failures",
         ):
-            assert not policy.is_deterministic(name), name
+            assert not is_deterministic(name), name
 
     def test_prefixes_constant_is_policy_default(self):
-        assert RegressionPolicy().deterministic_prefixes == DETERMINISTIC_PREFIXES
+        for prefix in DETERMINISTIC_PREFIXES:
+            assert is_deterministic(prefix + "x"), prefix
 
     def test_serving_counters_split_by_determinism(self):
-        policy = RegressionPolicy()
         # Fixed stream + fixed seed => these replay exactly.
         for name in (
             "search.serve.admitted",
@@ -67,7 +65,7 @@ class TestPolicy:
             "search.serve.deduped_requests",
             "search.serve.candidate_dedup_hits{platform=CEGMA}",
         ):
-            assert policy.is_deterministic(name), name
+            assert is_deterministic(name), name
         # Timing-coupled serving metrics must never gate CI.
         for name in (
             "search.serve.expired",
@@ -77,23 +75,23 @@ class TestPolicy:
             "search.serve.budget_seconds{stage=execute}",
             "obs.context.dropped_spans",
         ):
-            assert not policy.is_deterministic(name), name
+            assert not is_deterministic(name), name
 
 
 class TestCompare:
     def test_identical_reports_are_ok(self):
-        result = compare_reports(_report(), _report())
+        result = _compare(_report(), _report())
         assert result.ok
         assert "OK" in result.render()
 
     def test_deterministic_counter_drift_is_regression(self):
-        result = compare_reports(_report(macs=100), _report(macs=101))
+        result = _compare(_report(macs=100), _report(macs=101))
         assert not result.ok
         assert result.findings[0].name == "sim.macs{platform=CEGMA}"
         assert "sim.macs{platform=CEGMA}" in result.render()
 
     def test_environmental_counter_drift_is_info_only(self):
-        result = compare_reports(_report(hits=5), _report(hits=50))
+        result = _compare(_report(hits=5), _report(hits=50))
         assert result.ok
         assert any(
             info.name == "harness.trace_memo.hit" for info in result.infos
@@ -103,7 +101,7 @@ class TestCompare:
         baseline = _report()
         current = _report()
         baseline.metrics.inc("sim.layers", 5, platform="CEGMA")
-        result = compare_reports(baseline, current)
+        result = _compare(baseline, current)
         assert not result.ok
         assert "missing from run" in result.findings[0].detail
 
@@ -111,12 +109,12 @@ class TestCompare:
         baseline = _report()
         current = _report()
         current.metrics.inc("sim.new_thing", 1)
-        result = compare_reports(baseline, current)
+        result = _compare(baseline, current)
         assert not result.ok
         assert "not in baseline" in result.findings[0].detail
 
     def test_histogram_drift_is_regression(self):
-        result = compare_reports(
+        result = _compare(
             _report(occupancy=(4, 8)), _report(occupancy=(4, 9))
         )
         assert not result.ok
@@ -130,59 +128,53 @@ class TestCompare:
             created_at="2026-08-07T00:00:00Z",
             git_sha="deadbeef",
         )
-        result = compare_reports(_report(), current)
+        result = _compare(_report(), current)
         assert not result.ok
         assert result.findings[0].kind == "spec"
 
 
 class TestTimingTolerance:
-    def test_drift_is_info_without_tolerance(self):
-        result = compare_reports(
-            _report(simulate_s=1.0), _report(simulate_s=10.0)
-        )
-        assert result.ok
-        assert any(info.kind == "timing" for info in result.infos)
+    """A stage timing is one reading, so it takes the ratio band."""
 
     def test_drift_beyond_band_is_regression(self):
-        policy = RegressionPolicy(timing_rel_tol=0.25)
-        result = compare_reports(
-            _report(simulate_s=1.0), _report(simulate_s=1.5), policy
+        result = _compare(
+            _report(simulate_s=1.0), _report(simulate_s=2.2)
         )
         assert not result.ok
-        assert result.findings[0].kind == "timing"
-        assert "tolerance" in result.findings[0].detail
+        assert result.exit_code == 2
+        assert result.warnings[0].kind == "timing"
+        assert "ratio-fallback" in result.warnings[0].detail
 
     def test_speedup_never_fails(self):
-        policy = RegressionPolicy(timing_rel_tol=0.25)
-        result = compare_reports(
-            _report(simulate_s=2.0), _report(simulate_s=0.5), policy
+        result = _compare(
+            _report(simulate_s=2.0), _report(simulate_s=0.5)
         )
         assert result.ok
+        assert any("improved" in info.detail for info in result.infos)
 
     def test_drift_within_band_is_ok(self):
-        policy = RegressionPolicy(timing_rel_tol=0.5)
-        result = compare_reports(
-            _report(simulate_s=1.0), _report(simulate_s=1.2), policy
+        result = _compare(
+            _report(simulate_s=1.0), _report(simulate_s=1.2)
         )
         assert result.ok
 
 
 class TestRegressionReportSchema:
     def test_round_trip(self):
-        result = compare_reports(_report(macs=1), _report(macs=2))
-        restored = RegressionReport.from_dict(result.to_dict())
+        result = _compare(_report(macs=1), _report(macs=2))
+        restored = Comparison.from_dict(result.to_dict())
         assert restored.findings == result.findings
         assert restored.infos == result.infos
         assert restored.ok == result.ok
 
     def test_future_version_rejected(self):
-        payload = compare_reports(_report(), _report()).to_dict()
+        payload = _compare(_report(), _report()).to_dict()
         payload["schema_version"] = 99
         with pytest.raises(ValueError, match="99"):
-            RegressionReport.from_dict(payload)
+            Comparison.from_dict(payload)
 
     def test_wrong_kind_rejected(self):
-        payload = compare_reports(_report(), _report()).to_dict()
+        payload = _compare(_report(), _report()).to_dict()
         payload["kind"] = "nope"
         with pytest.raises(ValueError, match="kind"):
-            RegressionReport.from_dict(payload)
+            Comparison.from_dict(payload)

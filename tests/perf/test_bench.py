@@ -84,11 +84,11 @@ class TestBenchHarness:
 
 class TestBenchHistoryIntegration:
     def test_main_appends_history_entry(self, tmp_path, monkeypatch):
-        from repro.obs.history import BenchHistory
+        from repro.obs.store import RunStore
         from repro.perf.bench import main
 
-        monkeypatch.delenv("REPRO_BENCH_HISTORY", raising=False)
-        history_dir = tmp_path / "hist"
+        monkeypatch.chdir(tmp_path)
+        store_dir = tmp_path / "runs"
         status = main(
             [
                 "--quick",
@@ -96,47 +96,14 @@ class TestBenchHistoryIntegration:
                 "emf",
                 "--repeats",
                 "1",
-                "--output-dir",
-                str(tmp_path),
-                "--history-dir",
-                str(history_dir),
+                "--store",
+                str(store_dir),
             ]
         )
         assert status == 0
-        history = BenchHistory(history_dir)
-        entries = history.read("emf")
-        assert len(entries) == 1
-        assert entries[0].samples  # raw repeats retained
-        assert entries[0].repeats == 1
-
-    def test_no_history_flag_disables_recording(self, tmp_path, monkeypatch):
-        from repro.perf.bench import main
-
-        monkeypatch.setenv("REPRO_BENCH_HISTORY", str(tmp_path / "envhist"))
-        status = main(
-            [
-                "--quick",
-                "--only",
-                "emf",
-                "--repeats",
-                "1",
-                "--output-dir",
-                str(tmp_path),
-                "--no-history",
-            ]
-        )
-        assert status == 0
-        assert not (tmp_path / "envhist").exists()
-
-    def test_env_off_disables_recording(self, tmp_path, monkeypatch):
-        from repro.perf.bench import _resolve_history
-
-        monkeypatch.setenv("REPRO_BENCH_HISTORY", "off")
-        assert _resolve_history(None, False) is None
-        monkeypatch.setenv("REPRO_BENCH_HISTORY", str(tmp_path / "h"))
-        history = _resolve_history(None, False)
-        assert history is not None
-        assert str(history.root) == str(tmp_path / "h")
-        # --history-dir wins over the env var.
-        history = _resolve_history(str(tmp_path / "cli"), False)
-        assert str(history.root) == str(tmp_path / "cli")
+        runs = RunStore(store_dir).read("emf")
+        assert len(runs) == 1
+        assert runs[0].samples  # raw repeats retained
+        assert runs[0].artifact["repeats"] == 1
+        # The store is the only output: no BENCH_*.json in the cwd.
+        assert not list(tmp_path.glob("BENCH_*.json"))

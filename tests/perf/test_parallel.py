@@ -301,6 +301,44 @@ class TestSharedMemoryTransport:
         )
         assert registry.gauge("perf.parallel.workers") == 2
 
+    def test_forked_workers_leave_the_tracker_quiet(self):
+        # Forked chunk workers share the parent's resource tracker; a
+        # worker that registered and unregistered its attach dropped
+        # the parent's registration, and the parent's unlink then made
+        # the tracker print a KeyError traceback at exit.
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        script = """
+from repro.perf import parallel
+from repro.platforms import RunSpec
+
+parallel.available_workers = lambda requested=None: 2
+parallel.parallel_simulate_workload(
+    RunSpec(model="GMN-Li", dataset="AIDS", num_pairs=8, batch_size=2),
+    ("CEGMA",),
+    workers=2,
+)
+print("done")
+"""
+        source = Path(__file__).resolve().parents[2] / "src"
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [str(source), env.get("PYTHONPATH")])
+        )
+        completed = subprocess.run(
+            [sys.executable, "-c", script],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert completed.returncode == 0, completed.stderr
+        assert "done" in completed.stdout
+        assert "Traceback" not in completed.stderr, completed.stderr
+
 
 class TestWorkerTelemetryTransport:
     """The shared worker→parent telemetry contract (both shapes)."""

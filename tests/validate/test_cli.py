@@ -117,3 +117,26 @@ class TestSmoke:
         payload = json.loads(report.read_text())
         assert payload["kind"] == "validate_smoke_report"
         assert all(row["tripped"] for row in payload["mutations"])
+
+    def test_metric_free_legs_run_without_a_registry(self, capsys):
+        # The CLI used to wrap every check in a live registry, so the
+        # metric-free batched legs took the scalar kernel and this
+        # mutator of the batch GEMM kernel went unnoticed.
+        assert (
+            main(
+                [
+                    "validate",
+                    "--quick",
+                    "--smoke",
+                    "--only",
+                    "sim.batched_vs_serial",
+                ]
+            )
+            == 0
+        )
+        out = capsys.readouterr().out
+        assert (
+            "tripped  sim.batched_vs_serial :: gemm_batch_kernel_off_by_one"
+            in out
+        )
+        assert "MISSED" not in out
