@@ -174,7 +174,6 @@ def _run_simulate(args, timer) -> int:
             batch_size=args.batch,
             seed=args.seed,
             jobs=args.jobs,
-            backend=getattr(args, "backend", None),
         )
         print(
             f"{args.model} on {args.dataset} "
@@ -195,9 +194,7 @@ def _run_simulate(args, timer) -> int:
                     simulator = DetailedSimulator(simulator.config)
                 results[platform] = simulator.simulate_batches(traces)
         else:
-            results = simulate_traces(
-                traces, args.platforms, backend=getattr(args, "backend", None)
-            )
+            results = simulate_traces(traces, args.platforms)
     if args.config:
         import json
 
@@ -240,7 +237,11 @@ def _cmd_profile(args) -> int:
 
 
 def _cmd_replay(args) -> int:
-    traces = load_traces(args.input)
+    try:
+        traces = load_traces(args.input)
+    except ValueError as exc:
+        print(exc)
+        return 1
     results = simulate_traces(traces, args.platforms)
     print(f"replayed {args.input}")
     _print_results(results)
@@ -250,9 +251,14 @@ def _cmd_replay(args) -> int:
 def _cmd_describe(args) -> int:
     from .trace.summary import workload_summary
 
-    traces = (
-        load_traces(args.input) if args.input else _profile(args)
-    )
+    if args.input:
+        try:
+            traces = load_traces(args.input)
+        except ValueError as exc:
+            print(exc)
+            return 1
+    else:
+        traces = _profile(args)
     summary = workload_summary(traces)
     table = ResultTable(["property", "value"])
     for key, value in summary.items():
@@ -850,13 +856,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         type=int,
         default=None,
         help="worker processes for batch-aligned chunked simulation",
-    )
-    simulate.add_argument(
-        "--backend",
-        choices=("batched", "serial"),
-        default=None,
-        help="simulation engine backend (serial = deprecated per-pair "
-        "reference loop, kept one more release cycle)",
     )
     simulate.add_argument(
         "--quick",

@@ -2,7 +2,6 @@
 
 from .api import (
     DEFAULT_PLATFORMS,
-    PLATFORM_BUILDERS,
     compare_platforms,
     filtered_similarity_matrix,
     simulate_traces,
@@ -10,7 +9,6 @@ from .api import (
 )
 
 __all__ = [
-    "PLATFORM_BUILDERS",
     "DEFAULT_PLATFORMS",
     "filtered_similarity_matrix",
     "simulate_workload",

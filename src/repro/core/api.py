@@ -14,14 +14,12 @@ Three entry points cover the common uses of this reproduction:
 Platform names are resolved through
 :data:`repro.platforms.REGISTRY`, so every entry point accepts spec
 strings (``"CEGMA@bandwidth_gbps=512"``) in addition to registered
-names. The old ``PLATFORM_BUILDERS`` dict survives as a deprecated
-read-only view over the registry.
+names.
 """
 
 from __future__ import annotations
 
-from collections.abc import Mapping
-from typing import Callable, Dict, Iterator, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -31,12 +29,10 @@ from ..graphs.datasets import load_dataset
 from ..models import build_model, similarity_matrix
 from ..obs.tracing import span
 from ..platforms import DEFAULT_PLATFORMS, REGISTRY, RunSpec
-from ..platforms.registry import Platform
 from ..sim import PlatformResult
 from ..trace.profiler import BatchTrace, profile_batches
 
 __all__ = [
-    "PLATFORM_BUILDERS",
     "DEFAULT_PLATFORMS",
     "filtered_similarity_matrix",
     "simulate_workload",
@@ -44,31 +40,6 @@ __all__ = [
     "compare_platforms",
     "serve_query_stream",
 ]
-
-
-class _RegistryBuilders(Mapping):
-    """Deprecated read-only dict view over the platform registry.
-
-    Kept so downstream ``PLATFORM_BUILDERS[name]()`` /
-    ``sorted(PLATFORM_BUILDERS)`` code keeps working; new code should
-    use :data:`repro.platforms.REGISTRY` directly.
-    """
-
-    def __getitem__(self, name: str) -> Callable[[], Platform]:
-        return REGISTRY.builder(name)
-
-    def __iter__(self) -> Iterator[str]:
-        return iter(REGISTRY.names())
-
-    def __len__(self) -> int:
-        return len(REGISTRY)
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"PLATFORM_BUILDERS(deprecated view of {REGISTRY!r})"
-
-
-#: Deprecated: use ``repro.platforms.REGISTRY`` instead.
-PLATFORM_BUILDERS = _RegistryBuilders()
 
 
 def filtered_similarity_matrix(
@@ -95,38 +66,18 @@ def filtered_similarity_matrix(
 def simulate_traces(
     batch_traces: Sequence[BatchTrace],
     platforms: Sequence[str] = DEFAULT_PLATFORMS,
-    backend: Optional[str] = None,
 ) -> Dict[str, PlatformResult]:
     """Simulate pre-profiled traces on each requested platform.
 
     Each entry of ``platforms`` may be a registered name or a spec
     string; results are keyed by the string exactly as requested.
-    ``backend`` selects the accelerator-simulator execution strategy
-    (``"batched"`` — the default — or the deprecated per-pair
-    ``"serial"`` path, see :data:`repro.sim.engine.SIM_BACKENDS`);
-    software platform models ignore it.
     """
     results: Dict[str, PlatformResult] = {}
     for platform in platforms:
         simulator = REGISTRY.build(platform)
-        if backend is not None and hasattr(simulator, "backend"):
-            # Only the accelerator simulators have an execution backend;
-            # analytic software models (PyG-CPU/GPU) do not.
-            simulator.backend = _validated_backend(backend)
         with span("simulate", platform=platform):
             results[platform] = simulator.simulate_batches(list(batch_traces))
     return results
-
-
-def _validated_backend(backend: str) -> str:
-    from ..sim.engine import SIM_BACKENDS
-
-    if backend not in SIM_BACKENDS:
-        raise ValueError(
-            f"unknown simulation backend {backend!r}; "
-            f"expected one of {SIM_BACKENDS}"
-        )
-    return backend
 
 
 def simulate_workload(
@@ -137,7 +88,6 @@ def simulate_workload(
     batch_size: int = 32,
     seed: int = 0,
     jobs: Optional[int] = None,
-    backend: Optional[str] = None,
 ) -> Dict[str, PlatformResult]:
     """Profile a model on a dataset and simulate all platforms.
 
@@ -147,23 +97,24 @@ def simulate_workload(
     chunks and runs them across worker processes (see
     :mod:`repro.perf.parallel`); cycle counts are unchanged, merged
     float accumulators may differ from serial at the ulp level.
-    ``backend`` is forwarded to :func:`simulate_traces`.
     """
     spec = RunSpec.make(model_name, dataset_name, num_pairs, batch_size, seed)
     if jobs is not None and jobs != 1:
         from ..perf.parallel import parallel_simulate_workload
 
-        return parallel_simulate_workload(
-            spec, platforms, workers=jobs, backend=backend
-        )
+        return parallel_simulate_workload(spec, platforms, workers=jobs)
+    return simulate_traces(_profile_spec(spec), platforms)
+
+
+def _profile_spec(spec: RunSpec) -> List[BatchTrace]:
+    """Profile the workload a spec describes, uncached."""
     with span("profile", spec=spec.stem):
         pairs = load_dataset(
             spec.dataset, seed=spec.seed, num_pairs=spec.num_pairs
         )
         input_dim = pairs[0].target.feature_dim
         model = build_model(spec.model, input_dim=input_dim, seed=spec.seed)
-        batch_traces = profile_batches(model, pairs, batch_size=spec.batch_size)
-    return simulate_traces(batch_traces, platforms, backend=backend)
+        return profile_batches(model, pairs, batch_size=spec.batch_size)
 
 
 def compare_platforms(

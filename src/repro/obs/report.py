@@ -30,7 +30,6 @@ if TYPE_CHECKING:  # imported lazily at runtime to avoid import cycles
 __all__ = [
     "RunReport",
     "RUN_REPORT_SCHEMA_VERSION",
-    "SUPPORTED_SCHEMA_VERSIONS",
     "REPORT_KIND",
     "default_report_path",
     "diff_reports",
@@ -41,11 +40,8 @@ __all__ = [
 # (wall clock, via the REPRO_CREATED_AT env seam) and git_sha (via
 # REPRO_GIT_SHA). v3 adds the serving-telemetry sections: "windows"
 # (TimeseriesRecorder snapshots) and "exemplars" (ExemplarBuffer span
-# trees). Older payloads still load — v1 identity fields come back as
-# None, v1/v2 telemetry sections as empty lists — so pre-existing
-# baselines stay readable.
+# trees). Readers accept v3 only.
 RUN_REPORT_SCHEMA_VERSION = 3
-SUPPORTED_SCHEMA_VERSIONS = (1, 2, 3)
 REPORT_KIND = "repro-run-report"
 
 #: Default artifact directory, relative to the working directory.
@@ -54,11 +50,11 @@ DEFAULT_REPORT_DIR = Path("results") / "obs"
 #: Top-level keys every valid report payload must carry.
 REQUIRED_KEYS = ("schema_version", "kind", "spec", "metrics", "spans", "timings")
 
-#: Keys additionally required from schema v2 on.
-REQUIRED_KEYS_V2 = ("created_at", "git_sha")
+#: Run-identity keys: a string or null each.
+IDENTITY_KEYS = ("created_at", "git_sha")
 
-#: Keys additionally required from schema v3 on.
-REQUIRED_KEYS_V3 = ("windows", "exemplars")
+#: Serving-telemetry keys: a list each.
+TELEMETRY_KEYS = ("windows", "exemplars")
 
 
 class RunReport:
@@ -139,18 +135,12 @@ class RunReport:
             from ..platforms.runspec import RunSpec  # deferred: avoids cycle
 
             report.spec = RunSpec.from_dict(payload["spec"])
-        # v1 reports predate run identity; they load with None in both
-        # fields rather than being rejected.
-        raw_created = payload.get("created_at")
-        raw_sha = payload.get("git_sha")
-        report.created_at = None if raw_created is None else str(raw_created)
-        report.git_sha = None if raw_sha is None else str(raw_sha)
+        report.created_at = payload["created_at"]
+        report.git_sha = payload["git_sha"]
         report.metrics = MetricsRegistry.from_dict(payload["metrics"])
         report.spans = list(payload["spans"])
-        # v1/v2 reports predate windowed telemetry; they load with the
-        # sections empty rather than being rejected.
-        report.windows = list(payload.get("windows") or [])
-        report.exemplars = list(payload.get("exemplars") or [])
+        report.windows = list(payload["windows"])
+        report.exemplars = list(payload["exemplars"])
         report.timings = {
             str(stage): {str(k): float(v) for k, v in entry.items()}
             for stage, entry in payload["timings"].items()
@@ -230,26 +220,24 @@ def validate_report(payload: object) -> List[str]:
     if problems:
         return problems
     version = payload["schema_version"]
-    if version not in SUPPORTED_SCHEMA_VERSIONS:
-        supported = ", ".join(str(v) for v in SUPPORTED_SCHEMA_VERSIONS)
+    if version != RUN_REPORT_SCHEMA_VERSION:
         problems.append(
             f"unsupported schema version {version!r} (this build supports "
-            f"versions {supported}; a newer version means the report was "
-            "written by a newer repro — upgrade to read it)"
+            f"version {RUN_REPORT_SCHEMA_VERSION} only; a newer version "
+            "means the report was written by a newer repro — upgrade to "
+            "read it; an older one must be re-recorded)"
         )
         return problems
-    if version >= 2:
-        for key in REQUIRED_KEYS_V2:
-            if key not in payload:
-                problems.append(f"missing v{version} key {key!r}")
-            elif payload[key] is not None and not isinstance(payload[key], str):
-                problems.append(f"key {key!r} must be a string or null")
-    if version >= 3:
-        for key in REQUIRED_KEYS_V3:
-            if key not in payload:
-                problems.append(f"missing v{version} key {key!r}")
-            elif not isinstance(payload[key], list):
-                problems.append(f"key {key!r} must be a list")
+    for key in IDENTITY_KEYS:
+        if key not in payload:
+            problems.append(f"missing key {key!r}")
+        elif payload[key] is not None and not isinstance(payload[key], str):
+            problems.append(f"key {key!r} must be a string or null")
+    for key in TELEMETRY_KEYS:
+        if key not in payload:
+            problems.append(f"missing key {key!r}")
+        elif not isinstance(payload[key], list):
+            problems.append(f"key {key!r} must be a list")
     if payload["kind"] != REPORT_KIND:
         problems.append(f"kind is {payload['kind']!r}, not {REPORT_KIND!r}")
     metrics = payload["metrics"]

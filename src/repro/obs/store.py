@@ -288,11 +288,7 @@ def _ingest_bench(artifact: Dict) -> Run:
         config=report.config,
         exact=exact,
         environmental=environmental,
-        # Legacy single-number entries fall back to the aggregate.
-        samples={
-            variant: list(report.samples.get(variant) or [seconds])
-            for variant, seconds in report.timings.items()
-        },
+        samples=report.samples,
         speedups=report.speedups,
     )
 

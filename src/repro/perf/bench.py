@@ -158,11 +158,27 @@ def _results_signature(results) -> List[Tuple[str, str, float, int]]:
     return signature
 
 
+def _simulate_serial(traces, platforms):
+    """:func:`~repro.core.api.simulate_traces` with every accelerator on
+    its per-pair reference loop (software models have one path)."""
+    from ..platforms import REGISTRY
+    from ..sim.engine import AcceleratorSimulator, _simulate_batches_serial
+
+    results = {}
+    for platform in platforms:
+        simulator = REGISTRY.build(platform)
+        if isinstance(simulator, AcceleratorSimulator):
+            results[platform] = _simulate_batches_serial(simulator, traces)
+        else:
+            results[platform] = simulator.simulate_batches(traces)
+    return results
+
+
 def bench_harness(
     quick: bool = False, workers: Optional[int] = None
 ) -> BenchReport:
     """Uncached serial harness vs. the cached (and parallel) harness."""
-    from ..core.api import simulate_traces, simulate_workload
+    from ..core.api import _profile_spec, simulate_traces
     from ..platforms import DEFAULT_PLATFORMS, RunSpec
     from ..experiments.common import (
         QUICK_BATCH,
@@ -203,22 +219,20 @@ def bench_harness(
     saved_env = os.environ.get("REPRO_TRACE_CACHE")
     try:
         # Baseline: every query re-profiles and re-simulates from
-        # scratch on the per-pair "serial" engine backend (the
-        # pre-caching, pre-batching behavior of one fresh process per
-        # figure).
+        # scratch on the per-pair reference loop (the pre-caching,
+        # pre-batching behavior of one fresh process per figure).
         os.environ["REPRO_TRACE_CACHE"] = "off"
         clear_workload_caches()
         start = time.perf_counter()
         for _ in range(queries):
             baseline = {
-                (model, dataset): simulate_workload(
-                    model,
-                    dataset,
+                (model, dataset): _simulate_serial(
+                    _profile_spec(
+                        RunSpec.make(
+                            model, dataset, QUICK_PAIRS, QUICK_BATCH, 0
+                        )
+                    ),
                     platforms,
-                    num_pairs=QUICK_PAIRS,
-                    batch_size=QUICK_BATCH,
-                    seed=0,
-                    backend="serial",
                 )
                 for model, dataset in workloads
             }
@@ -259,11 +273,14 @@ def bench_harness(
 
             # Engine-level variants over the warm cache: identical
             # memory-mapped traces (schedule sidecar attached), simulated
-            # once per backend. The batched backend consumes the array
+            # once per engine. The batched engine consumes the array
             # summaries directly; the serial reference loop rebuilds its
             # window schedules per pair.
-            backend_results = {}
-            for backend in ("serial", "batched"):
+            engine_results = {}
+            for engine, simulate in (
+                ("serial", _simulate_serial),
+                ("batched", simulate_traces),
+            ):
                 clear_workload_caches()
                 per_spec = [
                     (
@@ -277,14 +294,12 @@ def bench_harness(
                     for model, dataset in workloads
                 ]
                 start = time.perf_counter()
-                backend_results[backend] = {
-                    workload: simulate_traces(
-                        traces, platforms, backend=backend
-                    )
+                engine_results[engine] = {
+                    workload: simulate(traces, platforms)
                     for workload, traces in per_spec
                 }
                 record_once(
-                    f"sim_warm_{backend}", time.perf_counter() - start
+                    f"sim_warm_{engine}", time.perf_counter() - start
                 )
     finally:
         if saved_env is None:
@@ -304,9 +319,9 @@ def bench_harness(
         "warm_matches_uncached": _results_signature(baseline)
         == _results_signature(warm),
         "batched_matches_serial": _results_signature(
-            backend_results["serial"]
+            engine_results["serial"]
         )
-        == _results_signature(backend_results["batched"]),
+        == _results_signature(engine_results["batched"]),
         "num_workloads": len(workloads),
     }
     return report

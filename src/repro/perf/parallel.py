@@ -233,9 +233,10 @@ def _spec_task(
     """Worker body: simulate one workload via the shared cached path.
 
     When ``collect`` is set the worker runs under its own
-    :class:`~repro.obs.metrics.MetricsRegistry` and ships the snapshot
-    back for the parent to merge — metric merge is commutative and
-    associative, so fan-out does not change the totals.
+    :class:`~repro.obs.metrics.MetricsRegistry` and ships its
+    :func:`_telemetry_payload` back for the parent to merge — metric
+    merge is commutative and associative, so fan-out does not change
+    the totals.
     """
     spec_payload, platforms, collect = task
     from ..experiments.common import results_for
@@ -245,7 +246,7 @@ def _spec_task(
         return spec_payload, results_for(spec, platforms), None
     with metrics_enabled() as registry:
         results = results_for(spec, platforms)
-    return spec_payload, results, registry.as_dict()
+    return spec_payload, results, _telemetry_payload(registry)
 
 
 def _telemetry_payload(
@@ -253,11 +254,12 @@ def _telemetry_payload(
 ) -> dict:
     """One worker's telemetry for the pipe: metrics + request spans.
 
-    The metrics snapshot is the classic ``as_dict()`` payload; when the
-    worker also tracked request-scoped spans (a
-    :class:`~repro.obs.context.RequestTracker` built from contexts that
-    shipped out with the task tuple), their wire forms ride along so
-    the parent can rejoin them to the request trees at merge time.
+    Every worker body returns this shape. The metrics snapshot is the
+    registry's ``as_dict()`` payload; when the worker also tracked
+    request-scoped spans (a :class:`~repro.obs.context.RequestTracker`
+    built from contexts that shipped out with the task tuple), their
+    wire forms ride along so the parent can rejoin them to the request
+    trees at merge time.
     """
     payload: dict = {"metrics": registry.as_dict()}
     if tracker is not None and len(tracker):
@@ -266,33 +268,18 @@ def _telemetry_payload(
 
 
 def _merge_worker_telemetry(payload: Optional[dict]) -> List[dict]:
-    """Fold one worker's telemetry into the active registry.
+    """Fold one worker's :func:`_telemetry_payload` into the registry.
 
-    Accepts both payload shapes — a bare ``MetricsRegistry.as_dict()``
-    (the original worker contract) and the combined
-    ``{"metrics": ..., "spans": [...]}`` form from
-    :func:`_telemetry_payload`. Metrics merge into the active registry;
-    the request-scoped wire spans are *returned* for the caller to
-    ingest into its tracker (the parallel layer has no request state of
-    its own).
+    Metrics merge into the active registry; the request-scoped wire
+    spans are *returned* for the caller to ingest into its tracker (the
+    parallel layer has no request state of its own).
     """
     if payload is None:
         return []
-    if "metrics" in payload:
-        metrics_payload = payload["metrics"]
-        spans = list(payload.get("spans", []))
-    else:
-        metrics_payload = payload
-        spans = []
     registry = get_metrics()
-    if registry is not None and metrics_payload is not None:
-        registry.merge(MetricsRegistry.from_dict(metrics_payload))
-    return spans
-
-
-def _merge_worker_metrics(payload: Optional[dict]) -> None:
-    """Fold one worker's metrics snapshot into the active registry."""
-    _merge_worker_telemetry(payload)
+    if registry is not None:
+        registry.merge(MetricsRegistry.from_dict(payload["metrics"]))
+    return list(payload.get("spans", []))
 
 
 def parallel_run_specs(
@@ -315,8 +302,8 @@ def parallel_run_specs(
     if registry is not None:
         registry.set_gauge("perf.parallel.workers", workers)
     raw = _map_tasks(_spec_task, tasks, workers)
-    for _, _, metrics_payload in raw:
-        _merge_worker_metrics(metrics_payload)
+    for _, _, telemetry in raw:
+        _merge_worker_telemetry(telemetry)
     return {
         RunSpec.from_dict(payload): results for payload, results, _ in raw
     }
@@ -351,14 +338,14 @@ def parallel_workload_results(
 
 
 def _chunk_task(
-    task: Tuple[dict, Tuple[str, ...], int, int, bool, Optional[str]]
+    task: Tuple[dict, Tuple[str, ...], int, int, bool]
 ) -> Tuple[int, Dict, Optional[dict]]:
     """Worker body: profile+simulate one contiguous slice of the workload.
 
     The worker rebuilds the dataset and model from the spec — both are
     deterministic — instead of shipping graphs over the pipe.
     """
-    spec_payload, platforms, start, stop, collect, backend = task
+    spec_payload, platforms, start, stop, collect = task
     from ..core.api import simulate_traces
     from ..graphs.datasets import load_dataset
     from ..models import build_model
@@ -373,10 +360,10 @@ def _chunk_task(
         model, pairs[start:stop], batch_size=spec.batch_size
     )
     if not collect:
-        return start, simulate_traces(traces, platforms, backend=backend), None
+        return start, simulate_traces(traces, platforms), None
     with metrics_enabled() as registry:
-        results = simulate_traces(traces, platforms, backend=backend)
-    return start, results, registry.as_dict()
+        results = simulate_traces(traces, platforms)
+    return start, results, _telemetry_payload(registry)
 
 
 def _chunk_bounds(
@@ -399,7 +386,7 @@ def _chunk_bounds(
 
 
 def _shm_chunk_task(
-    task: Tuple[str, int, Tuple[str, ...], int, int, int, bool, Optional[str]]
+    task: Tuple[str, int, Tuple[str, ...], int, int, int, bool]
 ) -> Tuple[int, Dict, Optional[dict]]:
     """Worker body: simulate a batch-slice of shared-memory traces.
 
@@ -407,7 +394,7 @@ def _shm_chunk_task(
     zero-copy views over it, and simulates only this chunk's batches —
     pages belonging to other chunks are never touched.
     """
-    shm_name, size, platforms, start, stop, batch_size, collect, backend = task
+    shm_name, size, platforms, start, stop, batch_size, collect = task
     from ..core.api import simulate_traces
     from ..trace.io import traces_from_buffer
 
@@ -425,14 +412,10 @@ def _shm_chunk_task(
         chunk = traces[lo:hi]
         traces = None
         if not collect:
-            return (
-                start,
-                simulate_traces(chunk, platforms, backend=backend),
-                None,
-            )
+            return start, simulate_traces(chunk, platforms), None
         with metrics_enabled() as registry:
-            results = simulate_traces(chunk, platforms, backend=backend)
-        return start, results, registry.as_dict()
+            results = simulate_traces(chunk, platforms)
+        return start, results, _telemetry_payload(registry)
     finally:
         chunk = None
         view = None
@@ -446,7 +429,6 @@ def parallel_simulate_workload(
     spec: RunSpec,
     platforms: Sequence[str],
     workers: Optional[int] = None,
-    backend: Optional[str] = None,
 ) -> Dict[str, "object"]:
     """:func:`repro.core.api.simulate_workload`, chunked across processes.
 
@@ -467,19 +449,19 @@ def parallel_simulate_workload(
     chunk_results = None
     if workers > 1 and len(bounds) > 1:
         chunk_results = _shm_map_chunks(
-            spec, tuple(platforms), bounds, workers, collect, backend
+            spec, tuple(platforms), bounds, workers, collect
         )
     if chunk_results is None:
         payload = spec.to_dict()
         tasks = [
-            (payload, tuple(platforms), start, stop, collect, backend)
+            (payload, tuple(platforms), start, stop, collect)
             for start, stop in bounds
         ]
         chunk_results = _map_tasks(_chunk_task, tasks, workers)
     chunk_results.sort(key=lambda item: item[0])
     merged: Dict[str, "object"] = {}
-    for _, results, metrics_payload in chunk_results:
-        _merge_worker_metrics(metrics_payload)
+    for _, results, telemetry in chunk_results:
+        _merge_worker_telemetry(telemetry)
         for platform, result in results.items():
             if platform in merged:
                 merged[platform].merge(result)
@@ -494,7 +476,6 @@ def _shm_map_chunks(
     bounds: List[Tuple[int, int]],
     workers: int,
     collect: bool,
-    backend: Optional[str] = None,
 ) -> Optional[List]:
     """Fan chunks out over a shared-memory trace segment.
 
@@ -537,7 +518,6 @@ def _shm_map_chunks(
                 stop,
                 spec.batch_size,
                 collect,
-                backend,
             )
             for start, stop in bounds
         ]

@@ -8,30 +8,27 @@ trend views instead of re-reading log output.
 
 from __future__ import annotations
 
-import json
 import os
 import platform
 import time
 from contextlib import contextmanager
-from pathlib import Path
-from typing import Dict, Iterator, List, Optional, Sequence, Union
+from typing import Dict, Iterator, List, Optional, Sequence
 
 __all__ = [
     "StageTimer",
     "time_stage",
     "BenchReport",
     "BENCH_SCHEMA_VERSION",
-    "SUPPORTED_BENCH_SCHEMA_VERSIONS",
 ]
 
-# v1 (implicit — the key is absent from legacy files): name + platform +
-# provenance + config + timings + speedups + checks, timings holding one
-# aggregate (best-of) second count per variant. v2 adds "schema_version",
+# v1 (implicit — the key is absent): name + platform + provenance +
+# config + timings + speedups + checks, timings holding one aggregate
+# (best-of) second count per variant. v2 adds "schema_version",
 # "samples" (the raw per-repeat wall-clock readings each aggregate was
 # derived from) and "repeats", so downstream comparison can run a real
-# statistical test instead of a single-number ratio.
+# statistical test instead of a single-number ratio. Readers accept v2
+# only.
 BENCH_SCHEMA_VERSION = 2
-SUPPORTED_BENCH_SCHEMA_VERSIONS = (1, 2)
 
 
 class StageTimer:
@@ -89,7 +86,8 @@ def time_stage(timer: Optional[StageTimer], name: str) -> Iterator[None]:
 class BenchReport:
     """One benchmark's machine-readable outcome.
 
-    ``write()`` produces ``BENCH_<name>.json`` with a stable layout::
+    :meth:`as_dict` is the payload the run store records, with a stable
+    layout::
 
         {
           "schema_version": 2,
@@ -106,9 +104,7 @@ class BenchReport:
 
     The provenance stamp uses the same schema as every other stamped
     artifact (see :mod:`repro.obs.provenance`), so a bench run can be
-    matched to the RunReports produced at the same commit. Legacy (v1)
-    payloads — no ``schema_version``, no ``samples`` — still load via
-    :meth:`from_dict`, with the raw-sample sections empty.
+    matched to the RunReports produced at the same commit.
     """
 
     def __init__(self, name: str, config: Optional[Dict] = None) -> None:
@@ -193,29 +189,26 @@ class BenchReport:
 
     @classmethod
     def from_dict(cls, payload: Dict) -> "BenchReport":
-        """Load a ``BENCH_<name>.json`` payload (legacy v1 included).
+        """Load an :meth:`as_dict` payload of the current schema.
 
-        v1 files predate ``schema_version``/``samples``/``repeats``;
-        they load with those sections empty. An unknown (newer) version
+        Any other version (a payload without ``schema_version`` is v1)
         is rejected loudly rather than misread.
         """
         if not isinstance(payload, dict):
             raise ValueError("BenchReport payload is not a JSON object")
         version = payload.get("schema_version", 1)
-        if version not in SUPPORTED_BENCH_SCHEMA_VERSIONS:
-            supported = ", ".join(
-                str(v) for v in SUPPORTED_BENCH_SCHEMA_VERSIONS
-            )
+        if version != BENCH_SCHEMA_VERSION:
             raise ValueError(
                 f"unsupported BenchReport schema version {version!r} "
-                f"(this build supports versions {supported}; a newer "
-                "version means the file was written by a newer repro — "
-                "upgrade to read it)"
+                f"(this build supports version {BENCH_SCHEMA_VERSION} "
+                "only; a newer version means the file was written by a "
+                "newer repro — upgrade to read it; an older one must be "
+                "re-recorded)"
             )
         if "name" not in payload or "timings" not in payload:
             raise ValueError(
                 "BenchReport payload is missing required key(s) "
-                "'name'/'timings' — not a BENCH_*.json file?"
+                "'name'/'timings' — not a BenchReport payload?"
             )
         report = cls(str(payload["name"]), config=payload.get("config"))
         report.timings = {
@@ -243,12 +236,3 @@ class BenchReport:
             else None
         )
         return report
-
-    def write(self, directory: Union[str, Path] = ".") -> Path:
-        directory = Path(directory)
-        directory.mkdir(parents=True, exist_ok=True)
-        path = directory / f"BENCH_{self.name}.json"
-        with open(path, "w") as handle:
-            json.dump(self.as_dict(), handle, indent=2, sort_keys=True)
-            handle.write("\n")
-        return path

@@ -17,8 +17,9 @@ spec's human-readable stem::
 Entries are stored *uncompressed* and loaded through
 :class:`~repro.trace.io.MmapNpzReader`, so a warm load maps the file
 and touches no array bytes until a simulator does — deserialization of
-cached traces used to dominate the warm harness. Legacy compressed
-entries (same key) still load via the reader's per-member fallback.
+cached traces used to dominate the warm harness. An entry the reader
+cannot map (a compressed archive, a corrupt or foreign file) is a miss
+and the fresh profile overwrites it.
 
 Next to each trace file the cache keeps a *schedule sidecar*
 (``<entry>.sched.npz``) persisting the window-schedule summaries and
@@ -100,9 +101,9 @@ class TraceCache:
         start = time.perf_counter()
         try:
             traces = trace_io.load_traces(path, mmap=True)
-        except (ValueError, KeyError, OSError, zipfile.BadZipFile):
-            # Corrupt or stale-format entry: treat as a miss; the fresh
-            # profile below overwrites it.
+        except ValueError:
+            # Unreadable entry (load_traces says why): treat as a miss;
+            # the fresh profile overwrites it.
             if registry is not None:
                 registry.inc("trace_cache.miss")
             return None

@@ -5,8 +5,8 @@ its ablation variants, the HyGCN/AWB-GCN baselines, and the PyG software
 models — is a *platform*: any object with a
 ``simulate_batches(traces) -> PlatformResult`` method (the
 :class:`Platform` protocol). The :class:`PlatformRegistry` maps names to
-platform builders and replaces the hard-coded ``PLATFORM_BUILDERS`` dict
-that ``repro.core.api`` used to carry.
+platform builders; it is the only name-to-builder mapping in the
+package.
 
 Spec strings
 ------------

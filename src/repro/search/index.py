@@ -128,11 +128,11 @@ class SimilaritySearchIndex:
     def load(cls, path, model: GMNModel, scorer=None) -> "SimilaritySearchIndex":
         """Rebuild an index from :meth:`save` output.
 
-        Reads current and legacy (version-less) artifacts; files from a
-        newer schema raise an actionable ``ValueError``. Persisted
-        sketch signatures (schema v3) preload the sketch store; legacy
-        artifacts load sketch-less and sketch lazily on first use (or
-        serve flat).
+        Reads the current schema only; files from any other schema
+        version raise an actionable ``ValueError``. Persisted sketch
+        signatures preload the sketch store; databases saved without
+        them load sketch-less and sketch lazily on first use (or serve
+        flat).
         """
         index = cls(model, scorer)
         with np.load(path, allow_pickle=False) as data:
@@ -252,30 +252,21 @@ class SimilaritySearchIndex:
         platform: str = "CEGMA",
         sample_size: Optional[int] = None,
         batch_size: int = 8,
-        backend: Optional[str] = None,
     ) -> float:
         """Estimated seconds per candidate on the given platform.
 
         ``platform`` is any registry spec string, so planning against a
         hypothetical part (``"CEGMA@bandwidth_gbps=512"``) works too.
 
-        The estimate models the batched execution backend the serving
-        pipeline actually runs (PR 6): the profiled sample is one full
-        dense batch — database candidates cycled to fill ``batch_size``
-        pairs when the database is smaller — so the extrapolated
-        per-pair cost includes cross-pair batch amortization instead of
-        the old per-pair serial assumption. ``backend`` forwards to the
-        accelerator simulators like
-        :func:`repro.core.api.simulate_traces` (default: the
-        simulator's own default, ``"batched"``).
+        The estimate models the batched execution the serving pipeline
+        actually runs: the profiled sample is one full dense batch —
+        database candidates cycled to fill ``batch_size`` pairs when the
+        database is smaller — so the extrapolated per-pair cost includes
+        cross-pair batch amortization.
         """
         simulator = REGISTRY.build(platform)  # KeyError lists known names
         if not self._graphs:
             raise ValueError("the index is empty")
-        if backend is not None and hasattr(simulator, "backend"):
-            from ..core.api import _validated_backend
-
-            simulator.backend = _validated_backend(backend)
         if sample_size is None:
             sample_size = batch_size
         sample = [

@@ -82,9 +82,6 @@ class ServingPipeline:
         store (or default parameters).
     clock:
         Monotonic-seconds callable (injectable for deadline tests).
-    dedup:
-        Disable to score duplicate requests separately (measurement
-        only; results are identical either way).
     tracker:
         Optional :class:`~repro.obs.context.RequestTracker` shared by
         every stage; turns on per-request span trees and the
@@ -109,7 +106,6 @@ class ServingPipeline:
         retrieval: str = "flat",
         sketch_config=None,
         clock: Callable[[], float] = time.monotonic,
-        dedup: bool = True,
         tracker: Optional[RequestTracker] = None,
         recorder: Optional[TimeseriesRecorder] = None,
         exemplars: Optional[ExemplarBuffer] = None,
@@ -127,7 +123,6 @@ class ServingPipeline:
         self.scheduler = BatchScheduler(
             policy=policy,
             max_batch_queries=max_batch_queries,
-            dedup=dedup,
             tracker=tracker,
         )
         self.executor = ShardedExecutor(

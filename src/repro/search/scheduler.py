@@ -11,9 +11,9 @@ workload where many users submit the same hot graph.
 Groups are then ordered by a pluggable :class:`SchedulingPolicy` (the
 Helix ``SchedulingMethod`` shape — a string-valued enum selecting the
 strategy) and chunked into :class:`QueryBatch`\\ es sized for the
-cross-pair batched simulation backend (PR 6): every query in a batch is
-scored against the database in one coalesced sweep, so batch size here
-is the unit the executor hands to ``backend="batched"`` engines.
+cross-pair batched engines: every query in a batch is scored against
+the database in one coalesced sweep, so batch size here is the unit
+the executor hands to them.
 
 Policies:
 
@@ -122,10 +122,7 @@ class BatchScheduler:
         A :class:`SchedulingPolicy` (or its string value).
     max_batch_queries:
         Upper bound on *distinct* queries per batch — the cross-pair
-        batch the executor coalesces for the batched backend.
-    dedup:
-        When False every request is its own group (the pre-dedup
-        behaviour); kept for measurement, not for serving.
+        batch the executor coalesces for the batched engines.
     tracker:
         Optional :class:`~repro.obs.context.RequestTracker`; when set,
         every scheduled request is annotated with its batch id, group
@@ -137,14 +134,12 @@ class BatchScheduler:
         self,
         policy: "SchedulingPolicy | str" = SchedulingPolicy.FIFO,
         max_batch_queries: int = 8,
-        dedup: bool = True,
         tracker: Optional[RequestTracker] = None,
     ) -> None:
         if max_batch_queries < 1:
             raise ValueError("max_batch_queries must be >= 1")
         self.policy = SchedulingPolicy.parse(policy)
         self.max_batch_queries = max_batch_queries
-        self.dedup = dedup
         self.tracker = tracker
         self._next_batch_id = 0
 
@@ -152,8 +147,6 @@ class BatchScheduler:
         self, requests: Sequence[QueryRequest]
     ) -> List[QueryGroup]:
         """Collapse byte-identical (graph, top_k) requests into groups."""
-        if not self.dedup:
-            return [QueryGroup((request,)) for request in requests]
         buckets: Dict[Tuple[bytes, int], List[QueryRequest]] = {}
         for request in requests:
             key = (graph_signature(request.graph), request.top_k)

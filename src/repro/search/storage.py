@@ -6,9 +6,8 @@ encoding:
 - **Versioned ``.npz`` artifacts.** :func:`database_arrays` /
   :func:`graphs_from_arrays` are the codec behind
   ``SimilaritySearchIndex.save``/``load``; the payload carries a
-  ``schema_version`` so future layout changes can be detected instead
-  of misread. Version-less files written before the version stamp
-  existed still load (they are exactly the v1 layout).
+  ``schema_version`` and readers accept the current one only, so a
+  file of any other layout is rejected instead of misread.
 - **Exact graph signatures.** :func:`graph_signature` returns a bytes
   key that is equal iff two graphs have byte-identical structure and
   features — the request/candidate dedup stages of the serving
@@ -42,15 +41,13 @@ __all__ = [
 ]
 
 #: v1: ``g{i}/edges``, ``g{i}/features``, ``g{i}/num_nodes`` per graph
-#: plus ``count`` (the version-less legacy layout). v2 adds the
-#: ``schema_version`` stamp itself; the graph arrays are unchanged.
-#: v3 adds the *optional* ``sketch/signatures`` (count × num_perm
-#: uint64 MinHash rows) and ``sketch/params`` entries — databases
-#: saved without sketches omit them, and loaders fall back to flat
-#: retrieval when they are absent or mismatched.
+#: plus ``count`` (no version stamp). v2 adds the ``schema_version``
+#: stamp itself; the graph arrays are unchanged. v3 adds the *optional*
+#: ``sketch/signatures`` (count × num_perm uint64 MinHash rows) and
+#: ``sketch/params`` entries — databases saved without sketches omit
+#: them, and loaders fall back to flat retrieval when they are absent
+#: or mismatched. Readers accept v3 only.
 INDEX_SCHEMA_VERSION = 3
-
-_SUPPORTED_VERSIONS = (1, 2, 3)
 
 
 def database_arrays(
@@ -96,23 +93,22 @@ def graphs_from_arrays(
 
     Either a contiguous ``start:stop`` slice or an explicit ``indices``
     selection (the executor's candidate shards). Raises an actionable
-    ``ValueError`` for artifacts written by a newer (unknown) schema
-    version or missing their graph arrays; version-less legacy files
-    are read as v1.
+    ``ValueError`` for artifacts of any other schema version (or none)
+    and for artifacts missing their graph arrays.
     """
-    if "schema_version" in data:
-        version = int(data["schema_version"])
-        if version not in _SUPPORTED_VERSIONS:
-            raise ValueError(
-                f"unsupported search index schema version {version}; this "
-                f"build reads versions {_SUPPORTED_VERSIONS} — upgrade "
-                "repro (or re-save the database with this build) to read "
-                "this file"
-            )
     if "count" not in data:
         raise ValueError(
             "not a search index artifact: missing the 'count' entry "
             "(expected a file written by SimilaritySearchIndex.save)"
+        )
+    version = int(data["schema_version"]) if "schema_version" in data else None
+    if version != INDEX_SCHEMA_VERSION:
+        found = "(none)" if version is None else version
+        raise ValueError(
+            f"unsupported search index schema version {found}; this "
+            f"build reads version {INDEX_SCHEMA_VERSION} only — rebuild "
+            "an older database from its graphs and save it with this "
+            "build, or upgrade repro to read a newer one"
         )
     count = int(data["count"])
     if indices is None:
@@ -138,8 +134,8 @@ def graphs_from_arrays(
 def sketch_from_arrays(data) -> Optional[Tuple[np.ndarray, np.ndarray]]:
     """The v3 sketch payload ``(signatures, params)``, or ``None``.
 
-    Version-less, v1, and v2 artifacts — and v3 files saved without
-    sketches — return ``None``; callers fall back to flat retrieval. A
+    Databases saved without sketches return ``None``; callers fall
+    back to flat retrieval. A
     signature matrix whose row count disagrees with ``count`` is
     treated as absent rather than trusted.
     """

@@ -54,9 +54,8 @@ class DetailedSimulator(AcceleratorSimulator):
         config,
         energy_model=None,
         tile_model: bool = False,
-        backend: str = "batched",
     ):
-        super().__init__(config, energy_model, backend=backend)
+        super().__init__(config, energy_model)
         self.tile_model = tile_model
         rows = 128 if config.mac_units % 128 == 0 else config.mac_units
         self._array = MACArray(rows, max(1, config.mac_units // rows))
@@ -143,7 +142,8 @@ class DetailedSimulator(AcceleratorSimulator):
         its schedule-summary arrays (:meth:`_pair_layer_stats_batched`);
         the batch accumulation below replays the serial loop's exact
         interleaved ``+=`` order over those per-pair values, so every
-        accumulated float matches ``backend="serial"`` bit for bit.
+        accumulated float matches :meth:`_simulate_batch_serial` bit for
+        bit.
         """
         config = self.config
         from .engine import _SRAM_BYTES_PER_MAC, PlatformResult

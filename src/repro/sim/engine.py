@@ -50,15 +50,7 @@ __all__ = [
     "PlatformResult",
     "AcceleratorSimulator",
     "RESULT_SCHEMA_VERSION",
-    "SIM_BACKENDS",
 ]
-
-#: Selectable simulation backends. "batched" (default) runs one numpy
-#: program over all pairs per layer; "serial" is the original per-pair
-#: reference loop, kept as the differential baseline. The serial backend
-#: is deprecated as a production path and will become validation-only in
-#: the next release cycle — select it explicitly where needed.
-SIM_BACKENDS = ("batched", "serial")
 
 # Version of the PlatformResult.to_dict JSON layout; bump on any field
 # change so persisted artifacts are never silently misread.
@@ -236,7 +228,7 @@ class PlatformResult:
 def _left_fold(values) -> float:
     """Serial-order float accumulation: ``((0.0 + v0) + v1) + ...``.
 
-    The batched backend computes per-pair values as one numpy program
+    The batched engine computes per-pair values as one numpy program
     but must reduce them exactly as the serial loop's ``+=`` does —
     a left fold, not numpy's pairwise ``sum`` — for bit-identity.
     """
@@ -249,31 +241,20 @@ def _left_fold(values) -> float:
 class AcceleratorSimulator:
     """Trace-driven cycle simulator parameterized by a HardwareConfig.
 
-    ``backend`` selects the per-batch strategy: ``"batched"`` (default)
-    stacks all pairs of a batch into flat arrays and evaluates each
-    layer as one numpy program; ``"serial"`` is the original per-pair
-    Python loop. Both produce bit-identical results and metrics — the
-    ``sim.batched_vs_serial`` validation check enforces this.
-
-    .. deprecated::
-        The ``"serial"`` backend is retained for one release cycle as
-        the differential reference and for old callers; new code should
-        not select it.
+    Each batch's pairs are stacked into flat arrays and every layer is
+    evaluated as one numpy program. The original per-pair Python loop
+    (:meth:`_simulate_batch_serial`) is kept only as the reference the
+    ``sim.batched_vs_serial`` check holds this engine bit-identical to;
+    reach it through :func:`_simulate_batches_serial`.
     """
 
     def __init__(
         self,
         config: HardwareConfig,
         energy_model: Optional[EnergyModel] = None,
-        backend: str = "batched",
     ) -> None:
-        if backend not in SIM_BACKENDS:
-            raise ValueError(
-                f"unknown backend {backend!r}; known: {SIM_BACKENDS}"
-            )
         self.config = config
         self.energy_model = energy_model or EnergyModel()
-        self.backend = backend
         # Per-simulator memo for EMF overhead reports: the report is a
         # pure function of (total_nodes, feature_dim), shared by every
         # pair with the same shape.
@@ -282,12 +263,10 @@ class AcceleratorSimulator:
     # ------------------------------------------------------------------
     def simulate_batch(self, batch_trace: BatchTrace) -> PlatformResult:
         """Simulate one batch of graph pairs end to end."""
-        if self.backend == "serial":
-            return self._simulate_batch_serial(batch_trace)
         return self._simulate_batch_batched(batch_trace)
 
     def _simulate_batch_serial(self, batch_trace: BatchTrace) -> PlatformResult:
-        """Reference per-pair loop (``backend="serial"``)."""
+        """Reference per-pair loop (see :func:`_simulate_batches_serial`)."""
         config = self.config
         result = PlatformResult(config.name, config.frequency_hz)
         result.num_pairs = batch_trace.batch.batch_size
@@ -397,7 +376,7 @@ class AcceleratorSimulator:
         arithmetic — feature loads, DRAM traffic, MAC/cycle accounting —
         runs elementwise over stacked per-pair arrays, preserving the
         serial code's exact operation order and association so every
-        float is bit-identical to ``backend="serial"``.
+        float is bit-identical to :meth:`_simulate_batch_serial`.
         """
         config = self.config
         result = PlatformResult(config.name, config.frequency_hz)
@@ -713,13 +692,17 @@ class AcceleratorSimulator:
         self, batch_traces: Sequence[BatchTrace]
     ) -> PlatformResult:
         """Simulate a sequence of batches and accumulate the totals."""
+        return self._accumulate(batch_traces, self.simulate_batch)
+
+    def _accumulate(self, batch_traces, simulate_one) -> PlatformResult:
+        """Merge per-batch results in order, one ``sim.batch`` span each."""
         if not batch_traces:
             raise ValueError("need at least one batch")
         with span("sim.batch", platform=self.config.name, batch=0):
-            total = self.simulate_batch(batch_traces[0])
+            total = simulate_one(batch_traces[0])
         for index, batch_trace in enumerate(batch_traces[1:], start=1):
             with span("sim.batch", platform=self.config.name, batch=index):
-                total.merge(self.simulate_batch(batch_trace))
+                total.merge(simulate_one(batch_trace))
         return total
 
     # ------------------------------------------------------------------
@@ -945,3 +928,18 @@ class AcceleratorSimulator:
             "macs": agg_macs + dense_macs,
             "emf_cycles": emf_cycles,
         }
+
+
+def _simulate_batches_serial(
+    simulator: AcceleratorSimulator, batch_traces: Sequence[BatchTrace]
+) -> PlatformResult:
+    """The per-pair reference run of ``simulator.simulate_batches``.
+
+    Same merge order and ``sim.batch`` spans, with every batch simulated
+    by the pair-at-a-time loop. Validation and benchmark code only: the
+    ``sim.batched_vs_serial`` check and the harness bench compare the
+    batched engine against it.
+    """
+    return simulator._accumulate(
+        batch_traces, simulator._simulate_batch_serial
+    )

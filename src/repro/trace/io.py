@@ -41,8 +41,8 @@ __all__ = [
 
 # v1: graphs + per-layer features/flops. v2 adds the optional per-pair
 # ``head_features`` vector so cached traces can feed head training.
+# Readers accept v2 only.
 FORMAT_VERSION = 2
-_FORMAT_VERSION = FORMAT_VERSION  # backwards-compatible alias
 
 
 def _graph_arrays(prefix: str, graph: Graph, arrays: Dict[str, np.ndarray]) -> Dict:
@@ -104,7 +104,7 @@ def _collect_arrays(
     if not batch_traces:
         raise ValueError("nothing to save")
     arrays: Dict[str, np.ndarray] = {}
-    manifest: Dict = {"version": _FORMAT_VERSION, "batches": []}
+    manifest: Dict = {"version": FORMAT_VERSION, "batches": []}
     for b, batch_trace in enumerate(batch_traces):
         batch_entry: Dict = {"pairs": []}
         for p, trace in enumerate(batch_trace.pair_traces):
@@ -198,8 +198,8 @@ class MmapNpzReader:
     the whole file once and serves ``np.frombuffer`` views — no copy,
     no deserialization; pages fault in only when an array is actually
     touched (the "lazy per-batch materialization" the trace cache's
-    warm path relies on). Compressed (legacy) members transparently
-    fall back to an eager decompress of just that member.
+    warm path relies on). A compressed member cannot be mapped and
+    raises ``ValueError``; read compressed archives with ``np.load``.
 
     ``buffer=`` serves an archive that is already in memory — e.g. a
     shared-memory segment published by :mod:`repro.perf.parallel` — the
@@ -247,10 +247,11 @@ class MmapNpzReader:
     def __getitem__(self, name: str) -> np.ndarray:
         info = self._infos[name]
         if info.compress_type != zipfile.ZIP_STORED:
-            # Legacy compressed entry: decompress just this member.
-            with self._open_archive() as archive:
-                payload = archive.read(info.filename)
-            return np.load(io.BytesIO(payload), allow_pickle=False)
+            raise ValueError(
+                f"member {info.filename!r} is compressed; only archives "
+                "written uncompressed (save_traces(..., compressed=False)) "
+                "can be memory-mapped"
+            )
         # The central directory's header_offset points at the local file
         # header; its name/extra lengths (which differ from the central
         # ones) give the payload start.
@@ -301,11 +302,28 @@ def load_traces(
     (:class:`MmapNpzReader`): structurally the traces are fully built,
     but feature pages are only read from disk when a simulator touches
     them. The returned arrays are read-only views in that mode.
+
+    Any unreadable file — missing, not an ``.npz`` archive, not a trace
+    file, or another format version — raises one ``ValueError`` that
+    names the file and the problem.
     """
-    if mmap:
-        return _build_traces(MmapNpzReader(path))
-    with np.load(Path(path), allow_pickle=False) as data:
-        return _build_traces(data)
+    try:
+        if mmap:
+            return _build_traces(MmapNpzReader(path))
+        # Open the archive first: np.load would guess that a non-zip
+        # file is a pickle and report that instead.
+        zipfile.ZipFile(path).close()
+        with np.load(Path(path), allow_pickle=False) as data:
+            return _build_traces(data)
+    except OSError as exc:
+        problem = exc.strerror or str(exc)
+    except zipfile.BadZipFile:
+        problem = "not an .npz archive"
+    except KeyError as exc:
+        problem = f"incomplete trace file ({exc.args[0]})"
+    except ValueError as exc:
+        problem = str(exc)
+    raise ValueError(f"cannot read traces from {path}: {problem}")
 
 
 def traces_from_buffer(buffer) -> List[BatchTrace]:
@@ -319,11 +337,17 @@ def traces_from_buffer(buffer) -> List[BatchTrace]:
 
 
 def _build_traces(data) -> List[BatchTrace]:
+    if "manifest" not in data:
+        raise ValueError(
+            "no 'manifest' member (not a trace file written by save_traces)"
+        )
     manifest = json.loads(str(data["manifest"]))
     version = manifest.get("version")
-    if version not in (1, FORMAT_VERSION):
+    if version != FORMAT_VERSION:
         raise ValueError(
-            f"unsupported trace format version {version}"
+            f"unsupported trace format version {version!r}; this build "
+            f"reads version {FORMAT_VERSION} — re-profile the workload "
+            "(repro profile) to rewrite the file"
         )
     batch_traces: List[BatchTrace] = []
     for b, batch_entry in enumerate(manifest["batches"]):
@@ -355,7 +379,7 @@ def _build_traces(data) -> List[BatchTrace]:
                 for i, entry in enumerate(pair_entry["layers"])
             ]
             head_features = None
-            if pair_entry.get("has_head_features"):
+            if pair_entry["has_head_features"]:
                 head_features = data[f"{prefix}/head_features"]
             trace = PairTrace(
                 pair_entry["model_name"],

@@ -546,8 +546,8 @@ def _mutate_plan_summary_fraction():
     "sim.batched_vs_serial",
     kind="differential",
     pair=(
-        "AcceleratorSimulator(backend='serial')",
-        "AcceleratorSimulator(backend='batched')",
+        "sim.engine._simulate_batches_serial",
+        "AcceleratorSimulator.simulate_batches",
     ),
     mutators={
         "batched_summary_miscounts_misses": _mutate_batched_summary_misses,
@@ -556,7 +556,7 @@ def _mutate_plan_summary_fraction():
     },
 )
 def check_batched_vs_serial(context: CheckContext):
-    """The batched numpy backend is bit-identical to the per-pair loop.
+    """The batched numpy engine is bit-identical to the per-pair loop.
 
     Covers the analytic engine and the detailed simulator (with and
     without the tile model), both metric-free — where the batched path
@@ -569,6 +569,7 @@ def check_batched_vs_serial(context: CheckContext):
     from ..obs.metrics import metrics_enabled
     from ..platforms import REGISTRY
     from ..sim import detailed as detailed_mod
+    from ..sim.engine import _simulate_batches_serial
 
     def scrub(snapshot: dict) -> dict:
         return {
@@ -591,45 +592,42 @@ def check_batched_vs_serial(context: CheckContext):
         )
 
     def configs(platform: str):
-        def engine(backend: str):
-            simulator = REGISTRY.build(platform)
-            simulator.backend = backend
-            return simulator
-
-        yield f"{platform}/engine", engine
+        yield f"{platform}/engine", lambda: REGISTRY.build(platform)
         config = REGISTRY.build(platform).config
         for tile in (False, True):
-            def stepped(backend: str, tile=tile):
-                return detailed_mod.DetailedSimulator(
-                    config, tile_model=tile, backend=backend
-                )
+            def stepped(tile=tile):
+                return detailed_mod.DetailedSimulator(config, tile_model=tile)
 
             yield f"{platform}/detailed{'_tile' if tile else ''}", stepped
 
     # Fresh traces per run: new pair objects, so no summary memoized by
     # an earlier (possibly unmutated) invocation can mask a divergence.
     traces = small_traces(num_pairs=4, batch_size=2)
+
+    def run_serial(build) -> dict:
+        return _simulate_batches_serial(build(), traces).to_dict()
+
+    def run_batched(build) -> dict:
+        return build().simulate_batches(traces).to_dict()
+
     compared = 0
     for platform in _PLATFORMS:
         for label, build in configs(platform):
-            serial = build("serial").simulate_batches(traces).to_dict()
-            batched = build("batched").simulate_batches(traces).to_dict()
+            serial, batched = run_serial(build), run_batched(build)
             _require(
                 serial == batched,
-                f"{label}: batched backend diverges from serial "
+                f"{label}: batched engine diverges from serial "
                 f"(metric-free): {diff_keys(serial, batched)}",
             )
             with metrics_enabled() as registry:
-                serial_m = build("serial").simulate_batches(traces).to_dict()
+                serial_m = run_serial(build)
                 serial_metrics = scrub(registry.as_dict())
             with metrics_enabled() as registry:
-                batched_m = (
-                    build("batched").simulate_batches(traces).to_dict()
-                )
+                batched_m = run_batched(build)
                 batched_metrics = scrub(registry.as_dict())
             _require(
                 serial_m == batched_m,
-                f"{label}: batched backend diverges from serial "
+                f"{label}: batched engine diverges from serial "
                 f"(metrics on): {diff_keys(serial_m, batched_m)}",
             )
             for section in sorted(set(serial_metrics) | set(batched_metrics)):
@@ -637,7 +635,7 @@ def check_batched_vs_serial(context: CheckContext):
                 right = batched_metrics.get(section, {})
                 _require(
                     left == right,
-                    f"{label}: metric {section} diverge between backends: "
+                    f"{label}: metric {section} diverge between engines: "
                     f"{diff_keys(left, right)}",
                 )
             compared += 1

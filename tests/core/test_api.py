@@ -5,7 +5,7 @@ import pytest
 
 from repro import (
     DEFAULT_PLATFORMS,
-    PLATFORM_BUILDERS,
+    REGISTRY,
     compare_platforms,
     filtered_similarity_matrix,
     similarity_matrix,
@@ -82,8 +82,8 @@ class TestSimulateTraces:
         assert results["CEGMA"].num_pairs == results["AWB-GCN"].num_pairs == 2
 
     def test_all_registered_platforms_buildable(self):
-        for name, builder in PLATFORM_BUILDERS.items():
-            simulator = builder()
+        for name in REGISTRY.names():
+            simulator = REGISTRY.builder(name)()
             assert hasattr(simulator, "simulate_batches"), name
 
 

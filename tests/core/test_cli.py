@@ -98,6 +98,23 @@ class TestProfileReplay:
         )
         assert "replayed" in capsys.readouterr().out
 
+    def test_missing_input_is_a_clean_error(self, tmp_path, capsys):
+        path = tmp_path / "missing.npz"
+        assert main(["replay", "--input", str(path)]) == 1
+        out = capsys.readouterr().out
+        assert out.startswith(f"cannot read traces from {path}: ")
+        assert "Traceback" not in out
+
+    def test_non_trace_npz_is_a_clean_error(self, tmp_path, capsys):
+        import numpy as np
+
+        path = tmp_path / "other.npz"
+        np.savez(path, stuff=np.arange(3))
+        assert main(["replay", "--input", str(path)]) == 1
+        out = capsys.readouterr().out
+        assert out.startswith(f"cannot read traces from {path}: ")
+        assert "no 'manifest' member" in out
+
 
 class TestExperiments:
     def test_single_experiment(self, capsys):
@@ -195,6 +212,14 @@ class TestDescribe:
         capsys.readouterr()
         assert main(["describe", "--input", path]) == 0
         assert "SimGNN" in capsys.readouterr().out
+
+    def test_non_npz_input_is_a_clean_error(self, tmp_path, capsys):
+        path = tmp_path / "notes.npz"
+        path.write_text("not an archive\n")
+        assert main(["describe", "--input", str(path)]) == 1
+        assert capsys.readouterr().out == (
+            f"cannot read traces from {path}: not an .npz archive\n"
+        )
 
 
 class TestCustomConfig:

@@ -81,28 +81,15 @@ class TestHistoryEntryRoundTrip:
         with pytest.raises(ValueError, match="artifact"):
             Run.from_dict(payload)
 
-    def test_sample_values_fall_back_to_aggregate(self):
-        assert len(ingest(_bench_payload()).samples["fast"]) == 3
-        legacy = _bench_payload()
-        del legacy["samples"]
-        assert ingest(legacy).samples["fast"] == [legacy["timings"]["fast"]]
-
     def test_ingesting_unknown_bench_schema_errors(self):
         payload = _bench_payload()
         payload["schema_version"] = 99
         with pytest.raises(ValueError, match="schema version"):
             ingest(payload)
-
-    def test_legacy_v1_payload_ingests_without_samples(self):
-        payload = _bench_payload()
+        # A payload without a version is the retired v1 layout.
         del payload["schema_version"]
-        del payload["samples"]
-        del payload["repeats"]
-        run = ingest(payload)
-        assert run.samples == {
-            variant: [seconds] for variant, seconds in payload["timings"].items()
-        }
-        assert run.artifact == payload  # kept verbatim
+        with pytest.raises(ValueError, match="schema version 1"):
+            ingest(payload)
 
 
 class TestBenchHistoryStore:
@@ -187,3 +174,105 @@ class TestCommittedMigration:
         assert runs, f"no migrated history for {bench}"
         assert all(run.series == bench and run.kind == "bench" for run in runs)
         assert all(run.git_sha != "unknown" for run in runs)
+
+    def test_every_committed_artifact_loads_with_current_readers(self):
+        """Each committed run reads back through the current-version
+        readers with the values it was recorded with."""
+        store = RunStore(REPO_ROOT / "results" / "obs" / "runs")
+        loaded = {}
+        for series in store.series():
+            for run in store.read(series):
+                version = run.artifact["schema_version"]
+                assert version == (3 if run.kind == "report" else 2)
+                loaded.setdefault(series, []).append(run)
+        assert store.last_skipped == 0
+
+        (report,) = loaded[_QUICK_SERIES]
+        assert report.provenance["metrics_digest"] == _QUICK_DIGEST
+        assert {k: v[0] for k, v in report.samples.items()} == _QUICK_TIMINGS
+        assert report.report().windows == report.report().exemplars == []
+
+        for bench, (timings, speedups, checks) in _MIGRATED_BENCHES.items():
+            run = loaded[bench][0]
+            assert run.artifact["timings"] == timings
+            assert run.samples == {k: [v] for k, v in timings.items()}
+            assert run.artifact["repeats"] == 1
+            assert run.speedups == speedups
+            assert run.artifact["checks"] == checks
+        assert len(loaded["search"]) == 2
+
+    def test_committed_quick_report_loads_with_current_reader(self):
+        from repro.obs.provenance import metrics_digest
+        from repro.obs.report import RunReport
+
+        path = REPO_ROOT / "results" / "obs" / "GMN-Li_AIDS_p4_b4_s0_quick_report.json"
+        report = RunReport.load(path)
+        assert metrics_digest(report.metrics.as_dict()) == _QUICK_DIGEST
+        seconds = {k: v["seconds"] for k, v in report.timings.items()}
+        assert seconds == _QUICK_TIMINGS
+        assert report.windows == report.exemplars == []
+
+
+# Values the committed runs were recorded with, before their one-time
+# migration to the current schemas (RunReport v2 -> v3, BenchReport
+# v1 -> v2). The migration may add empty sections, never move a value.
+_QUICK_SERIES = "GMN-Li_AIDS_p4_b4_s0_quick-36656247"
+_QUICK_DIGEST = "6cf0d4ef3afe7c53"
+_QUICK_TIMINGS = {
+    "profile": 0.04839707900009671,
+    "simulate": 0.02712880299986864,
+    "simulate_cli": 0.07794207699998879,
+}
+_MIGRATED_BENCHES = {
+    "emf": (
+        {
+            "filter_scalar": 0.3724710029991911,
+            "filter_vectorized": 0.006225342000107048,
+            "hash_scalar": 0.41400651799995103,
+            "hash_vectorized": 0.00472904100024607,
+        },
+        {"emf_filter": 59.83141215258315, "emf_hashing": 87.54555479185075},
+        {
+            "num_unique": 512,
+            "record_sets_identical": True,
+            "tag_maps_identical": True,
+            "tags_identical": True,
+        },
+    ),
+    "harness": (
+        {
+            "harness_cold_cache": 1.2420041599998513,
+            "harness_warm_cache": 0.06865398599984474,
+            "serial_uncached": 4.592377351999858,
+            "sim_warm_batched": 0.010130383000614529,
+            "sim_warm_serial": 0.633305934999953,
+        },
+        {
+            "harness_cold": 3.697553921236792,
+            "harness_quick": 66.89163469707707,
+            "sim_batched": 62.515497682716976,
+        },
+        {
+            "batched_matches_serial": True,
+            "cold_matches_uncached": True,
+            "num_workloads": 12,
+            "warm_matches_uncached": True,
+        },
+    ),
+    "search": (
+        {
+            "flat_per_query": 1.7814957410000716,
+            "serve_pipelined": 0.11086355400038883,
+        },
+        {"search_serve": 16.0692642145842},
+        {
+            "candidate_dedup_hits_per_pass": 192.0,
+            "deduped_requests_per_pass": 12.0,
+            "flat_queries_per_second": 8.981217092900902,
+            "latency_p50_seconds": 0.12472054299996671,
+            "latency_p99_seconds": 0.12472054299996671,
+            "pipelined_matches_flat": True,
+            "pipelined_queries_per_second": 144.3215504343644,
+        },
+    ),
+}

@@ -8,7 +8,6 @@ from repro.obs.metrics import MetricsRegistry
 from repro.obs.report import (
     REPORT_KIND,
     RUN_REPORT_SCHEMA_VERSION,
-    SUPPORTED_SCHEMA_VERSIONS,
     RunReport,
     default_report_path,
     diff_reports,
@@ -90,16 +89,6 @@ class TestRunIdentity:
         assert restored.created_at == "2026-08-07T00:00:00Z"
         assert restored.git_sha == "cafebabe"
 
-    def test_v1_payload_loads_with_none_identity(self):
-        payload = _report().to_dict()
-        payload["schema_version"] = 1
-        del payload["created_at"]
-        del payload["git_sha"]
-        assert validate_report(payload) == []
-        restored = RunReport.from_dict(payload)
-        assert restored.created_at is None
-        assert restored.git_sha is None
-
     def test_render_mentions_identity(self):
         report = _report()
         report.created_at = "2026-08-07T00:00:00Z"
@@ -119,11 +108,15 @@ class TestValidation:
         assert any("metrics" in problem for problem in problems)
 
     def test_wrong_schema_version(self):
-        payload = _report().to_dict()
-        payload["schema_version"] = 99
-        assert any("schema version" in p for p in validate_report(payload))
-        with pytest.raises(ValueError):
-            RunReport.from_dict(payload)
+        # 1 and 2 are retired layouts: rejected like a future version.
+        for version in (99, 1, 2):
+            payload = _report().to_dict()
+            payload["schema_version"] = version
+            assert any(
+                "schema version" in p for p in validate_report(payload)
+            )
+            with pytest.raises(ValueError, match=f"version {version}"):
+                RunReport.from_dict(payload)
 
     def test_future_version_error_is_actionable(self):
         payload = _report().to_dict()
@@ -132,8 +125,7 @@ class TestValidation:
         assert len(problems) == 1
         message = problems[0]
         assert "99" in message
-        for version in SUPPORTED_SCHEMA_VERSIONS:
-            assert str(version) in message
+        assert f"version {RUN_REPORT_SCHEMA_VERSION}" in message
         assert "newer" in message
 
     def test_v2_requires_identity_keys(self):
@@ -200,16 +192,6 @@ class TestServingTelemetrySections:
         restored = RunReport.from_dict(payload)
         assert restored.windows == [self._window()]
         assert restored.exemplars == [self._exemplar()]
-
-    def test_v2_payload_loads_with_empty_sections(self):
-        payload = _report().to_dict()
-        payload["schema_version"] = 2
-        del payload["windows"]
-        del payload["exemplars"]
-        assert validate_report(payload) == []
-        restored = RunReport.from_dict(payload)
-        assert restored.windows == []
-        assert restored.exemplars == []
 
     def test_v3_requires_list_sections(self):
         payload = _report().to_dict()

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from repro.obs.store import RunStore
 from repro.perf.timing import BenchReport, StageTimer, time_stage
 
 
@@ -40,9 +41,11 @@ class TestBenchReport:
         report.add_timing("fast", 0.5)
         report.add_speedup("gain", "slow", "fast")
         report.checks["ok"] = True
-        path = report.write(tmp_path)
-        assert path.name == "BENCH_unit.json"
-        data = json.loads(path.read_text())
+        store = RunStore(tmp_path)
+        store.append(report.as_dict())
+        line = store.path_for("unit").read_text().splitlines()[0]
+        data = json.loads(line)["artifact"]
+        assert data["schema_version"] == 2
         assert data["speedups"]["gain"] == 4.0
         assert data["checks"]["ok"] is True
         assert data["config"]["n"] == 4
@@ -77,9 +80,9 @@ class TestBenchHarness:
         report = bench_harness(quick=True)
         assert report.checks["cold_matches_uncached"]
         assert report.checks["warm_matches_uncached"]
+        assert report.checks["batched_matches_serial"]
         assert report.speedups["harness_quick"] > 1.0
-        path = report.write(tmp_path)
-        assert json.loads(path.read_text())["name"] == "harness"
+        assert report.as_dict()["name"] == "harness"
 
 
 class TestBenchHistoryIntegration:

@@ -341,7 +341,7 @@ print("done")
 
 
 class TestWorkerTelemetryTransport:
-    """The shared worker→parent telemetry contract (both shapes)."""
+    """The shared worker→parent telemetry contract."""
 
     def _worker_registry(self):
         from repro.obs.metrics import MetricsRegistry
@@ -392,16 +392,6 @@ class TestWorkerTelemetryTransport:
         merged = registry.histogram("lat")
         assert merged.bounds == (0.001, 0.004, 0.016)
         assert merged.count == 1
-
-    def test_merge_accepts_legacy_bare_shape(self):
-        from repro.obs.metrics import metrics_enabled
-
-        with metrics_enabled() as registry:
-            spans = _merge_worker_telemetry(
-                self._worker_registry().as_dict()
-            )
-        assert spans == []
-        assert registry.counter("sim.macs") == 7
 
     def test_merge_of_none_is_a_noop(self):
         assert _merge_worker_telemetry(None) == []

@@ -111,23 +111,19 @@ class TestBenchReportSchemaV2:
         report.add_timing("only", 1.5)
         assert report.samples == {}
 
-    def test_legacy_v1_payload_loads_with_empty_samples(self):
-        payload = self._report().as_dict()
-        for key in ("schema_version", "samples", "repeats"):
-            del payload[key]
-        clone = BenchReport.from_dict(payload)
-        assert clone.samples == {}
-        assert clone.repeats is None
-        assert clone.timings["fast"] == 1.0
-
     def test_unknown_newer_schema_rejected(self):
         payload = self._report().as_dict()
         payload["schema_version"] = 99
         with pytest.raises(ValueError, match="upgrade"):
             BenchReport.from_dict(payload)
+        # A payload without a version is the retired v1 layout.
+        for key in ("schema_version", "samples", "repeats"):
+            del payload[key]
+        with pytest.raises(ValueError, match="schema version 1"):
+            BenchReport.from_dict(payload)
 
     def test_non_bench_payload_rejected(self):
-        with pytest.raises(ValueError, match="BENCH"):
+        with pytest.raises(ValueError, match="BenchReport"):
             BenchReport.from_dict({"schema_version": 2, "other": 1})
         with pytest.raises(ValueError):
             BenchReport.from_dict("not a dict")

@@ -143,13 +143,16 @@ class TestMmapEntries:
                 for info in archive.infolist()
             )
 
-    def test_legacy_compressed_entry_still_loads(self, tmp_path, monkeypatch):
+    def test_legacy_compressed_entry_is_a_miss(self, tmp_path, monkeypatch):
+        """A compressed entry cannot be mapped: the cache reports a miss
+        and the next store rewrites it uncompressed."""
         monkeypatch.setenv("REPRO_TRACE_CACHE", "off")
         traces = _traces()
         cache = TraceCache(tmp_path)
         trace_io.save_traces(traces, cache.key_path(SPEC), compressed=True)
+        assert cache.load(SPEC) is None
+        cache.store(SPEC, traces)
         loaded = cache.load(SPEC)
-        assert loaded is not None
         assert loaded[0].pair_traces[0].score == pytest.approx(
             traces[0].pair_traces[0].score
         )
@@ -236,35 +239,6 @@ class TestHeadFeaturesRoundTrip:
         restored = loaded[0].pair_traces[0].head_features
         assert original is not None
         assert np.array_equal(original, restored)
-
-    def test_v1_files_still_load(self, tmp_path, monkeypatch):
-        """Entries written before the head-features field must load
-        (with head_features=None), not error."""
-        import json
-
-        monkeypatch.setenv("REPRO_TRACE_CACHE", "off")
-        traces = _traces()
-        path = tmp_path / "t.npz"
-        trace_io.save_traces(traces, path)
-        with np.load(path, allow_pickle=False) as data:
-            arrays = {key: data[key] for key in data.files}
-        manifest = json.loads(str(arrays["manifest"]))
-        manifest["version"] = 1
-        for batch in manifest["batches"]:
-            for pair in batch["pairs"]:
-                del pair["has_head_features"]
-        arrays = {
-            key: value
-            for key, value in arrays.items()
-            if not key.endswith("head_features")
-        }
-        arrays["manifest"] = np.array(json.dumps(manifest))
-        np.savez_compressed(path, **arrays)
-        loaded = trace_io.load_traces(path)
-        assert loaded[0].pair_traces[0].head_features is None
-        assert loaded[0].pair_traces[0].score == pytest.approx(
-            traces[0].pair_traces[0].score
-        )
 
 
 class TestStoreFailureSurfaced:

@@ -4,7 +4,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.api import PLATFORM_BUILDERS
 from repro.platforms import (
     DEFAULT_PLATFORMS,
     REGISTRY,
@@ -172,20 +171,6 @@ class TestDerivedConfigs:
         assert "name" not in fields
         assert "emf" not in fields
         assert REGISTRY.spec_fields("PyG-CPU") == ()
-
-
-class TestDeprecatedBuilders:
-    def test_view_tracks_registry(self):
-        assert sorted(PLATFORM_BUILDERS) == REGISTRY.names()
-
-    def test_items_are_builders(self):
-        for name, builder in PLATFORM_BUILDERS.items():
-            assert callable(builder)
-            assert name in REGISTRY
-
-    def test_unknown_name_keyerror(self):
-        with pytest.raises(KeyError):
-            PLATFORM_BUILDERS["NotAPlatform"]
 
 
 # Override values drawn per-field so the property covers ints, floats,

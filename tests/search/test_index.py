@@ -208,31 +208,25 @@ class TestSchemaVersioning:
         with np.load(path) as data:
             assert int(data["schema_version"]) == INDEX_SCHEMA_VERSION
 
-    def test_versionless_legacy_file_loads(
-        self, small_index, small_database, tmp_path
-    ):
-        """Files written before the version stamp are exactly v1."""
-        from repro.search.storage import database_arrays
-
-        arrays = database_arrays(small_database)
-        del arrays["schema_version"]
-        path = tmp_path / "legacy.npz"
-        np.savez_compressed(path, **arrays)
-        restored = SimilaritySearchIndex.load(path, small_index.model)
-        assert len(restored) == len(small_database)
-        assert restored.graph(3) == small_database[3]
-
     def test_unknown_version_raises_actionable_error(
         self, small_index, small_database, tmp_path
     ):
         from repro.search.storage import database_arrays
 
-        arrays = database_arrays(small_database)
-        arrays["schema_version"] = np.array(99)
-        path = tmp_path / "future.npz"
-        np.savez_compressed(path, **arrays)
-        with pytest.raises(ValueError, match="schema version 99"):
-            SimilaritySearchIndex.load(path, small_index.model)
+        path = tmp_path / "other.npz"
+        # 1 and 2 are retired layouts; a file without a stamp is v1.
+        for version in (99, 1, 2, None):
+            arrays = database_arrays(small_database)
+            if version is None:
+                del arrays["schema_version"]
+            else:
+                arrays["schema_version"] = np.array(version)
+            np.savez_compressed(path, **arrays)
+            found = "(none)" if version is None else version
+            with pytest.raises(ValueError) as info:
+                SimilaritySearchIndex.load(path, small_index.model)
+            assert f"schema version {found};" in str(info.value)
+            assert "this build reads version 3" in str(info.value)
 
     def test_corrupt_file_names_missing_array(
         self, small_index, small_database, tmp_path
@@ -279,22 +273,11 @@ class TestBatchedEstimates:
         ratio = estimate / measured.latency_seconds
         assert 0.5 <= ratio <= 2.0, ratio
 
-    def test_backend_forwarded_to_simulator(
-        self, small_index, small_database
-    ):
-        batched = small_index.estimate_pair_latency(
-            small_database[0], "CEGMA", backend="batched"
-        )
-        serial = small_index.estimate_pair_latency(
-            small_database[0], "CEGMA", backend="serial"
-        )
-        # Both run; cycle counts agree between backends by construction.
-        assert batched == pytest.approx(serial)
-
     def test_unknown_backend_rejected(self, small_index, small_database):
-        with pytest.raises(ValueError, match="backend"):
+        # Planning always models the batched engine; there is no switch.
+        with pytest.raises(TypeError, match="backend"):
             small_index.estimate_pair_latency(
-                small_database[0], "CEGMA", backend="quantum"
+                small_database[0], "CEGMA", backend="serial"
             )
 
     def test_empty_index_estimate_rejected(self, small_database):

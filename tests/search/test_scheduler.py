@@ -59,11 +59,6 @@ class TestGrouping:
         ]
         assert len(scheduler.group_requests(requests)) == 2
 
-    def test_dedup_off_keeps_every_request(self, graphs):
-        scheduler = BatchScheduler(dedup=False)
-        requests = [_request(i, graphs[0]) for i in range(3)]
-        assert [len(g) for g in scheduler.group_requests(requests)] == [1, 1, 1]
-
 
 class TestOrdering:
     def test_fifo_orders_by_arrival(self, graphs):

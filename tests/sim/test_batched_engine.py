@@ -2,8 +2,9 @@
 
 The heavyweight bit-identity guarantee (batched == serial, results and
 metric streams) lives in the ``sim.batched_vs_serial`` differential
-check; these tests cover the surrounding contracts — backend selection,
-batching invariances, and the batch kernels' elementwise equivalence.
+check; these tests cover the surrounding contracts — no public backend
+switch, batching invariances, and the batch kernels' elementwise
+equivalence.
 """
 
 import json
@@ -12,7 +13,7 @@ import numpy as np
 import pytest
 
 from repro.platforms import REGISTRY
-from repro.sim.engine import SIM_BACKENDS, AcceleratorSimulator
+from repro.sim.engine import AcceleratorSimulator, _simulate_batches_serial
 from repro.sim.memory import DRAMModel
 from repro.sim.pe import MACArray
 from repro.validate.workloads import small_traces
@@ -43,47 +44,39 @@ def _close_dicts(left, right, rtol=1e-9):
 
 
 class TestBackendSelection:
-    def test_backends_roster(self):
-        assert SIM_BACKENDS == ("batched", "serial")
+    """The batched engine is the only public path; the per-pair loop is
+    reachable only through the private reference helper."""
 
-    def test_default_is_batched(self):
-        assert REGISTRY.build("CEGMA").backend == "batched"
+    def test_default_is_batched(self, monkeypatch):
+        def refuse(self, batch_trace):
+            raise AssertionError("public path ran the per-pair loop")
+
+        monkeypatch.setattr(
+            AcceleratorSimulator, "_simulate_batch_serial", refuse
+        )
+        traces = small_traces(num_pairs=2, batch_size=2)
+        assert REGISTRY.build("CEGMA").simulate_batches(traces).num_pairs == 2
 
     def test_unknown_backend_rejected(self):
         config = REGISTRY.build("CEGMA").config
-        with pytest.raises(ValueError, match="unknown backend"):
-            AcceleratorSimulator(config, backend="vectorised")
-
-    def test_serial_backend_still_selectable(self):
-        # Deprecation shim: the per-pair reference loop stays available
-        # for one release cycle via backend="serial".
-        traces = small_traces(num_pairs=2, batch_size=2)
-        config = REGISTRY.build("CEGMA").config
-        serial = AcceleratorSimulator(config, backend="serial")
-        batched = AcceleratorSimulator(config, backend="batched")
-        left = _result_dict(serial, traces)
-        right = _result_dict(batched, traces)
-        assert json.dumps(left, sort_keys=True) == json.dumps(
-            right, sort_keys=True
-        )
+        with pytest.raises(TypeError, match="backend"):
+            AcceleratorSimulator(config, backend="serial")
 
     def test_api_backend_threading_rejects_unknown(self):
         from repro.core.api import simulate_traces
 
         traces = small_traces(num_pairs=2, batch_size=2)
-        with pytest.raises(ValueError, match="unknown simulation backend"):
-            simulate_traces(traces, ("CEGMA",), backend="nope")
+        with pytest.raises(TypeError, match="backend"):
+            simulate_traces(traces, ("CEGMA",), backend="serial")
 
-    def test_api_backend_skips_software_platforms(self):
-        from repro.core.api import simulate_traces
-
-        traces = small_traces(num_pairs=2, batch_size=2)
-        # PyG-CPU is an analytic software model without a backend; the
-        # explicit backend request must not break it.
-        results = simulate_traces(
-            traces, ("PyG-CPU", "CEGMA"), backend="serial"
+    def test_serial_reference_matches_batched(self):
+        traces = small_traces(num_pairs=4, batch_size=2)
+        simulator = REGISTRY.build("CEGMA")
+        serial = _simulate_batches_serial(simulator, traces).to_dict()
+        batched = _result_dict(simulator, traces)
+        assert json.dumps(serial, sort_keys=True) == json.dumps(
+            batched, sort_keys=True
         )
-        assert set(results) == {"PyG-CPU", "CEGMA"}
 
 
 class TestBatchingInvariances:

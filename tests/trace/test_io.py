@@ -87,11 +87,42 @@ class TestValidation:
         import numpy as np
 
         path = tmp_path / "bad.npz"
-        np.savez_compressed(
-            path, manifest=np.array(json.dumps({"version": 99, "batches": []}))
+        # 1 is the retired layout without head features.
+        for version in (99, 1):
+            manifest = json.dumps({"version": version, "batches": []})
+            np.savez_compressed(path, manifest=np.array(manifest))
+            with pytest.raises(ValueError, match=f"version {version}"):
+                load_traces(path)
+
+    @pytest.mark.parametrize("mmap", [False, True])
+    def test_missing_file_names_the_path(self, tmp_path, mmap):
+        path = tmp_path / "missing.npz"
+        with pytest.raises(ValueError) as info:
+            load_traces(path, mmap=mmap)
+        message = str(info.value)
+        assert message.startswith(f"cannot read traces from {path}: ")
+        assert "No such file" in message
+
+    @pytest.mark.parametrize("mmap", [False, True])
+    def test_non_npz_file_rejected(self, tmp_path, mmap):
+        path = tmp_path / "notes.npz"
+        path.write_text("not an archive\n")
+        with pytest.raises(ValueError) as info:
+            load_traces(path, mmap=mmap)
+        message = str(info.value)
+        assert message == (
+            f"cannot read traces from {path}: not an .npz archive"
         )
-        with pytest.raises(ValueError):
-            load_traces(path)
+
+    @pytest.mark.parametrize("mmap", [False, True])
+    def test_npz_without_manifest_rejected(self, tmp_path, mmap):
+        path = tmp_path / "other.npz"
+        np.savez(path, stuff=np.arange(3))
+        with pytest.raises(ValueError) as info:
+            load_traces(path, mmap=mmap)
+        message = str(info.value)
+        assert message.startswith(f"cannot read traces from {path}: ")
+        assert "no 'manifest' member" in message
 
 
 class TestMmapReader:
@@ -126,13 +157,11 @@ class TestMmapReader:
         # A view over the mapped file, not a materialized copy.
         assert array.base is not None
 
-    def test_compressed_members_fall_back(self, traces, tmp_path):
+    def test_compressed_members_rejected(self, traces, tmp_path):
         path = tmp_path / "traces.npz"
         save_traces(traces, path, compressed=True)
-        mapped = load_traces(path, mmap=True)
-        assert mapped[0].pair_traces[0].score == pytest.approx(
-            traces[0].pair_traces[0].score
-        )
+        with pytest.raises(ValueError, match="is compressed"):
+            load_traces(path, mmap=True)
 
     def test_requires_exactly_one_source(self, tmp_path):
         from repro.trace.io import MmapNpzReader
