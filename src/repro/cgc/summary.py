@@ -15,6 +15,11 @@ Two ways to obtain one:
   ``coordinated_window_schedule`` *exactly* — same windows, same order,
   same tie-breaks — without materializing ``WindowStep`` objects.
 
+Both forms are memoized per pair through :func:`memoized`, whose weak
+per-pair entry also holds the pair's topology record, so a pair's
+canonical edge order is computed once however many schedules are built
+over it.
+
 Exactness notes (the serial schedulers are the specification, bit for
 bit, and ``repro validate --only sim.batched_vs_serial`` enforces it):
 
@@ -25,14 +30,26 @@ bit, and ``repro validate --only sim.batched_vs_serial`` enforces it):
   as ``list(set(edges))`` once — the iteration order of ``remaining``
   at *any* later point is this list filtered to still-alive edges.
 - The cleanup seed ``max({u for edge in remaining for u in edge},
-  key=node_remains)`` tie-breaks on int-set iteration order. The fast
-  path rebuilds that set with the identical insertion sequence (same
-  CPython table layout) and takes ``np.argmax`` — first maximum — over
-  the set's own iteration order, matching ``max`` exactly.
+  key=node_remains)`` tie-breaks on int-set iteration order, and that
+  order is load-bearing: breaking ties in ascending node order picks a
+  different seed in about a third of a headline pass's cleanup rounds.
+  When one node alone holds the top remaining degree it is the seed,
+  and no set is built. Otherwise the fast path builds the set with one
+  ``set(...)`` call over the alive edges' endpoints interleaved
+  ``src, dst`` in canonical order — the serial comprehension's
+  insertion sequence, so CPython lays out the same table — and takes
+  the first tied node in its iteration order, as ``max`` does.
+- A cleanup window grows from its seed along alive edges only, so a
+  pending edge outside the seed's alive connected component never
+  touches the window and never retires. The grow scan and the retire
+  pass therefore visit only the seed's component, in the same sorted
+  order; component labels are taken once when cleanup starts, which
+  stays exact because components only split as edges retire.
 - ``remaining_degree`` counts every edge *occurrence* (duplicates
   included), while processing only retires canonical edges; the fast
   tracker replicates this asymmetry via one ``np.bincount`` over the
-  raw endpoint list.
+  raw endpoint list, and retires edges with ``np.bincount`` too
+  (integer counts, so it equals per-edge decrements).
 - The coordinated scheme's jump ``min(unmatched, key=manhattan)``
   iterates a set built by one comprehension and shrunk only by
   ``discard`` — replicated verbatim, so ties resolve identically.
@@ -44,7 +61,7 @@ AOE decisions go through the real
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Tuple
 from weakref import WeakKeyDictionary
 
 import numpy as np
@@ -66,6 +83,8 @@ __all__ = [
     "summarize_single",
     "summarize_coordinated",
     "memoized_summaries",
+    "memoized",
+    "schedule_key",
 ]
 
 
@@ -193,27 +212,66 @@ class ScheduleSummary:
 
 
 # ----------------------------------------------------------------------
+# Per-pair memo
+# ----------------------------------------------------------------------
+# Schedules depend only on (pair, scheme, capacity, active sets), never
+# on the platform or the model, so every platform simulated over a trace
+# and every model profiled over the same pair objects share one entry.
+# Weak keying drops a pair's entry as soon as the pair is released.
+_MEMO: "WeakKeyDictionary" = WeakKeyDictionary()
+_MEMO_PER_PAIR = 64
+
+
+def schedule_key(
+    scheme: str,
+    capacity: int,
+    active_targets: Optional[Iterable[int]],
+    active_queries: Optional[Iterable[int]],
+) -> Tuple:
+    """Memo key of one schedule over a pair."""
+    return (
+        scheme,
+        capacity,
+        None if active_targets is None else tuple(active_targets),
+        None if active_queries is None else tuple(active_queries),
+    )
+
+
+def memoized(pair: GraphPair, kind: str, key: Tuple, build: Callable):
+    """``build()`` memoized per (pair, kind, key).
+
+    Each kind is one table in the pair's entry: the fast builders'
+    summaries (``"summary"``), the serial reference's full schedules
+    (``"schedule"``) and the fast builders' topology record
+    (``"topology"``). A table at its bound drops its oldest entry, on a
+    miss only.
+    """
+    tables = _MEMO.get(pair)
+    if tables is None:
+        tables = _MEMO[pair] = {}
+    table = tables.setdefault(kind, {})
+    value = table.get(key)
+    if value is None:
+        value = build()
+        if len(table) >= _MEMO_PER_PAIR:
+            del table[next(iter(table))]
+        table[key] = value
+    return value
+
+
+# ----------------------------------------------------------------------
 # Fast exact builders
 # ----------------------------------------------------------------------
-class _ArrayTracker:
-    """Array twin of :class:`~repro.cgc.window._EdgeTracker`.
+class _Topology:
+    """One pair's edges in canonical order, computed once per pair.
 
-    Canonical edge order is the iteration order of ``set(edges)`` (see
-    module docstring); aliveness and remaining degrees live in numpy
-    arrays, and co-residency processing is one boolean pass over the
-    canonical edge list per window instead of per-node set algebra.
+    Canonical order is the iteration order of ``set(edges)`` (see module
+    docstring). ``remains`` holds the initial remaining degrees and
+    ``order`` the canonical indices in ``sorted(edges)`` order; builds
+    copy ``remains`` and never write the rest.
     """
 
-    __slots__ = (
-        "src_list",
-        "dst_list",
-        "src",
-        "dst",
-        "alive",
-        "remains",
-        "_mark",
-        "_gen",
-    )
+    __slots__ = ("src_list", "dst_list", "src", "dst", "remains", "order")
 
     def __init__(self, pair: GraphPair) -> None:
         edges = _pair_edges(pair)
@@ -222,33 +280,60 @@ class _ArrayTracker:
         self.dst_list = [edge[1] for edge in canonical]
         self.src = np.array(self.src_list, dtype=np.int64)
         self.dst = np.array(self.dst_list, dtype=np.int64)
-        self.alive = np.ones(len(canonical), dtype=bool)
         num_nodes = pair.total_nodes
         if edges:
             endpoints = np.array(edges, dtype=np.int64).ravel()
             self.remains = np.bincount(endpoints, minlength=num_nodes)
         else:
             self.remains = np.zeros(num_nodes, dtype=np.int64)
-        self._mark = np.zeros(num_nodes, dtype=np.int64)
+        self.order = np.lexsort((self.dst, self.src))
+
+
+class _ArrayTracker:
+    """Array twin of :class:`~repro.cgc.window._EdgeTracker`.
+
+    Aliveness and remaining degrees live in numpy arrays over the pair's
+    canonical edge list, and co-residency processing is one boolean pass
+    over that list per window instead of per-node set algebra.
+    """
+
+    __slots__ = ("topology", "src", "dst", "alive", "remains", "_mark", "_gen")
+
+    def __init__(self, pair: GraphPair) -> None:
+        topology = memoized(pair, "topology", (), lambda: _Topology(pair))
+        self.topology = topology
+        self.src = topology.src
+        self.dst = topology.dst
+        self.alive = np.ones(self.src.shape[0], dtype=bool)
+        self.remains = topology.remains.copy()
+        self._mark = np.zeros(self.remains.shape[0], dtype=np.int64)
         self._gen = 0
 
-    def process(self, window: np.ndarray) -> int:
-        """Retire every alive edge with both endpoints in ``window``."""
-        if not self.alive.any():
-            return 0
+    def process(
+        self, window: np.ndarray, candidates: Optional[np.ndarray] = None
+    ) -> int:
+        """Retire every alive edge with both endpoints in ``window``.
+
+        ``candidates``, when given, are the indices of alive edges that
+        include every edge the window can retire; only they are tested.
+        """
+        if candidates is None:
+            if not self.alive.any():
+                return 0
+            candidates = np.flatnonzero(self.alive)
         self._gen += 1
         self._mark[window] = self._gen
-        done = (
-            self.alive
-            & (self._mark[self.src] == self._gen)
-            & (self._mark[self.dst] == self._gen)
-        )
-        count = int(np.count_nonzero(done))
-        if count:
+        done = candidates[
+            (self._mark[self.src[candidates]] == self._gen)
+            & (self._mark[self.dst[candidates]] == self._gen)
+        ]
+        if done.size:
             self.alive[done] = False
-            np.subtract.at(self.remains, self.src[done], 1)
-            np.subtract.at(self.remains, self.dst[done], 1)
-        return count
+            self.remains -= np.bincount(
+                np.concatenate((self.src[done], self.dst[done])),
+                minlength=self.remains.shape[0],
+            )
+        return int(done.size)
 
 
 class _StepRecorder:
@@ -294,32 +379,72 @@ class _StepRecorder:
         )
 
 
+def _component_labels(
+    src: np.ndarray, dst: np.ndarray, num_nodes: int
+) -> np.ndarray:
+    """One label per node, equal exactly within each weakly connected
+    component of the edges ``src -> dst`` (min-label propagation)."""
+    labels = np.arange(num_nodes)
+    while True:
+        low = np.minimum(labels[src], labels[dst])
+        lowered = labels.copy()
+        np.minimum.at(lowered, src, low)
+        np.minimum.at(lowered, dst, low)
+        lowered = lowered[lowered]
+        if np.array_equal(lowered, labels):
+            return labels
+        labels = lowered
+
+
+def _cleanup_seed(tracker: _ArrayTracker, alive_index: np.ndarray) -> int:
+    """The serial ``max({u for edge in remaining for u in edge},
+    key=node_remains)`` over the alive edges ``alive_index``."""
+    src = tracker.src[alive_index]
+    dst = tracker.dst[alive_index]
+    degree = np.full(tracker.remains.shape[0], -1, dtype=np.int64)
+    degree[src] = tracker.remains[src]
+    degree[dst] = tracker.remains[dst]
+    tied = np.flatnonzero(degree == degree.max())
+    if tied.size == 1:
+        return int(tied[0])
+    # max() keeps the first maximum in the set's iteration order; the
+    # same insertion sequence gives the same table (see module notes).
+    tied_nodes = set(tied.tolist())
+    nodes = set(np.column_stack((src, dst)).ravel().tolist())
+    return next(node for node in nodes if node in tied_nodes)
+
+
 def _cleanup_rounds(
     tracker: _ArrayTracker, recorder: _StepRecorder, capacity: int
 ) -> None:
     """Replicates ``_EdgeTracker.cleanup_steps`` over the array state."""
-    if not tracker.alive.any():
+    alive_index = np.flatnonzero(tracker.alive)
+    if alive_index.size == 0:
         return
-    src_list, dst_list = tracker.src_list, tracker.dst_list
-    # One lexicographic sort up front (= sorted(remaining)); each round
-    # keeps the still-sorted alive suffix.
-    order = np.lexsort((tracker.dst, tracker.src))
-    pending = order[tracker.alive[order]]
-    while True:
-        alive_index = np.flatnonzero(tracker.alive)
-        if alive_index.size == 0:
-            break
-        # Same insertion sequence as the serial seed set comprehension,
-        # so the int set's iteration order (the max() tie-break) matches.
-        nodes_set: set = set()
-        add = nodes_set.add
-        for index in alive_index.tolist():
-            add(src_list[index])
-            add(dst_list[index])
-        nodes = np.fromiter(nodes_set, dtype=np.int64, count=len(nodes_set))
-        seed = int(nodes[np.argmax(tracker.remains[nodes])])
+    topology = tracker.topology
+    src_list, dst_list = topology.src_list, topology.dst_list
+    # sorted(remaining), split by alive connected component. A window
+    # grows from its seed along alive edges only, so edges outside the
+    # seed's component never touch it. Components only split as edges
+    # retire, so labels taken now stay valid for every round.
+    labels = _component_labels(
+        tracker.src[alive_index],
+        tracker.dst[alive_index],
+        tracker.remains.shape[0],
+    )
+    pending = topology.order[tracker.alive[topology.order]]
+    pending_labels = labels[tracker.src[pending]]
+    by_label = np.argsort(pending_labels, kind="stable")
+    keys, starts = np.unique(pending_labels[by_label], return_index=True)
+    components = dict(
+        zip(keys.tolist(), np.split(pending[by_label], starts[1:]))
+    )
+    while alive_index.size:
+        seed = _cleanup_seed(tracker, alive_index)
+        label = int(labels[seed])
+        component = components[label]
         chosen = {seed}
-        for index in pending.tolist():
+        for index in component.tolist():
             if len(chosen) >= capacity:
                 break
             u = src_list[index]
@@ -330,11 +455,12 @@ def _cleanup_rounds(
             elif v in chosen:
                 chosen.add(u)
         window = np.fromiter(chosen, dtype=np.int64, count=len(chosen))
-        processed = tracker.process(window)
+        processed = tracker.process(window, component)
         if processed == 0:  # pragma: no cover - safety net
             raise RuntimeError("cleanup failed to make progress")
         recorder.append(window, 0, processed, cleanup=True)
-        pending = pending[tracker.alive[pending]]
+        components[label] = component[tracker.alive[component]]
+        alive_index = np.flatnonzero(tracker.alive)
 
 
 def summarize_single(
@@ -452,13 +578,6 @@ _BUILDERS = {
     "coordinated": summarize_coordinated,
 }
 
-# Mirrors engine._SCHEDULE_MEMO (same keying, capacity, and eviction):
-# summaries depend only on (pair, scheme, capacity, active sets), never
-# on the platform, so all platforms simulated over one trace share them.
-_SUMMARY_MEMO: "WeakKeyDictionary" = WeakKeyDictionary()
-_SUMMARY_MEMO_PER_PAIR = 64
-
-
 def summary_key(
     scheme: str,
     capacity: int,
@@ -476,14 +595,12 @@ def summary_key(
 
 
 def memoized_summaries(pair: GraphPair) -> Dict[Tuple, ScheduleSummary]:
-    """Snapshot of one pair's summary memo.
+    """Snapshot of one pair's summary memo, keyed by :func:`schedule_key`.
 
-    Used by the trace-cache sidecar to persist whatever schedules a
-    simulation run actually built, keyed by the same
-    ``(scheme, capacity, actives, actives)`` tuples the memo uses.
+    The trace-cache sidecar reads it to persist the schedules a
+    simulation requested.
     """
-    per_pair = _SUMMARY_MEMO.get(pair)
-    return dict(per_pair) if per_pair else {}
+    return dict(_MEMO.get(pair, {}).get("summary", {}))
 
 
 def schedule_summary_for(
@@ -506,22 +623,12 @@ def schedule_summary_for(
         raise KeyError(
             f"unknown batched scheme {scheme!r}; known: {sorted(_BUILDERS)}"
         )
-    key: Tuple = (
-        scheme,
-        capacity,
-        None if active_targets is None else tuple(active_targets),
-        None if active_queries is None else tuple(active_queries),
-    )
-    per_pair = _SUMMARY_MEMO.get(pair)
-    if per_pair is None:
-        per_pair = {}
-        _SUMMARY_MEMO[pair] = per_pair
-    summary = per_pair.get(key)
-    if summary is None and store is not None:
-        summary = store.get(summary_key(scheme, capacity, key[2], key[3]))
-    if summary is None:
-        summary = _BUILDERS[scheme](pair, capacity, key[2], key[3])
-    if len(per_pair) >= _SUMMARY_MEMO_PER_PAIR:
-        per_pair.clear()
-    per_pair[key] = summary
-    return summary
+    key = schedule_key(scheme, capacity, active_targets, active_queries)
+
+    def build() -> ScheduleSummary:
+        stored = None if store is None else store.get(summary_key(*key))
+        if stored is not None:
+            return stored
+        return _BUILDERS[scheme](pair, capacity, key[2], key[3])
+
+    return memoized(pair, "summary", key, build)

@@ -14,6 +14,12 @@ bounded. Across processes, profiled traces persist in the on-disk
 :class:`~repro.perf.trace_cache.TraceCache` (``.trace_cache/`` by
 default, ``REPRO_TRACE_CACHE`` to relocate or disable), so parallel
 harness workers and repeated CLI invocations skip re-profiling.
+
+Generated datasets are memoized in-process by (dataset, seed, pair
+count), so the models profiled on one dataset share its pair objects and
+each window schedule over them is built once (the per-pair memo of
+:mod:`repro.cgc.summary`). :func:`clear_workload_caches` drops all
+three in-process memos.
 """
 
 from __future__ import annotations
@@ -121,12 +127,28 @@ class _BoundedLRU:
 
 _TRACE_MEMO = _BoundedLRU(maxsize=64)
 _RESULT_MEMO = _BoundedLRU(maxsize=256)
+# Generated pairs by (dataset, seed, num_pairs): every model profiled on
+# a dataset shares one set of pair objects, and with them the per-pair
+# schedule memo of repro.cgc.summary.
+_DATASET_MEMO = _BoundedLRU(maxsize=8)
 
 
 def clear_workload_caches() -> None:
-    """Drop both in-process memo caches (the disk cache is untouched)."""
+    """Drop the in-process memo caches (the disk cache is untouched)."""
+    _DATASET_MEMO.clear()
     _TRACE_MEMO.clear()
     _RESULT_MEMO.clear()
+
+
+def _dataset_pairs(spec: RunSpec):
+    key = (spec.dataset, spec.seed, spec.num_pairs)
+    pairs = _DATASET_MEMO.get(key)
+    if pairs is None:
+        pairs = load_dataset(
+            spec.dataset, seed=spec.seed, num_pairs=spec.num_pairs
+        )
+        _DATASET_MEMO.put(key, pairs)
+    return pairs
 
 
 def traces_for(spec: RunSpec) -> Tuple[BatchTrace, ...]:
@@ -152,9 +174,7 @@ def traces_for(spec: RunSpec) -> Tuple[BatchTrace, ...]:
             _TRACE_MEMO.put(spec, traces)
             return traces
     with span("harness.profile", spec=spec.stem):
-        pairs = load_dataset(
-            spec.dataset, seed=spec.seed, num_pairs=spec.num_pairs
-        )
+        pairs = _dataset_pairs(spec)
         model = build_model(
             spec.model, input_dim=pairs[0].target.feature_dim, seed=spec.seed
         )

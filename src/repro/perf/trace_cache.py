@@ -150,9 +150,12 @@ class TraceCache:
     ) -> Optional[Path]:
         """Persist the schedule/plan summaries a simulation built.
 
-        Harvests each pair's summary memo and each layer's cached plan
-        summary; returns None (writing nothing) when the traces carry no
-        summaries yet — callers invoke this after simulating.
+        Harvests each layer's cached plan summary and, from each pair's
+        summary memo, the schedules that pair trace requested — not
+        those other specs sharing the pair built — so the sidecar does
+        not depend on what else ran in the process. Returns None
+        (writing nothing) when the traces carry no summaries yet —
+        callers invoke this after simulating.
         """
         manifest: Dict = {
             "version": _SIDECAR_VERSION,
@@ -184,10 +187,14 @@ class TraceCache:
                         }
                     )
                     harvested += 1
+                memo = memoized_summaries(pair_trace.pair)
+                requested = [
+                    (key, memo[key])
+                    for key in pair_trace._sched_requested
+                    if key in memo
+                ]
                 schedules = []
-                for j, (key, summary) in enumerate(
-                    memoized_summaries(pair_trace.pair).items()
-                ):
+                for j, (key, summary) in enumerate(requested):
                     scheme, capacity, actives_t, actives_q = key
                     arrays[f"{prefix}/s{j}"] = summary.to_array()
                     schedules.append(

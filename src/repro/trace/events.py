@@ -9,7 +9,7 @@ cross-platform comparisons are over identical workloads.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import Dict, List, Optional
 
 import numpy as np
 
@@ -124,6 +124,7 @@ class PairTrace:
         "matching_usage",
         "head_features",
         "_sched_store",
+        "_sched_requested",
     )
 
     def __init__(
@@ -151,6 +152,9 @@ class PairTrace:
         # trace-cache sidecar; consulted by the batched engine only for
         # metric-free runs (see repro.cgc.summary.schedule_summary_for).
         self._sched_store = None
+        # Schedule keys the batched engine requested for this trace, in
+        # request order (an ordered set); the sidecar persists these.
+        self._sched_requested: Dict = {}
 
     @property
     def total_flops(self) -> FlopCounter:

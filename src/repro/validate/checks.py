@@ -542,6 +542,22 @@ def _mutate_plan_summary_fraction():
     return _patched(filter_mod.MatchingPlan, "summary", skewed)
 
 
+def _mutate_cleanup_seed_ascending():
+    """Break the fast builders' cleanup seed ties in ascending node order
+    instead of the serial scheduler's set iteration order."""
+    from ..cgc import summary as summary_mod
+
+    def ascending(tracker, alive_index):
+        nodes = np.unique(
+            np.concatenate(
+                (tracker.src[alive_index], tracker.dst[alive_index])
+            )
+        )
+        return int(nodes[np.argmax(tracker.remains[nodes])])
+
+    return _patched(summary_mod, "_cleanup_seed", ascending)
+
+
 @register_check(
     "sim.batched_vs_serial",
     kind="differential",
@@ -553,6 +569,7 @@ def _mutate_plan_summary_fraction():
         "batched_summary_miscounts_misses": _mutate_batched_summary_misses,
         "gemm_batch_kernel_off_by_one": _mutate_gemm_batch_cycles,
         "plan_summary_halves_match_fraction": _mutate_plan_summary_fraction,
+        "cleanup_seed_breaks_ties_ascending": _mutate_cleanup_seed_ascending,
     },
 )
 def check_batched_vs_serial(context: CheckContext):
@@ -602,7 +619,11 @@ def check_batched_vs_serial(context: CheckContext):
 
     # Fresh traces per run: new pair objects, so no summary memoized by
     # an earlier (possibly unmutated) invocation can mask a divergence.
-    traces = small_traces(num_pairs=4, batch_size=2)
+    # The RD-B pairs are large enough for cleanup seed ties to break
+    # differently in set order than in ascending node order.
+    traces = small_traces(num_pairs=4, batch_size=2) + small_traces(
+        dataset="RD-B", num_pairs=2, batch_size=2
+    )
 
     def run_serial(build) -> dict:
         return _simulate_batches_serial(build(), traces).to_dict()

@@ -8,8 +8,10 @@ of a real `WindowSchedule` is the ground truth they are compared to.
 import numpy as np
 import pytest
 
+from repro.cgc import summary as summary_mod
 from repro.cgc.summary import (
     ScheduleSummary,
+    memoized,
     memoized_summaries,
     schedule_summary_for,
     summarize_coordinated,
@@ -21,6 +23,7 @@ from repro.cgc.window import (
     single_window_schedule,
 )
 from repro.graphs import Graph, GraphPair, erdos_renyi_graph
+from repro.graphs.datasets import load_dataset
 
 
 def paper_example_pair():
@@ -85,6 +88,103 @@ class TestExactness:
         )
 
 
+def multi_component_pair(seed, components=24):
+    """Each side is many small rings and stars: equal remaining degrees
+    across components, so cleanup seeds tie often."""
+    rng = np.random.default_rng(seed)
+
+    def side():
+        edges, offset = [], 0
+        for _ in range(components):
+            size = int(rng.integers(4, 9))
+            if rng.random() < 0.5:
+                edges += [(offset + i, offset + (i + 1) % size) for i in range(size)]
+            else:
+                edges += [(offset, offset + i) for i in range(1, size)]
+            offset += size
+        return Graph.from_undirected_edges(offset, edges)
+
+    return GraphPair(side(), side())
+
+
+def every_other(pair):
+    """An EMF-style active subset: every third target, every second query."""
+    return (
+        list(range(0, pair.target.num_nodes, 3)),
+        list(range(0, pair.query.num_nodes, 2)),
+    )
+
+
+@pytest.fixture
+def ascending_divergences(monkeypatch):
+    """Counts cleanup rounds whose seed, picked by set iteration order,
+    differs from the seed an ascending-node-order tie-break would pick."""
+    original = summary_mod._cleanup_seed
+    counts = {"rounds": 0, "diverging": 0}
+
+    def spy(tracker, alive_index):
+        seed = original(tracker, alive_index)
+        nodes = np.unique(
+            np.concatenate((tracker.src[alive_index], tracker.dst[alive_index]))
+        )
+        counts["rounds"] += 1
+        if seed != int(nodes[np.argmax(tracker.remains[nodes])]):
+            counts["diverging"] += 1
+        return seed
+
+    monkeypatch.setattr(summary_mod, "_cleanup_seed", spy)
+    return counts
+
+
+class TestLargePairExactness:
+    """Coordinated builds on pairs large enough that the cleanup seed's
+    set-order tie-break differs from ascending node order.
+
+    Capacities with every node active stay moderate: the serial
+    reference takes one step per block pair, which is slow at small
+    capacities on hundreds of nodes.
+    """
+
+    CASES = {
+        "RD-B": (
+            lambda: load_dataset("RD-B", seed=0, num_pairs=2),
+            (32, 64),
+            (16, 32, 64),
+        ),
+        "COLLAB": (
+            lambda: load_dataset("COLLAB", seed=0, num_pairs=2),
+            (5, 16, 64),
+            (2, 5, 64),
+        ),
+        "multi-component": (
+            lambda: [multi_component_pair(0), multi_component_pair(1)],
+            (8, 32, 64),
+            (2, 8),
+        ),
+    }
+
+    @pytest.mark.parametrize("family", sorted(CASES))
+    def test_matches_serial(self, family, ascending_divergences):
+        make_pairs, full_capacities, subset_capacities = self.CASES[family]
+        for pair in make_pairs():
+            runs = [(capacity, None, None) for capacity in full_capacities]
+            runs += [
+                (capacity, *every_other(pair)) for capacity in subset_capacities
+            ]
+            for capacity, targets, queries in runs:
+                fast = summarize_coordinated(pair, capacity, targets, queries)
+                serial = coordinated_window_schedule(
+                    pair, capacity, targets, queries
+                )
+                assert fast == ScheduleSummary.from_schedule(serial), (
+                    family,
+                    capacity,
+                    targets is not None,
+                )
+        # Not vacuous: some round's tie broke differently than ascending.
+        assert ascending_divergences["diverging"] > 0, ascending_divergences
+
+
 class TestArrayRoundTrip:
     def test_to_from_array(self):
         summary = summarize_single(paper_example_pair(), 4)
@@ -142,6 +242,24 @@ class TestMemoAndStore:
         store = {summary_key("single", 4, None, None): sentinel}
         result = schedule_summary_for(pair, "single", 4, store=store)
         assert result is sentinel
+
+    def test_full_table_evicts_oldest_on_miss_only(self, monkeypatch):
+        monkeypatch.setattr(summary_mod, "_MEMO_PER_PAIR", 3)
+        pair = random_pair(24)
+        for key in ("a", "b", "c"):
+            memoized(pair, "test", key, lambda key=key: key)
+        # A hit on a full table keeps every entry.
+        assert memoized(pair, "test", "a", lambda: "rebuilt") == "a"
+        assert list(summary_mod._MEMO[pair]["test"]) == ["a", "b", "c"]
+        # A miss drops only the oldest entry.
+        memoized(pair, "test", "d", lambda: "d")
+        assert list(summary_mod._MEMO[pair]["test"]) == ["b", "c", "d"]
+
+    def test_kinds_are_separate_tables(self):
+        pair = random_pair(25)
+        memoized(pair, "schedule", "k", lambda: "full")
+        assert memoized(pair, "summary", "k", lambda: "array") == "array"
+        assert memoized(pair, "schedule", "k", lambda: "rebuilt") == "full"
 
     def test_unknown_scheme_rejected(self):
         with pytest.raises(KeyError, match="unknown batched scheme"):

@@ -227,6 +227,31 @@ class TestScheduleSidecar:
         cache.clear()
         assert not cache.sidecar_path(SPEC).exists()
 
+    def test_sidecar_independent_of_run_order(self, tmp_path, monkeypatch):
+        # Models on one dataset share pair objects and so the per-pair
+        # schedule memo; a spec's sidecar must still hold only what its
+        # own simulation requested.
+        from repro.experiments.common import results_for
+        from repro.platforms import DEFAULT_PLATFORMS
+
+        graphsim = RunSpec.make("GraphSim", "AIDS", 2, 2, 0)
+
+        def sidecar(directory, specs):
+            monkeypatch.setenv("REPRO_TRACE_CACHE", str(directory))
+            clear_workload_caches()
+            for spec in specs:
+                results_for(spec, DEFAULT_PLATFORMS)
+            path = TraceCache(directory).sidecar_path(graphsim)
+            with np.load(path) as data:
+                return {name: data[name] for name in data.files}
+
+        alone = sidecar(tmp_path / "alone", [graphsim])
+        after = sidecar(tmp_path / "after", [SPEC, graphsim])
+        assert str(alone["manifest"]) == str(after["manifest"])
+        assert sorted(alone) == sorted(after)
+        for name in alone:
+            assert np.array_equal(alone[name], after[name]), name
+
 
 class TestHeadFeaturesRoundTrip:
     def test_save_load_head_features(self, tmp_path, monkeypatch):
