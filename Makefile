@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test test-all lint bench bench-quick bench-search bench-compare bench-trend examples experiments summary clean
+.PHONY: install test test-all lint bench bench-quick bench-compare bench-trend examples experiments summary clean
 
 install:
 	pip install -e .
@@ -22,14 +22,10 @@ lint:
 bench:
 	$(PYTHON) -m pytest benchmarks/ --benchmark-only
 
-# EMF, harness and search microbenchmarks; appends each run to the run
-# store under results/obs/runs/.
+# EMF and harness microbenchmarks plus 4 s perfbench runs; appends each
+# run to the run store under results/obs/runs/.
 bench-quick:
 	$(PYTHON) -m repro.perf.bench --quick
-
-# Serving-pipeline benchmark only (flat query loop vs. staged pipeline).
-bench-search:
-	$(PYTHON) -m repro.perf.bench --quick --only search
 
 # Gate each series' newest run against its config-matching predecessor:
 # exit 1 on exact-value drift, 2 on a timing regression (or no baseline).

@@ -17,7 +17,7 @@ Subcommands::
         --window-seconds 0.25 --expo serve.prom --window-log windows.jsonl
     python -m repro obs tail windows.jsonl --prefix search.serve.
     python -m repro experiments fig16 [--full] [--jobs N]
-    python -m repro bench [--quick]
+    python -m repro bench [--quick] [--only {emf,harness,perfbench}]
     python -m repro simulate --quick --model GMN-Li --dataset AIDS \
         --metrics --trace trace.json
     python -m repro obs show results/obs/..._report.json
@@ -464,16 +464,7 @@ def _cmd_obs_tail(args) -> int:
 def _cmd_bench(args) -> int:
     from .perf.bench import main as bench_main
 
-    forwarded = ["--repeats", str(args.repeats)]
-    if args.quick:
-        forwarded.append("--quick")
-    if args.only:
-        forwarded.extend(["--only", args.only])
-    if args.workers is not None:
-        forwarded.extend(["--workers", str(args.workers)])
-    if args.store:
-        forwarded.extend(["--store", args.store])
-    return bench_main(forwarded)
+    return bench_main(args.bench_argv)
 
 
 def _write_json(path: str, payload: dict, what: str) -> None:
@@ -545,7 +536,9 @@ def _cmd_obs_compare(args) -> int:
             "comparisons": [c.to_dict() for c in comparisons],
         }
         _write_json(args.json_out, payload, "comparison report")
-    return max(comparison.exit_code for comparison in comparisons)
+    codes = [comparison.exit_code for comparison in comparisons]
+    # Exact drift must fail the gate even when another series only warns.
+    return 1 if 1 in codes else max(codes)
 
 
 def _cmd_obs_trend(args) -> int:
@@ -1085,18 +1078,15 @@ def main(argv: Optional[List[str]] = None) -> int:
             help="run store root (default: results/obs/runs)",
         )
 
+    # Every argument after `bench` goes to repro.perf.bench unchanged,
+    # so its options are declared once, there.
     bench = subparsers.add_parser(
         "bench",
-        help="run the EMF/harness/search microbenchmarks "
-        "(each run is appended to the run store)",
+        add_help=False,
+        help="run the EMF/harness microbenchmarks and the perfbench "
+        "workloads (each run is appended to the run store); "
+        "options as python -m repro.perf.bench",
     )
-    bench.add_argument("--quick", action="store_true")
-    bench.add_argument("--repeats", type=int, default=3)
-    bench.add_argument("--workers", type=int, default=None)
-    bench.add_argument(
-        "--only", choices=("emf", "harness", "search"), default=None
-    )
-    _add_store_argument(bench)
     bench.set_defaults(handler=_cmd_bench)
 
     obs = subparsers.add_parser(
@@ -1247,7 +1237,11 @@ def main(argv: Optional[List[str]] = None) -> int:
     )
     validate.set_defaults(handler=_cmd_validate)
 
-    args = parser.parse_args(argv)
+    args, bench_argv = parser.parse_known_args(argv)
+    if args.command == "bench":
+        args.bench_argv = bench_argv
+    elif bench_argv:
+        parser.error(f"unrecognized arguments: {' '.join(bench_argv)}")
     from .obs.logging import configure_logging
 
     configure_logging(-1 if args.quiet else args.verbose)

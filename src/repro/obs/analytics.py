@@ -3,12 +3,15 @@
 - :func:`compare` — the regression gate behind ``repro obs compare``.
   A run's exact values (deterministic counters, gauges and histogram
   fingerprints of a RunReport; non-environmental checks of a bench)
-  must match the newest comparable run **exactly**. Every timing goes
-  through :func:`timing_decision`: median ± k·MAD confidence intervals
-  with a minimum effect when both sides carry enough raw repeats, and a
-  deliberately wide ratio band otherwise (RunReport stage timings are
-  single readings). Exact drift *fails* (exit 1); a timing regression
-  or a missing baseline *warns* (exit 2).
+  must match the newest comparable run **exactly**. Every sampled
+  metric goes through :func:`timing_decision`: median ± k·MAD
+  confidence intervals with a minimum effect when both sides carry
+  enough raw repeats, and a deliberately wide ratio band otherwise
+  (RunReport stage timings are single readings). A sampled metric is a
+  timing (lower is better, :data:`MIN_EFFECT`) unless the run's config
+  names its ``better`` and ``bound``, as perfbench runs do. Exact drift
+  *fails* (exit 1); a regression of a sampled metric or a missing
+  baseline *warns* (exit 2).
 - :func:`trend_report` — one series point per run (timings as sample
   medians) with a sliding z-score :func:`detect_changepoints` pass that
   flags the run — and therefore the commit — where a metric shifted.
@@ -89,20 +92,26 @@ def _interval(values: Sequence[float], k: float) -> Tuple[float, float, float]:
 
 
 def timing_decision(
-    baseline: Sequence[float], current: Sequence[float]
+    baseline: Sequence[float],
+    current: Sequence[float],
+    better: str = "lower",
+    min_effect: float = MIN_EFFECT,
 ) -> Dict[str, object]:
-    """Statistical verdict on one timing variant.
+    """Statistical verdict on one sampled metric.
 
     With :data:`MIN_SAMPLES` raw readings on both sides the decision is
-    CI-overlap: *regressed* only when the current median exceeds the
-    baseline median by more than :data:`MIN_EFFECT` **and** the two
+    CI-overlap: *regressed* only when the current median moves the
+    wrong way (up when ``better`` is ``"lower"``, down when it is
+    ``"higher"``) by more than ``min_effect`` **and** the two
     median±k·MAD/√n intervals are disjoint — so a byte-identical rerun
     can never be flagged, and repeat-to-repeat noise widens the
     intervals until it silences itself. *improved* is the symmetric
     verdict. With fewer readings only a ratio beyond the wide
     :data:`FALLBACK_REL_TOL` band is called. A side without readings,
-    or a baseline that took no time, is ``no-data``.
+    or a baseline median of zero or less, is ``no-data``.
     """
+    if better not in ("lower", "higher"):
+        raise ValueError(f"better must be 'lower' or 'higher', not {better!r}")
     base = [float(v) for v in baseline]
     cur = [float(v) for v in current]
     if not base or not cur or median(base) <= 0:
@@ -125,20 +134,16 @@ def timing_decision(
         result["method"] = "ci-overlap"
         result["baseline_interval"] = [base_lo, base_hi]
         result["current_interval"] = [cur_lo, cur_hi]
-        if effect > MIN_EFFECT and cur_lo > base_hi:
-            result["decision"] = "regressed"
-        elif effect < -MIN_EFFECT and cur_hi < base_lo:
-            result["decision"] = "improved"
-        else:
-            result["decision"] = "ok"
+        rose = effect > min_effect and cur_lo > base_hi
+        fell = effect < -min_effect and cur_hi < base_lo
     else:
         result["method"] = "ratio-fallback"
-        if effect > FALLBACK_REL_TOL:
-            result["decision"] = "regressed"
-        elif ratio < 1.0 / (1.0 + FALLBACK_REL_TOL):
-            result["decision"] = "improved"
-        else:
-            result["decision"] = "ok"
+        rose = effect > FALLBACK_REL_TOL
+        fell = ratio < 1.0 / (1.0 + FALLBACK_REL_TOL)
+    worse, improved = (rose, fell) if better == "lower" else (fell, rose)
+    result["decision"] = (
+        "regressed" if worse else "improved" if improved else "ok"
+    )
     return result
 
 
@@ -291,6 +296,20 @@ def _section_values(run: Run, section: str) -> Dict[str, object]:
     }
 
 
+def _direction(run: Run, variant: str) -> Dict[str, object]:
+    """A sampled metric's ``better``/``bound`` from the run's config.
+
+    A perfbench report copies them from ``BENCHMARK.json``; every other
+    run has none and is gated as a timing (lower is better,
+    :data:`MIN_EFFECT`).
+    """
+    metrics = run.config.get("metrics")
+    entry = metrics.get(variant) if isinstance(metrics, dict) else None
+    if not isinstance(entry, dict):
+        return {}
+    return {"better": entry["better"], "min_effect": float(entry["bound"])}
+
+
 def compare(history: Sequence[Run], candidate: Optional[Run] = None) -> Comparison:
     """Gate a run against the newest comparable run of ``history``.
 
@@ -363,7 +382,9 @@ def compare(history: Sequence[Run], candidate: Optional[Run] = None) -> Comparis
             )
             continue
         verdict = timing_decision(
-            baseline.samples[variant], candidate.samples[variant]
+            baseline.samples[variant],
+            candidate.samples[variant],
+            **_direction(candidate, variant),
         )
         decision = verdict["decision"]
         if decision not in ("regressed", "improved"):
@@ -567,7 +588,7 @@ def stage_budget_means(report) -> Dict[str, float]:
 def attribute_stages(baseline_report, current_report) -> List[Dict[str, object]]:
     """Per-stage latency deltas between two serving RunReports.
 
-    The answer to "the search bench got slower — *which stage*": each
+    The answer to "serving got slower — *which stage*": each
     row names a stage (admission / schedule / execute / rank / ...),
     its mean per-request seconds in both reports, the delta, and the
     delta's share of the total slowdown. Rows are sorted most-guilty

@@ -253,7 +253,7 @@ def _trajectory_rows(bench: str, runs: Sequence[Run]) -> List[str]:
 def _attribution_rows(reports: Dict[str, List[Run]]) -> List[str]:
     """Stage-level slowdown attribution between the two newest serving
     reports of a series that carry ``search.serve.budget_seconds{stage=}``
-    histograms — the table that turns "the search bench got slower"
+    histograms — the table that turns "serving got slower"
     into "the execute stage got slower"."""
     from .analytics import attribute_stages, stage_budget_means
 

@@ -8,15 +8,19 @@ artifact that carries either kind of number is "a run":
 - a :class:`~repro.obs.report.RunReport` (``--metrics`` output) is one
   point of the series keyed by :func:`spec_key` of its RunSpec;
 - a :class:`~repro.perf.timing.BenchReport` (``repro bench``) is one
-  point of the series keyed by its bench name.
+  point of the series keyed by its bench name; perfbench's reports are
+  the series ``perfbench-<workload>``, one sample per seed of each
+  end-to-end metric, with the metric's ``better`` and ``bound`` in the
+  config for the gate.
 
 Each series is one JSONL file, ``results/obs/runs/<series>.jsonl``.
 Lines carry the source artifact verbatim, so consumers (the dashboard,
 stage attribution) read serving histograms, windows and exemplars back
 from the store. :func:`ingest` classifies an artifact once: exact
 values (deterministic-prefixed counters, gauges and histogram
-fingerprints; non-environmental bench checks), environmental values
-(info only), timing samples and speedups.
+fingerprints; scalar bench checks not named as throughput or latency),
+environmental values (info only: everything else, such as perfbench's
+per-seed ``attempted``/``failed`` lists), samples and speedups.
 
 Properties the store guarantees:
 

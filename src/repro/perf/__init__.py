@@ -10,10 +10,10 @@ This package holds the infrastructure that makes the reproduction run
   harness invocations skip re-profiling entirely.
 - :mod:`repro.perf.parallel` — a ``ProcessPoolExecutor`` runner that
   fans (model, dataset) workloads and graph-pair chunks across cores.
-- :mod:`repro.perf.bench` — ``python -m repro.perf.bench``, the
-  microbenchmark that records the scalar-vs-vectorized EMF,
-  serial-vs-optimized harness and flat-vs-pipelined search speedups in
-  the run store.
+- :mod:`repro.perf.bench` — ``python -m repro.perf.bench``, which
+  records the scalar-vs-vectorized EMF and serial-vs-optimized harness
+  speedups, and every perfbench workload's end-to-end metrics, in the
+  run store.
 """
 
 from .timing import BenchReport, StageTimer, time_stage

@@ -1,11 +1,11 @@
-"""Microbenchmarks backing the repository's performance claims.
+"""Benchmarks backing the repository's performance claims.
 
 Run as ``python -m repro.perf.bench`` (add ``--quick`` for a fast
-smoke-sized run). Each benchmark produces one
-:class:`~repro.perf.timing.BenchReport` (aggregates plus raw per-repeat
-samples) and appends it to the run store (``results/obs/runs/``, see
-:mod:`repro.obs.store`), where ``repro obs compare|trend`` gate and
-chart it:
+smoke-sized run, ``--only NAME`` for one benchmark). Each benchmark
+produces :class:`~repro.perf.timing.BenchReport` s (aggregates plus raw
+per-repeat samples) and appends them to the run store
+(``results/obs/runs/``, see :mod:`repro.obs.store`), where ``repro obs
+compare|trend`` gate and chart them:
 
 - ``emf`` — scalar vs. vectorized EMF: raw XXH32 hashing of an (N, D)
   feature matrix, and the full filter (Algorithm 1). The two backends
@@ -16,21 +16,31 @@ chart it:
   with a cold and a warm on-disk trace cache, fanned across whatever
   cores the host offers. Results are checked identical between the
   cached and uncached paths.
-- ``search`` — a clone-search query stream served by the flat
-  per-query loop vs. the staged serving pipeline (request dedup,
-  sharded execution, candidate dedup), with queries/sec and p50/p99
-  latency recorded and served rankings checked bit-identical.
+- ``perfbench`` — the repository's end-to-end benchmark
+  (``BENCHMARK.json`` and ``perfbench/``): every workload it declares,
+  once per seed, recorded as the series ``perfbench-<workload>`` with
+  one sample per seed of each end-to-end metric and the served answers'
+  correctness as exact checks.
+
+The process exits 1 when a boolean check is False: a fast path that
+disagreed with its reference, or a perfbench run that served a wrong
+answer.
 """
 
 from __future__ import annotations
 
 import argparse
+import json
 import logging
 import os
+import signal
+import statistics
+import subprocess
 import sys
 import tempfile
 import time
-from typing import List, Optional, Sequence, Tuple
+from pathlib import Path
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -39,7 +49,15 @@ from ..obs.store import RunStore
 from .parallel import available_workers, parallel_workload_results
 from .timing import BenchReport
 
-__all__ = ["bench_emf", "bench_harness", "bench_search", "main"]
+__all__ = [
+    "PerfbenchError",
+    "bench_emf",
+    "bench_harness",
+    "bench_perfbench",
+    "main",
+]
+
+logger = logging.getLogger("repro.perf.bench")
 
 
 def _sample_times(repeats: int, func) -> List[float]:
@@ -55,11 +73,6 @@ def _sample_times(repeats: int, func) -> List[float]:
         func()
         samples.append(time.perf_counter() - start)
     return samples
-
-
-def _best_of(repeats: int, func) -> float:
-    """Min wall-clock over ``repeats`` calls (classic timeit discipline)."""
-    return min(_sample_times(repeats, func))
 
 
 def _duplicated_features(
@@ -327,219 +340,156 @@ def bench_harness(
     return report
 
 
-def bench_search(
-    quick: bool = False, repeats: int = 3, workers: Optional[int] = None
-) -> BenchReport:
-    """Flat per-query search loop vs. the staged serving pipeline.
+#: A perfbench run still going after this many seconds is a hang.
+PERFBENCH_TIMEOUT_SECONDS = 300
+#: perfbench run length under ``--quick``: the CI smoke length.
+QUICK_RUN_SECONDS = 4
+#: The benchmark declaration, at the repository root next to ``src/``.
+BENCHMARK_PATH = Path(__file__).resolve().parents[3] / "BENCHMARK.json"
 
-    A clone-search scenario (Section III-A): the database is a clone
-    database — ``database_unique`` distinct graphs cycled to
-    ``database_size`` byte-identical entries — and the stream repeats
-    hot queries, both of which the config records explicitly. The flat
-    baseline is the pre-pipeline behaviour (one full scoring loop per
-    request, no dedup, no batching); the pipeline serves the identical
-    stream through admission → scheduling → sharded execution. The
-    ``pipelined_matches_flat`` check asserts the served rankings are
-    bit-identical to the flat loop's.
 
-    A second scenario benchmarks sketch-gated candidate retrieval on a
-    *unique-heavy* database (every entry distinct, so the executor's
-    clone dedup cannot mask the pruning): the same pipeline serves the
-    stream twice — flat retrieval vs. the EMF-sketch inverted index —
-    and ``sketch_matches_flat`` asserts the gated rankings stay
-    bit-identical while ``sketch_candidates_per_pass`` stays a strict
-    subset of the pairs the flat path scores.
+class PerfbenchError(RuntimeError):
+    """A perfbench run that gave no usable result."""
+
+
+def _perfbench_run(
+    command: Sequence[str],
+    workload: str,
+    seed: int,
+    seconds: float,
+    metric_names: Set[str],
+) -> Tuple[bool, Dict]:
+    """One perfbench run: (whether it passed, its final JSON line)."""
+    where = f"perfbench {workload} seed {seed}"
+    argv = [*command, "--workload", workload, "--seed", str(seed)]
+    argv += ["--seconds", str(seconds), "--trace", "0"]
+    # Its own session, so a hang is killed along with its pool workers.
+    with subprocess.Popen(
+        argv,
+        cwd=BENCHMARK_PATH.parent,
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        text=True,
+        start_new_session=True,
+    ) as proc:
+        try:
+            out, err = proc.communicate(timeout=PERFBENCH_TIMEOUT_SECONDS)
+        except subprocess.TimeoutExpired:
+            os.killpg(proc.pid, signal.SIGKILL)
+            proc.communicate()
+            raise PerfbenchError(
+                f"{where}: no result within {PERFBENCH_TIMEOUT_SECONDS} s"
+            ) from None
+    stderr = err.strip().splitlines()[-1:] or ["(no stderr)"]
+    if proc.returncode not in (0, 1):
+        raise PerfbenchError(f"{where}: exit {proc.returncode}: {stderr[0]}")
+    try:
+        result = json.loads(out.strip().splitlines()[-1])
+    except (IndexError, json.JSONDecodeError):
+        raise PerfbenchError(
+            f"{where}: last line is not JSON (exit {proc.returncode}): "
+            f"{stderr[0]}"
+        ) from None
+    metrics = result.get("metrics") if isinstance(result, dict) else None
+    names = set(metrics) if isinstance(metrics, dict) else set()
+    if names != metric_names:
+        raise PerfbenchError(
+            f"{where}: metrics {sorted(names)} differ from BENCHMARK.json's "
+            f"end_to_end {sorted(metric_names)}"
+        )
+    return proc.returncode == 0 and result.get("correct") is True, result
+
+
+def bench_perfbench(quick: bool = False, repeats: int = 3) -> List[BenchReport]:
+    """perfbench's end-to-end metrics: one report per workload.
+
+    Runs ``BENCHMARK.json``'s own command once per workload and seed
+    ``0..repeats-1``, at the file's ``run_seconds`` (or
+    :data:`QUICK_RUN_SECONDS`). Each seed is one sample of each
+    end-to-end metric except ``agree_frac``; the config carries
+    every sampled metric's ``better`` and ``bound`` from the file, which
+    is where the gate reads them. ``correct`` (every seed passed) and
+    ``agree_frac`` (the lowest seed's) are exact checks.
     """
-    from ..graphs.datasets import generate_graph
-    from ..graphs.pairs import substitute_edges
-    from ..models import build_model
-    from ..obs.metrics import metrics_enabled
-    from ..search import SimilaritySearchIndex
-
-    database_size = 64 if quick else 128
-    database_unique = max(1, database_size // 4)
-    num_queries = 16 if quick else 32
-    distinct_queries = 4 if quick else 8
-    top_k = 5
-
-    rng = np.random.default_rng(0)
-    unique = [generate_graph("AIDS", rng) for _ in range(database_unique)]
-    database = [unique[i % database_unique] for i in range(database_size)]
-    model = build_model("GMN-Li", input_dim=database[0].feature_dim, seed=0)
-    index = SimilaritySearchIndex(model)
-    index.add_many(database)
-    distinct = []
-    for position in range(distinct_queries):
-        base = unique[int(rng.integers(database_unique))]
-        distinct.append(
-            base if position % 2 == 0 else substitute_edges(base, 2, rng)
+    if not BENCHMARK_PATH.is_file():
+        raise PerfbenchError(
+            f"{BENCHMARK_PATH} not found: perfbench runs need a source "
+            "checkout with BENCHMARK.json at the repository root, next to "
+            "src/"
         )
-    stream = [
-        distinct[int(rng.integers(distinct_queries))]
-        for _ in range(num_queries)
-    ]
-
-    report = BenchReport(
-        "search",
-        config={
-            "model": "GMN-Li",
-            "dataset": "AIDS",
-            "database_size": database_size,
-            "database_unique": database_unique,
-            "num_queries": num_queries,
-            "distinct_queries": distinct_queries,
-            "top_k": top_k,
-            "workers": available_workers(workers),
-            "repeats": repeats,
-            "quick": quick,
-        },
-    )
-
-    report.repeats = repeats
-
-    def flat_pass():
-        return [index._query_flat(graph, top_k) for graph in stream]
-
-    flat_samples = _sample_times(repeats, flat_pass)
-    report.add_timing("flat_per_query", min(flat_samples), flat_samples)
-
-    pipeline = index.pipeline(workers=workers)
-
-    def pipelined_pass():
-        return pipeline.serve(stream, top_k)
-
-    with metrics_enabled() as registry:
-        serve_samples = _sample_times(repeats, pipelined_pass)
-        report.add_timing(
-            "serve_pipelined", min(serve_samples), serve_samples
+    with open(BENCHMARK_PATH) as handle:
+        benchmark = json.load(handle)
+    seconds = QUICK_RUN_SECONDS if quick else benchmark["run_seconds"]
+    end_to_end = {entry["name"]: entry for entry in benchmark["end_to_end"]}
+    # agree_frac is a share of exact answers: an exact check, not a sample.
+    sampled = [name for name in end_to_end if name != "agree_frac"]
+    reports = []
+    for workload in [entry["name"] for entry in benchmark["workloads"]]:
+        runs = []
+        for seed in range(repeats):
+            runs.append(
+                _perfbench_run(
+                    benchmark["command"], workload, seed, seconds, set(end_to_end)
+                )
+            )
+            logger.info("perfbench %s seed %d done", workload, seed)
+        report = BenchReport(
+            f"perfbench-{workload}",
+            config={
+                "command": benchmark["command"],
+                "workload": workload,
+                "seeds": list(range(repeats)),
+                "run_seconds": seconds,
+                "metrics": {
+                    name: {
+                        "better": end_to_end[name]["better"],
+                        "bound": end_to_end[name]["bound"],
+                    }
+                    for name in sampled
+                },
+            },
         )
-        served = pipelined_pass()
-        latency = registry.histogram("search.serve.latency_seconds")
-        passes = repeats + 1
-        deduped_requests = (
-            registry.counter("search.serve.deduped_requests") / passes
-        )
-        dedup_hits = (
-            registry.counter("search.serve.candidate_dedup_hits") / passes
-        )
-    report.add_speedup("search_serve", "flat_per_query", "serve_pipelined")
-
-    flat = flat_pass()
-    matches = all(
-        response is not None and list(response.results) == expected
-        for response, expected in zip(served, flat)
-    )
-
-    # Scenario 2: sketch-gated retrieval over a unique-heavy database.
-    # Per-query batches keep the scored set equal to each query's own
-    # candidate set (a batch scores the union of its groups' sets, so
-    # batching would blur the pruning being measured). recall_floor=0.6
-    # is the empirically-gated setting at which the gated rankings are
-    # bit-identical to flat on this workload — the same knob the
-    # ``search.sketch_vs_flat`` check turns.
-    from ..search.sketch import SketchConfig
-
-    sketch_top_k = 3
-    sketch_floor = 0.6
-    sketch_rng = np.random.default_rng(1)
-    sketch_db = [
-        generate_graph("AIDS", sketch_rng) for _ in range(database_size)
-    ]
-    sketch_index = SimilaritySearchIndex(
-        build_model("GMN-Li", input_dim=sketch_db[0].feature_dim, seed=0)
-    )
-    sketch_index.add_many(sketch_db)
-    sketch_distinct = []
-    for position in range(distinct_queries):
-        base = sketch_db[int(sketch_rng.integers(database_size))]
-        sketch_distinct.append(
-            base
-            if position % 2 == 0
-            else substitute_edges(base, 2, sketch_rng)
-        )
-    sketch_stream = [
-        sketch_distinct[int(sketch_rng.integers(distinct_queries))]
-        for _ in range(num_queries)
-    ]
-    sketch_config = SketchConfig(
-        min_candidates=sketch_top_k, recall_floor=sketch_floor
-    )
-    sketch_off = sketch_index.pipeline(max_batch_queries=1, workers=workers)
-    sketch_on = sketch_index.pipeline(
-        retrieval="sketch",
-        sketch_config=sketch_config,
-        max_batch_queries=1,
-        workers=workers,
-    )
-    # Materialize the sketch store outside the timed region: building
-    # it is a one-time indexing cost, not a per-query one.
-    sketch_on.serve(sketch_stream[:1], sketch_top_k)
-
-    def sketch_off_pass():
-        return sketch_off.serve(sketch_stream, sketch_top_k)
-
-    def sketch_on_pass():
-        return sketch_on.serve(sketch_stream, sketch_top_k)
-
-    off_samples = _sample_times(repeats, sketch_off_pass)
-    report.add_timing("serve_sketch_off", min(off_samples), off_samples)
-    candidates_before = sketch_on.retriever.candidates_retrieved
-    on_samples = _sample_times(repeats, sketch_on_pass)
-    report.add_timing("serve_sketch_on", min(on_samples), on_samples)
-    served_sketch = sketch_on_pass()
-    report.add_speedup("search_sketch", "serve_sketch_off", "serve_sketch_on")
-    sketch_candidates_per_pass = (
-        sketch_on.retriever.candidates_retrieved - candidates_before
-    ) / (repeats + 1)
-    sketch_pairs_flat = num_queries * database_size
-    sketch_flat = [
-        sketch_index._query_flat(graph, sketch_top_k)
-        for graph in sketch_stream
-    ]
-    sketch_matches = all(
-        response is not None and list(response.results) == expected
-        for response, expected in zip(served_sketch, sketch_flat)
-    )
-    report.config["sketch_top_k"] = sketch_top_k
-    report.config["sketch_recall_floor"] = sketch_floor
-
-    report.checks = {
-        "pipelined_matches_flat": matches,
-        "sketch_matches_flat": sketch_matches,
-        "sketch_candidates_per_pass": sketch_candidates_per_pass,
-        "sketch_pairs_per_pass_flat": sketch_pairs_flat,
-        "sketch_prunes_candidates": sketch_candidates_per_pass
-        < sketch_pairs_flat,
-        "flat_queries_per_second": num_queries
-        / report.timings["flat_per_query"],
-        "pipelined_queries_per_second": num_queries
-        / report.timings["serve_pipelined"],
-        "latency_p50_seconds": latency.quantile(0.5),
-        "latency_p99_seconds": latency.quantile(0.99),
-        "deduped_requests_per_pass": deduped_requests,
-        "candidate_dedup_hits_per_pass": dedup_hits,
-    }
-    return report
+        report.repeats = repeats
+        for name in sampled:
+            samples = [result["metrics"][name]["value"] for _, result in runs]
+            report.add_timing(name, statistics.median(samples), samples)
+        report.checks = {
+            "correct": all(passed for passed, _ in runs),
+            "agree_frac": min(
+                result["metrics"]["agree_frac"]["value"] for _, result in runs
+            ),
+            # Per-seed lists: the store keeps non-scalar checks as info.
+            "attempted": [result.get("attempted") for _, result in runs],
+            "failed": [result.get("failed") for _, result in runs],
+        }
+        reports.append(report)
+    return reports
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.perf.bench",
-        description="EMF, harness and search microbenchmarks "
-        "(appends each run to the run store)",
+        description="EMF and harness microbenchmarks and the perfbench "
+        "workloads (appends each run to the run store)",
     )
     parser.add_argument(
-        "--quick", action="store_true", help="smaller matrices and workloads"
+        "--quick",
+        action="store_true",
+        help=f"smaller matrices and workloads; {QUICK_RUN_SECONDS} s "
+        "perfbench runs",
     )
     parser.add_argument(
-        "--repeats", type=int, default=3, help="timing repeats (min is kept)"
+        "--repeats",
+        type=int,
+        default=3,
+        help="timing repeats (min is kept); perfbench seeds 0..N-1",
     )
     parser.add_argument(
         "--workers", type=int, default=None, help="harness worker processes"
     )
     parser.add_argument(
         "--only",
-        choices=("emf", "harness", "search"),
+        choices=("emf", "harness", "perfbench"),
         default=None,
         help="run a single benchmark",
     )
@@ -552,19 +502,14 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     # Bench results are the command's whole point: log them at INFO.
     configure_logging(1)
-    logger = logging.getLogger("repro.perf.bench")
 
     reports = []
     if args.only in (None, "emf"):
         reports.append(bench_emf(quick=args.quick, repeats=args.repeats))
     if args.only in (None, "harness"):
         reports.append(bench_harness(quick=args.quick, workers=args.workers))
-    if args.only in (None, "search"):
-        reports.append(
-            bench_search(
-                quick=args.quick, repeats=args.repeats, workers=args.workers
-            )
-        )
+    if args.only in (None, "perfbench"):
+        reports.extend(bench_perfbench(quick=args.quick, repeats=args.repeats))
 
     # Appending happens after all timing is done, so recording costs
     # the benchmark nothing.
@@ -583,8 +528,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         for label, value in report.checks.items():
             logger.info("  check %s: %s", label, value)
             # Boolean checks are equivalence assertions (batched vs
-            # serial, cached vs uncached); a False one fails the run so
-            # CI's bench smoke gates on them.
+            # serial, cached vs uncached, served vs reference answers);
+            # a False one fails the run so CI's bench smoke gates on them.
             if value is False:
                 failures += 1
     if failures:

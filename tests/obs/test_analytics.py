@@ -112,6 +112,20 @@ class TestTimingDecision:
         shifted = [1.02, 1.0201, 1.0199, 1.02, 1.02]
         assert timing_decision(base, shifted)["decision"] == "ok"
 
+    def test_higher_is_better_flips_the_verdict(self):
+        base = [2.0, 2.02, 1.98, 2.01, 1.99]
+        half = [1.0, 1.01, 0.99, 1.0, 1.0]
+        assert timing_decision(base, half, better="higher")["decision"] == "regressed"
+        assert timing_decision(half, base, better="higher")["decision"] == "improved"
+        # A 4% drop is inside a 5% bound, however tight the intervals.
+        drop = [1.92, 1.9201, 1.9199, 1.92, 1.92]
+        verdict = timing_decision(base, drop, better="higher", min_effect=0.05)
+        assert verdict["decision"] == "ok"
+
+    def test_unknown_direction_rejected(self):
+        with pytest.raises(ValueError, match="better"):
+            timing_decision([1.0], [1.0], better="faster")
+
 
 class TestCompareEntry:
     def test_byte_identical_rerun_exits_0(self):

@@ -333,6 +333,26 @@ class TestObsBenchCompare:
         assert main(["obs", "compare", str(slower)]) == 2
         assert "timing warnings" in capsys.readouterr().out
 
+    def test_exact_drift_fails_even_when_another_series_warns(
+        self, tmp_path, capsys
+    ):
+        # Series aaa: a bench check flips from True to False (exit 1).
+        # Series bbb: one run, so no baseline (exit 2). The gate must
+        # still fail, or CI would only warn about the drift.
+        first = _bench_file(tmp_path, name="aaa")
+        flipped = json.loads(first.read_text())
+        flipped["checks"]["identical"] = False
+        flipped["provenance"]["created_at"] = "2030-01-01T00:00:00+00:00"
+        second = tmp_path / "BENCH_aaa_flipped.json"
+        second.write_text(json.dumps(flipped))
+        other = _bench_file(tmp_path, name="bbb")
+        assert main(["obs", "record", str(first), str(second), str(other)]) == 0
+        capsys.readouterr()
+        assert main(["obs", "compare"]) == 1
+        out = capsys.readouterr().out
+        assert "REGRESSIONS" in out and "identical" in out
+        assert "NO BASELINE" in out
+
     def test_empty_history_exits_2(self, tmp_path, capsys):
         assert main(["obs", "compare"]) == 2
         assert "no runs recorded" in capsys.readouterr().out
@@ -372,7 +392,7 @@ class TestObsTailEmptyLog:
 
 
 class TestBenchForwarding:
-    def test_search_choice_and_history_flags_forwarded(self, monkeypatch):
+    def test_arguments_reach_bench_main_verbatim(self, monkeypatch):
         captured = {}
 
         def fake_main(argv):
@@ -382,11 +402,12 @@ class TestBenchForwarding:
         import repro.perf.bench as bench_module
 
         monkeypatch.setattr(bench_module, "main", fake_main)
-        status = main(
-            ["bench", "--quick", "--only", "search", "--store", "runs"]
-        )
-        assert status == 0
-        argv = captured["argv"]
-        assert argv[argv.index("--only") + 1] == "search"
-        assert argv[argv.index("--store") + 1] == "runs"
-        assert "--quick" in argv
+        forwarded = ["--quick", "--only", "perfbench", "--store", "runs"]
+        assert main(["bench", *forwarded]) == 0
+        assert captured["argv"] == forwarded
+
+    def test_unknown_arguments_rejected_outside_bench(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["platforms", "--only", "perfbench"])
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err

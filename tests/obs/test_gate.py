@@ -98,6 +98,59 @@ class TestTimingGate:
             assert result.exit_code == 0, (seed, result.render())
 
 
+def _perfbench(readings, stamp="2026-08-08T00:00:00Z"):
+    """A perfbench-shaped payload: one sample per seed of a metric whose
+    direction and bound the config carries, as BENCHMARK.json gives them."""
+    return {
+        "schema_version": 2,
+        "name": "perfbench-unit",
+        "provenance": {"git_sha": "cafe", "created_at": stamp, "generator": "test"},
+        "config": {"metrics": {"sat_ops_per_s": {"better": "higher", "bound": 0.25}}},
+        "timings": {"sat_ops_per_s": sorted(readings)[len(readings) // 2]},
+        "samples": {"sat_ops_per_s": list(readings)},
+        "repeats": len(readings),
+        "speedups": {},
+        "checks": {"correct": True},
+    }
+
+
+class TestHigherIsBetterGate:
+    """A sampled metric whose config says higher is better."""
+
+    @staticmethod
+    def _gate_scaled(seed, factor):
+        rng = random.Random(seed)
+        return _gate(
+            _perfbench,
+            {"readings": _readings(rng, 20.0)},
+            {"readings": _readings(rng, 20.0 * factor)},
+        )
+
+    def test_halved_throughput_warns_across_seeds(self):
+        for seed in range(50):
+            result = self._gate_scaled(seed, 0.5)
+            assert result.exit_code == 2, (seed, result.render())
+            assert [w.name for w in result.warnings] == ["sat_ops_per_s"]
+
+    def test_doubled_throughput_is_reported_improved(self):
+        for seed in range(50):
+            result = self._gate_scaled(seed, 2.0)
+            assert result.exit_code == 0, (seed, result.render())
+            (info,) = result.infos
+            assert info.name == "sat_ops_per_s"
+            assert info.detail.startswith("improved")
+
+    def test_identical_distribution_never_flagged(self):
+        for seed in range(50):
+            result = self._gate_scaled(seed, 1.0)
+            assert result.exit_code == 0, (seed, result.render())
+            assert not result.infos
+
+    def test_single_reading_uses_the_ratio_band(self):
+        result = _gate(_perfbench, {"readings": [20.0]}, {"readings": [10.0]})
+        assert [w.name for w in result.warnings] == ["sat_ops_per_s"]
+
+
 class TestExactGate:
     def test_exact_drift_exits_1(self, kind):
         build, exact_name, _ = kind

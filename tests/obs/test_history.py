@@ -167,7 +167,7 @@ class TestBenchHistoryStore:
 class TestCommittedMigration:
     """The committed bench history, migrated into the run store."""
 
-    @pytest.mark.parametrize("bench", ["emf", "harness", "search"])
+    @pytest.mark.parametrize("bench", ["emf", "harness"])
     def test_committed_history_contains_bench_entry(self, bench):
         store = RunStore(REPO_ROOT / "results" / "obs" / "runs")
         runs = store.read(bench)
@@ -199,7 +199,6 @@ class TestCommittedMigration:
             assert run.artifact["repeats"] == 1
             assert run.speedups == speedups
             assert run.artifact["checks"] == checks
-        assert len(loaded["search"]) == 2
 
     def test_committed_quick_report_loads_with_current_reader(self):
         from repro.obs.provenance import metrics_digest
@@ -211,6 +210,33 @@ class TestCommittedMigration:
         seconds = {k: v["seconds"] for k, v in report.timings.items()}
         assert seconds == _QUICK_TIMINGS
         assert report.windows == report.exemplars == []
+
+
+_BENCHMARK = json.loads((REPO_ROOT / "BENCHMARK.json").read_text())
+
+
+class TestCommittedPerfbench:
+    """Every perfbench workload has a stored full-length run, the
+    "before" of a future perf change, and a run in the config CI
+    records, so CI's exact checks have a same-config baseline."""
+
+    @pytest.mark.parametrize(
+        "workload", [entry["name"] for entry in _BENCHMARK["workloads"]]
+    )
+    def test_full_length_and_ci_runs_recorded(self, workload):
+        from repro.perf.bench import QUICK_RUN_SECONDS
+
+        runs = RunStore(REPO_ROOT / "results" / "obs" / "runs").read(
+            f"perfbench-{workload}"
+        )
+        shapes = {
+            (run.config["run_seconds"], len(run.config["seeds"])) for run in runs
+        }
+        assert (_BENCHMARK["run_seconds"], 5) in shapes
+        assert (QUICK_RUN_SECONDS, 1) in shapes
+        for run in runs:
+            assert run.exact["check"] == {"correct": True, "agree_frac": 1.0}
+            assert set(run.environmental["check"]) == {"attempted", "failed"}
 
 
 # Values the committed runs were recorded with, before their one-time
@@ -257,22 +283,6 @@ _MIGRATED_BENCHES = {
             "cold_matches_uncached": True,
             "num_workloads": 12,
             "warm_matches_uncached": True,
-        },
-    ),
-    "search": (
-        {
-            "flat_per_query": 1.7814957410000716,
-            "serve_pipelined": 0.11086355400038883,
-        },
-        {"search_serve": 16.0692642145842},
-        {
-            "candidate_dedup_hits_per_pass": 192.0,
-            "deduped_requests_per_pass": 12.0,
-            "flat_queries_per_second": 8.981217092900902,
-            "latency_p50_seconds": 0.12472054299996671,
-            "latency_p99_seconds": 0.12472054299996671,
-            "pipelined_matches_flat": True,
-            "pipelined_queries_per_second": 144.3215504343644,
         },
     ),
 }
