@@ -3,7 +3,7 @@
 from .aoe import SLIDE_COLUMN_WISE, SLIDE_ROW_WISE, approximate_outlier_estimation
 from .batch_schedule import batch_baseline_schedule, batch_coordinated_schedule
 from .hardware import CGCHardwareModel
-from .oracle import aoe_precision, oracle_decisions, oracle_window_schedule
+from .oracle import aoe_precision, oracle_decisions
 from .render import (
     adjacency_step_matrix,
     node_name,
@@ -18,6 +18,7 @@ from .window import (
     coordinated_window_schedule,
     double_window_schedule,
     joint_window_schedule,
+    oracle_window_schedule,
     single_window_schedule,
 )
 

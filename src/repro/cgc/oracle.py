@@ -12,89 +12,12 @@ AOE's constant-time estimate agrees with the oracle.
 
 from __future__ import annotations
 
-from typing import List, Optional, Set, Tuple
+from typing import List, Optional, Tuple
 
 from ..graphs.pairs import GraphPair
-from .aoe import SLIDE_COLUMN_WISE, approximate_outlier_estimation
-from .window import (
-    _EdgeTracker,
-    _active_sets,
-    _chunks,
-    _cleanup_only_schedule,
-    _pair_edges,
-    _validate_capacity,
-)
+from .window import _aoe_direction, _JointWalk, _oracle_direction
 
-__all__ = ["oracle_decisions", "aoe_precision", "oracle_window_schedule"]
-
-_Blocks = List[Tuple[int, ...]]
-
-
-def _window(t_block: Tuple[int, ...], q_block: Tuple[int, ...]) -> frozenset:
-    return frozenset(t_block) | frozenset(q_block)
-
-
-def _nearest_moves(
-    unmatched: Set[Tuple[int, int]], ti: int, qi: int
-) -> Tuple[Optional[int], Optional[int]]:
-    """Nearest unmatched cell reachable by sliding one side only."""
-    q_moves = sorted((abs(qj - qi), qj) for (tj, qj) in unmatched if tj == ti)
-    t_moves = sorted((abs(tj - ti), tj) for (tj, qj) in unmatched if qj == qi)
-    return (
-        q_moves[0][1] if q_moves else None,
-        t_moves[0][1] if t_moves else None,
-    )
-
-
-def _cleanup_misses(tracker: _EdgeTracker, capacity: int, previous: frozenset) -> int:
-    misses = 0
-    for step in tracker.cleanup_steps(capacity):
-        misses += len(step.input_nodes - previous)
-        previous = step.input_nodes
-    return misses
-
-
-def _rollout(
-    t_blocks: _Blocks,
-    q_blocks: _Blocks,
-    ti: int,
-    qi: int,
-    unmatched: Set[Tuple[int, int]],
-    tracker: _EdgeTracker,
-    capacity: int,
-    previous: frozenset,
-) -> int:
-    """Misses accrued completing the schedule under the AOE policy."""
-    unmatched = set(unmatched)
-    tracker = tracker.copy()
-    misses = 0
-    while True:
-        window = _window(t_blocks[ti], q_blocks[qi])
-        misses += len(window - previous)
-        previous = window
-        tracker.process_coresident(window)
-        unmatched.discard((ti, qi))
-        if not unmatched:
-            break
-        q_move, t_move = _nearest_moves(unmatched, ti, qi)
-        if q_move is not None and t_move is not None:
-            direction = approximate_outlier_estimation(
-                [tracker.node_remains(u) for u in t_blocks[ti]],
-                [tracker.node_remains(u) for u in q_blocks[qi]],
-            )
-            if direction == SLIDE_COLUMN_WISE:
-                qi = q_move
-            else:
-                ti = t_move
-        elif q_move is not None:
-            qi = q_move
-        elif t_move is not None:
-            ti = t_move
-        else:
-            ti, qi = min(
-                unmatched, key=lambda cell: abs(cell[0] - ti) + abs(cell[1] - qi)
-            )
-    return misses + _cleanup_misses(tracker, capacity, previous)
+__all__ = ["oracle_decisions", "aoe_precision"]
 
 
 def oracle_decisions(
@@ -106,62 +29,18 @@ def oracle_decisions(
     Returns one ``(aoe_choice, oracle_choice)`` tuple per decision point
     where both sliding directions were available (choices use the
     Algorithm 2 convention: 1 row-wise, 0 column-wise). The schedule
-    follows the oracle's choices.
+    follows the oracle's choices; a tie between the rollouts credits
+    AOE's pick.
     """
-    capacity = _validate_capacity(capacity)
-    half = max(1, capacity // 2)
-    targets, queries = _active_sets(pair, None, None)
-    if not targets or not queries:
-        # No cross-graph matchings: no sliding decisions to score.
-        return []
-    tracker = _EdgeTracker(_pair_edges(pair))
-    t_blocks = _chunks(targets, half)
-    q_blocks = _chunks(queries, half)
-    unmatched: Set[Tuple[int, int]] = {
-        (ti, qi) for ti in range(len(t_blocks)) for qi in range(len(q_blocks))
-    }
     decisions: List[Tuple[int, int]] = []
-    ti, qi = 0, 0
-    previous: frozenset = frozenset()
-    while True:
-        window = _window(t_blocks[ti], q_blocks[qi])
-        previous = window
-        tracker.process_coresident(window)
-        unmatched.discard((ti, qi))
-        if not unmatched:
-            break
-        q_move, t_move = _nearest_moves(unmatched, ti, qi)
-        if q_move is not None and t_move is not None:
-            aoe_choice = approximate_outlier_estimation(
-                [tracker.node_remains(u) for u in t_blocks[ti]],
-                [tracker.node_remains(u) for u in q_blocks[qi]],
-            )
-            slide_q_cost = _rollout(
-                t_blocks, q_blocks, ti, q_move, unmatched, tracker, capacity, previous
-            )
-            slide_t_cost = _rollout(
-                t_blocks, q_blocks, t_move, qi, unmatched, tracker, capacity, previous
-            )
-            if slide_q_cost < slide_t_cost:
-                oracle_choice = SLIDE_COLUMN_WISE
-            elif slide_t_cost < slide_q_cost:
-                oracle_choice = 1 - SLIDE_COLUMN_WISE
-            else:
-                # Tie: either choice is optimal; credit AOE's pick.
-                oracle_choice = aoe_choice
-            decisions.append((aoe_choice, oracle_choice))
-            if oracle_choice == SLIDE_COLUMN_WISE:
-                qi = q_move
-            else:
-                ti = t_move
-        elif q_move is not None:
-            qi = q_move
-        elif t_move is not None:
-            ti = t_move
-        else:
-            ti, qi = min(
-                unmatched, key=lambda cell: abs(cell[0] - ti) + abs(cell[1] - qi)
-            )
+
+    def record(walk: _JointWalk, q_move: int, t_move: int) -> int:
+        aoe_choice = _aoe_direction(walk, q_move, t_move)
+        oracle_choice = _oracle_direction(walk, q_move, t_move, tie=aoe_choice)
+        decisions.append((aoe_choice, oracle_choice))
+        return oracle_choice
+
+    _JointWalk(pair, capacity).steps(record)
     return decisions
 
 
@@ -176,68 +55,3 @@ def aoe_precision(pair: GraphPair, capacity: int) -> Optional[float]:
         return None
     agreements = sum(1 for aoe, oracle in decisions if aoe == oracle)
     return agreements / len(decisions)
-
-
-def oracle_window_schedule(
-    pair: GraphPair,
-    capacity: int,
-    active_targets=None,
-    active_queries=None,
-):
-    """Coordinated window steered by the lookahead oracle.
-
-    A practical upper bound for AOE: each two-way decision runs both
-    rollouts and takes the cheaper branch. Much costlier to schedule
-    (O(steps) rollouts), so it is a reference point, not a dataflow —
-    the ``fig08`` experiment shows how close AOE's constant-time
-    heuristic gets.
-    """
-    from .window import WindowSchedule, WindowStep
-
-    capacity = _validate_capacity(capacity)
-    half = max(1, capacity // 2)
-    targets, queries = _active_sets(pair, active_targets, active_queries)
-    tracker = _EdgeTracker(_pair_edges(pair))
-    if not targets or not queries:
-        return _cleanup_only_schedule(tracker, capacity, "oracle")
-    t_blocks = _chunks(targets, half)
-    q_blocks = _chunks(queries, half)
-    unmatched = {
-        (ti, qi) for ti in range(len(t_blocks)) for qi in range(len(q_blocks))
-    }
-    steps = []
-    ti, qi = 0, 0
-    previous: frozenset = frozenset()
-    while True:
-        window = _window(t_blocks[ti], q_blocks[qi])
-        edges = tracker.process_coresident(window)
-        matchings = 0
-        if (ti, qi) in unmatched:
-            unmatched.discard((ti, qi))
-            matchings = len(t_blocks[ti]) * len(q_blocks[qi])
-        steps.append(WindowStep(window, matchings, edges, "joint"))
-        previous = window
-        if not unmatched:
-            break
-        q_move, t_move = _nearest_moves(unmatched, ti, qi)
-        if q_move is not None and t_move is not None:
-            slide_q_cost = _rollout(
-                t_blocks, q_blocks, ti, q_move, unmatched, tracker, capacity, previous
-            )
-            slide_t_cost = _rollout(
-                t_blocks, q_blocks, t_move, qi, unmatched, tracker, capacity, previous
-            )
-            if slide_q_cost <= slide_t_cost:
-                qi = q_move
-            else:
-                ti = t_move
-        elif q_move is not None:
-            qi = q_move
-        elif t_move is not None:
-            ti = t_move
-        else:
-            ti, qi = min(
-                unmatched, key=lambda cell: abs(cell[0] - ti) + abs(cell[1] - qi)
-            )
-    steps.extend(tracker.cleanup_steps(capacity))
-    return WindowSchedule(steps, capacity, "oracle")

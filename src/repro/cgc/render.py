@@ -12,7 +12,7 @@ from __future__ import annotations
 from typing import List, Optional
 
 from ..graphs.pairs import GraphPair
-from .window import WindowSchedule
+from .window import WindowSchedule, _pair_edges
 
 __all__ = [
     "schedule_table",
@@ -111,14 +111,7 @@ def adjacency_step_matrix(
     total = pair.total_nodes
     cells = [["" for _ in range(total)] for _ in range(total)]
 
-    remaining_edges = {
-        (u, v)
-        for u, v in zip(pair.target.src.tolist(), pair.target.dst.tolist())
-    }
-    remaining_edges |= {
-        (n_t + u, n_t + v)
-        for u, v in zip(pair.query.src.tolist(), pair.query.dst.tolist())
-    }
+    remaining_edges = set(_pair_edges(pair))
     matched = set()
 
     for index, step in enumerate(schedule.steps, start=1):

@@ -1,16 +1,18 @@
 """Sliding-window schedulers over the global adjacency matrix.
 
-Four schemes are implemented, mirroring the paper's progression:
+Five schemes are implemented, mirroring the paper's progression:
 
 - ``single_window_schedule`` (Fig. 8a): the baseline GNN-accelerator
   dataflow — embedding windows per graph first, then matching windows.
 - ``double_window_schedule`` (Fig. 8b): two independent windows with a
   statically split input buffer; suffers *incomplete comparison*.
-- ``joint_window_schedule`` (Fig. 12a): CEGMA's joint window serpentining
-  over the cross-graph matching area, fusing intra-graph edges with
-  matching; turns at the closest start point.
-- ``coordinated_window_schedule`` (Fig. 12b): the joint window steered by
-  Approximate Outlier Estimation (Algorithm 2).
+- ``joint_window_schedule`` (Fig. 12a), ``coordinated_window_schedule``
+  (Fig. 12b, Algorithm 2) and ``oracle_window_schedule`` (a lookahead
+  reference for AOE): one joint-window walk over the cross-graph
+  matching area (:class:`_JointWalk`), fusing intra-graph edges with
+  matching. They differ only in the policy that picks the sliding
+  direction where both are open: always column-wise (the serpentine),
+  AOE, or the cheaper of two AOE rollouts.
 
 Scheduling semantics (documented model, consistent across schemes):
 
@@ -47,10 +49,11 @@ Node identifiers are global: target nodes ``0..n_t-1``, query nodes
 
 from __future__ import annotations
 
+import copy
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
 from ..graphs.pairs import GraphPair
-from .aoe import SLIDE_COLUMN_WISE, approximate_outlier_estimation
+from .aoe import SLIDE_COLUMN_WISE, SLIDE_ROW_WISE, approximate_outlier_estimation
 
 __all__ = [
     "WindowStep",
@@ -59,6 +62,7 @@ __all__ = [
     "double_window_schedule",
     "joint_window_schedule",
     "coordinated_window_schedule",
+    "oracle_window_schedule",
     "SCHEDULERS",
 ]
 
@@ -160,14 +164,10 @@ def _active_sets(
     """Global-id lists of the matchable (EMF-unique) nodes per side."""
     n_t = pair.target.num_nodes
     if active_targets is None:
-        targets = list(range(n_t))
-    else:
-        targets = sorted(active_targets)
+        active_targets = range(n_t)
     if active_queries is None:
-        queries = [n_t + j for j in range(pair.query.num_nodes)]
-    else:
-        queries = [n_t + j for j in sorted(active_queries)]
-    return targets, queries
+        active_queries = range(pair.query.num_nodes)
+    return sorted(active_targets), [n_t + j for j in sorted(active_queries)]
 
 
 def _validate_capacity(capacity: int) -> int:
@@ -176,14 +176,6 @@ def _validate_capacity(capacity: int) -> int:
             f"window capacity must hold at least 2 nodes, got {capacity}"
         )
     return capacity
-
-
-def _cleanup_only_schedule(
-    tracker: "_EdgeTracker", capacity: int, scheme: str
-) -> WindowSchedule:
-    """Schedule for a pair with an empty side: no matchings exist, so
-    only the cleanup sweep over the remaining intra-graph edges runs."""
-    return WindowSchedule(tracker.cleanup_steps(capacity), capacity, scheme)
 
 
 class _EdgeTracker:
@@ -282,11 +274,7 @@ def single_window_schedule(
     steps: List[WindowStep] = []
 
     # Stage 1: embedding. Co-residency windows over each graph's blocks.
-    n_t = pair.target.num_nodes
-    for node_list in (
-        list(range(n_t)),
-        [n_t + j for j in range(pair.query.num_nodes)],
-    ):
+    for node_list in _active_sets(pair, None, None):
         blocks = _chunks(node_list, half)
         for i, dst_block in enumerate(blocks):
             for j, src_block in enumerate(blocks):
@@ -329,7 +317,8 @@ def double_window_schedule(
     targets, queries = _active_sets(pair, active_targets, active_queries)
     tracker = _EdgeTracker(_pair_edges(pair))
     if not targets or not queries:
-        return _cleanup_only_schedule(tracker, capacity, "double")
+        # No matchings exist: only the cleanup sweep runs.
+        return WindowSchedule(tracker.cleanup_steps(capacity), capacity, "double")
     steps: List[WindowStep] = []
 
     t_blocks = _chunks(targets, half)
@@ -362,116 +351,161 @@ def double_window_schedule(
 
 
 # ----------------------------------------------------------------------
-# Scheme 3: joint window, serpentine (Fig. 12a)
+# Schemes 3-5: the joint window's walk and its direction policies
 # ----------------------------------------------------------------------
+class _JointWalk:
+    """The joint window's walk over the cross-graph matching blocks.
+
+    The window visits each (target block, query block) cell exactly
+    once. Where it can, it keeps one side stationary and slides the
+    other to the nearest unmatched cell in the same row or column;
+    where neither exists it jumps to the nearest unmatched cell.
+
+    Where both a same-row and a same-column move are open, it asks a
+    *direction policy* ``direction(walk, q_move, t_move)``, which
+    returns ``SLIDE_COLUMN_WISE`` (keep the row, go to query block
+    ``q_move``) or ``SLIDE_ROW_WISE`` (keep the column, go to target
+    block ``t_move``).
+    """
+
+    def __init__(
+        self,
+        pair: GraphPair,
+        capacity: int,
+        active_targets: Optional[Iterable[int]] = None,
+        active_queries: Optional[Iterable[int]] = None,
+    ) -> None:
+        self.capacity = _validate_capacity(capacity)
+        half = max(1, capacity // 2)
+        targets, queries = _active_sets(pair, active_targets, active_queries)
+        self.t_blocks = _chunks(targets, half)
+        self.q_blocks = _chunks(queries, half)
+        self.tracker = _EdgeTracker(_pair_edges(pair))
+        self.ti, self.qi = 0, 0
+        self.unmatched: Set[Tuple[int, int]] = {
+            (ti, qi)
+            for ti in range(len(self.t_blocks))
+            for qi in range(len(self.q_blocks))
+        }
+
+    def window(self) -> FrozenSet[int]:
+        return frozenset(self.t_blocks[self.ti]) | frozenset(self.q_blocks[self.qi])
+
+    def steps(self, direction) -> List[WindowStep]:
+        """Walk until every cell is matched, then sweep the cleanup."""
+        steps = []
+        while self.unmatched:
+            window = self.window()
+            edges = self.tracker.process_coresident(window)
+            self.unmatched.discard((self.ti, self.qi))
+            matchings = len(self.t_blocks[self.ti]) * len(self.q_blocks[self.qi])
+            steps.append(WindowStep(window, matchings, edges, "joint"))
+            if self.unmatched:
+                self.ti, self.qi = self._next_cell(direction)
+        return steps + self.tracker.cleanup_steps(self.capacity)
+
+    def _next_cell(self, direction) -> Tuple[int, int]:
+        ti, qi = self.ti, self.qi
+        # Candidate moves that keep one side stationary.
+        q_moves = sorted((abs(qj - qi), qj) for (tj, qj) in self.unmatched if tj == ti)
+        t_moves = sorted((abs(tj - ti), tj) for (tj, qj) in self.unmatched if qj == qi)
+        if q_moves and t_moves:
+            if direction(self, q_moves[0][1], t_moves[0][1]) == SLIDE_COLUMN_WISE:
+                return ti, q_moves[0][1]
+            return t_moves[0][1], qi
+        if q_moves:
+            return ti, q_moves[0][1]
+        if t_moves:
+            return t_moves[0][1], qi
+        # Jump to the nearest unmatched cell (both sides change).
+        return min(
+            self.unmatched, key=lambda cell: abs(cell[0] - ti) + abs(cell[1] - qi)
+        )
+
+    def rollout_misses(self, ti: int, qi: int) -> int:
+        """Misses of finishing the schedule from cell ``(ti, qi)`` under
+        AOE, played out on a copy of this walk's state."""
+        rollout = copy.copy(self)
+        rollout.tracker = self.tracker.copy()
+        rollout.unmatched = set(self.unmatched)
+        rollout.ti, rollout.qi = ti, qi
+        misses = 0
+        previous = self.window()
+        for step in rollout.steps(_aoe_direction):
+            misses += len(step.input_nodes - previous)
+            previous = step.input_nodes
+        return misses
+
+
+def _column_wise(walk: _JointWalk, q_move: int, t_move: int) -> int:
+    return SLIDE_COLUMN_WISE
+
+
+def _aoe_direction(walk: _JointWalk, q_move: int, t_move: int) -> int:
+    """Algorithm 2's pick from the on-chip nodes' remaining edges."""
+    return approximate_outlier_estimation(
+        [walk.tracker.node_remains(u) for u in walk.t_blocks[walk.ti]],
+        [walk.tracker.node_remains(u) for u in walk.q_blocks[walk.qi]],
+    )
+
+
+def _oracle_direction(
+    walk: _JointWalk, q_move: int, t_move: int, tie: int = SLIDE_COLUMN_WISE
+) -> int:
+    """One-step lookahead: roll out both moves, take the one with fewer
+    remaining misses; ``tie`` decides equal rollouts."""
+    slide_q_cost = walk.rollout_misses(walk.ti, q_move)
+    slide_t_cost = walk.rollout_misses(t_move, walk.qi)
+    if slide_q_cost == slide_t_cost:
+        return tie
+    return SLIDE_COLUMN_WISE if slide_q_cost < slide_t_cost else SLIDE_ROW_WISE
+
+
 def joint_window_schedule(
     pair: GraphPair,
     capacity: int,
     active_targets: Optional[Iterable[int]] = None,
     active_queries: Optional[Iterable[int]] = None,
 ) -> WindowSchedule:
-    """Joint window serpentining row-major over the matching area.
+    """Joint window serpentining row-major over the matching area (Fig. 12a).
 
     Property (1): only one side changes per step, so the stationary side
     is fully reused. Property (2): at the end of a stripe the window
     turns and continues from the *closest* start point instead of
-    rewinding to index zero.
+    rewinding to index zero. Always sliding column-wise where both moves
+    are open gives exactly this serpentine.
     """
-    capacity = _validate_capacity(capacity)
-    half = max(1, capacity // 2)
-    targets, queries = _active_sets(pair, active_targets, active_queries)
-    tracker = _EdgeTracker(_pair_edges(pair))
-    steps: List[WindowStep] = []
-
-    t_blocks = _chunks(targets, half)
-    q_blocks = _chunks(queries, half)
-    forward = True
-    for ti, t_block in enumerate(t_blocks):
-        q_order = range(len(q_blocks)) if forward else range(len(q_blocks) - 1, -1, -1)
-        for qi in q_order:
-            window = frozenset(t_block) | frozenset(q_blocks[qi])
-            edges = tracker.process_coresident(window)
-            steps.append(
-                WindowStep(
-                    window, len(t_block) * len(q_blocks[qi]), edges, "joint"
-                )
-            )
-        forward = not forward
-
-    steps.extend(tracker.cleanup_steps(capacity))
-    return WindowSchedule(steps, capacity, "joint")
+    walk = _JointWalk(pair, capacity, active_targets, active_queries)
+    return WindowSchedule(walk.steps(_column_wise), walk.capacity, "joint")
 
 
-# ----------------------------------------------------------------------
-# Scheme 4: coordinated joint window with AOE (Fig. 12b)
-# ----------------------------------------------------------------------
 def coordinated_window_schedule(
     pair: GraphPair,
     capacity: int,
     active_targets: Optional[Iterable[int]] = None,
     active_queries: Optional[Iterable[int]] = None,
 ) -> WindowSchedule:
-    """Joint window whose sliding direction is chosen by AOE (Alg. 2)."""
-    capacity = _validate_capacity(capacity)
-    half = max(1, capacity // 2)
-    targets, queries = _active_sets(pair, active_targets, active_queries)
-    tracker = _EdgeTracker(_pair_edges(pair))
-    if not targets or not queries:
-        return _cleanup_only_schedule(tracker, capacity, "coordinated")
-    steps: List[WindowStep] = []
-
-    t_blocks = _chunks(targets, half)
-    q_blocks = _chunks(queries, half)
-    unmatched: Set[Tuple[int, int]] = {
-        (ti, qi) for ti in range(len(t_blocks)) for qi in range(len(q_blocks))
-    }
-    ti, qi = 0, 0
-    while True:
-        window = frozenset(t_blocks[ti]) | frozenset(q_blocks[qi])
-        edges = tracker.process_coresident(window)
-        matchings = 0
-        if (ti, qi) in unmatched:
-            unmatched.discard((ti, qi))
-            matchings = len(t_blocks[ti]) * len(q_blocks[qi])
-        steps.append(WindowStep(window, matchings, edges, "joint"))
-        if not unmatched:
-            break
-
-        # Candidate moves that keep one side stationary.
-        q_moves = sorted(
-            (abs(qj - qi), qj) for (tj, qj) in unmatched if tj == ti
-        )
-        t_moves = sorted(
-            (abs(tj - ti), tj) for (tj, qj) in unmatched if qj == qi
-        )
-        if q_moves and t_moves:
-            direction = approximate_outlier_estimation(
-                [tracker.node_remains(u) for u in t_blocks[ti]],
-                [tracker.node_remains(u) for u in q_blocks[qi]],
-            )
-            if direction == SLIDE_COLUMN_WISE:
-                qi = q_moves[0][1]
-            else:
-                ti = t_moves[0][1]
-        elif q_moves:
-            qi = q_moves[0][1]
-        elif t_moves:
-            ti = t_moves[0][1]
-        else:
-            # Jump to the nearest unmatched cell (both sides change).
-            ti, qi = min(
-                unmatched, key=lambda cell: abs(cell[0] - ti) + abs(cell[1] - qi)
-            )
-
-    steps.extend(tracker.cleanup_steps(capacity))
-    return WindowSchedule(steps, capacity, "coordinated")
+    """Joint window whose sliding direction is chosen by AOE (Fig. 12b, Alg. 2)."""
+    walk = _JointWalk(pair, capacity, active_targets, active_queries)
+    return WindowSchedule(walk.steps(_aoe_direction), walk.capacity, "coordinated")
 
 
-def _oracle_window_schedule(pair, capacity, active_targets=None, active_queries=None):
-    # Deferred import: the oracle module builds on this one.
-    from .oracle import oracle_window_schedule
+def oracle_window_schedule(
+    pair: GraphPair,
+    capacity: int,
+    active_targets: Optional[Iterable[int]] = None,
+    active_queries: Optional[Iterable[int]] = None,
+) -> WindowSchedule:
+    """Joint window steered by the lookahead oracle.
 
-    return oracle_window_schedule(pair, capacity, active_targets, active_queries)
+    A practical upper bound for AOE: each two-way decision rolls out
+    both moves under AOE and takes the cheaper one (ties slide
+    column-wise). Much costlier to schedule (O(steps) rollouts), so it
+    is a reference point, not a dataflow — the ``fig08`` experiment
+    shows how close AOE's constant-time heuristic gets.
+    """
+    walk = _JointWalk(pair, capacity, active_targets, active_queries)
+    return WindowSchedule(walk.steps(_oracle_direction), walk.capacity, "oracle")
 
 
 SCHEDULERS = {
@@ -479,5 +513,5 @@ SCHEDULERS = {
     "double": double_window_schedule,
     "joint": joint_window_schedule,
     "coordinated": coordinated_window_schedule,
-    "oracle": _oracle_window_schedule,
+    "oracle": oracle_window_schedule,
 }

@@ -23,10 +23,9 @@ from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
-from ..counters import FlopCounter
-from ..emf.filter import MatchingPlan
 from ..graphs.datasets import load_dataset
-from ..models import build_model, similarity_matrix
+from ..models import build_model
+from ..models.similarity import filtered_similarity_matrix
 from ..obs.tracing import span
 from ..platforms import DEFAULT_PLATFORMS, REGISTRY, RunSpec
 from ..sim import PlatformResult
@@ -40,27 +39,6 @@ __all__ = [
     "compare_platforms",
     "serve_query_stream",
 ]
-
-
-def filtered_similarity_matrix(
-    x: np.ndarray,
-    y: np.ndarray,
-    kind: str = "dot",
-    flops: Optional[FlopCounter] = None,
-) -> np.ndarray:
-    """All-to-all similarity via the Elastic Matching Filter.
-
-    Detects duplicate rows in ``x`` and ``y`` (Algorithm 1), computes the
-    similarity of unique rows/columns only, and broadcasts to the full
-    matrix. The result is exactly equal to
-    :func:`repro.models.similarity_matrix` — the EMF is lossless — while
-    the FLOPs recorded reflect only the unique workload.
-    """
-    plan = MatchingPlan.from_features(x, y)
-    unique_x = x[plan.target_filter.unique_indices]
-    unique_y = y[plan.query_filter.unique_indices]
-    unique = similarity_matrix(unique_x, unique_y, kind, flops)
-    return plan.broadcast(unique)
 
 
 def simulate_traces(

@@ -13,7 +13,7 @@ from typing import Dict
 import numpy as np
 
 from ..analysis.metrics import ResultTable
-from ..cgc.oracle import aoe_precision
+from ..cgc.oracle import oracle_decisions
 from ..graphs.datasets import load_dataset
 from .common import ExperimentResult
 
@@ -35,8 +35,6 @@ def run(quick: bool = True, seed: int = 0) -> ExperimentResult:
         precisions = []
         points = 0
         for pair in pairs:
-            from ..cgc.oracle import oracle_decisions
-
             decisions = oracle_decisions(pair, capacity)
             if not decisions:
                 continue

@@ -15,11 +15,10 @@ from typing import List, Optional
 
 import numpy as np
 
-from ..emf.filter import MatchingPlan
 from ..graphs.pairs import GraphPair
 from ..trace.events import LayerTrace, PairTrace
 from ..counters import FlopCounter
-from .similarity import similarity_matrix
+from .similarity import filtered_similarity_matrix, similarity_matrix
 
 __all__ = ["GMNModel", "MATCHING_MODES"]
 
@@ -94,14 +93,7 @@ class GMNModel(ABC):
         """
         if not self.use_emf:
             return similarity_matrix(x, y, kind, flops)
-        plan = MatchingPlan.from_features(x, y)
-        unique = similarity_matrix(
-            x[plan.target_filter.unique_indices],
-            y[plan.query_filter.unique_indices],
-            kind,
-            flops,
-        )
-        return plan.broadcast(unique)
+        return filtered_similarity_matrix(x, y, kind, flops)
 
     def layer_has_matching(self, layer_index: int) -> bool:
         """Whether the matching stage runs in the given layer."""

@@ -17,11 +17,13 @@ from typing import Optional
 
 import numpy as np
 
+from ..emf.filter import MatchingPlan
 from .layers import FlopCounter
 
 __all__ = [
     "SIMILARITY_KINDS",
     "similarity_matrix",
+    "filtered_similarity_matrix",
     "matching_flops",
     "cross_graph_attention",
     "cross_graph_attention_unique",
@@ -60,6 +62,30 @@ def similarity_matrix(
     x_sq = np.einsum("ij,ij->i", x, x)
     y_sq = np.einsum("ij,ij->i", y, y)
     return inner - 0.5 * (x_sq[:, None] + y_sq[None, :])
+
+
+def filtered_similarity_matrix(
+    x: np.ndarray,
+    y: np.ndarray,
+    kind: str = "dot",
+    flops: Optional[FlopCounter] = None,
+) -> np.ndarray:
+    """All-to-all similarity via the Elastic Matching Filter.
+
+    Detects duplicate rows in ``x`` and ``y`` (Algorithm 1), computes the
+    similarity of unique rows/columns only, and broadcasts to the full
+    matrix. The result is exactly equal to :func:`similarity_matrix` —
+    the EMF is lossless — while the FLOPs recorded reflect only the
+    unique workload.
+    """
+    plan = MatchingPlan.from_features(x, y)
+    unique = similarity_matrix(
+        x[plan.target_filter.unique_indices],
+        y[plan.query_filter.unique_indices],
+        kind,
+        flops,
+    )
+    return plan.broadcast(unique)
 
 
 def matching_flops(n: int, m: int, feature_dim: int, kind: str = "dot") -> int:

@@ -276,7 +276,7 @@ def _pair_score(
     candidate: Graph,
     query: Graph,
 ) -> float:
-    """Exact per-pair score — identical to the flat path's scoring."""
+    """Exact per-pair score; the flat reference path scores with it too."""
     trace = model.forward_pair(GraphPair(candidate, query))
     if scorer is not None and trace.head_features is not None:
         return float(scorer.predict_proba(trace.head_features[None, :])[0])

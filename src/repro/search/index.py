@@ -33,6 +33,7 @@ from ..models.training import LogisticHead
 from ..platforms import REGISTRY
 from ..trace.profiler import profile_batches
 from . import results as results_mod
+from .executor import _pair_score
 from .results import SearchResult
 from .storage import database_arrays, graphs_from_arrays, sketch_from_arrays
 
@@ -174,14 +175,6 @@ class SimilaritySearchIndex:
     # ------------------------------------------------------------------
     # Search
     # ------------------------------------------------------------------
-    def _pair_score(self, pair: GraphPair) -> float:
-        trace = self.model.forward_pair(pair)
-        if self.scorer is not None and trace.head_features is not None:
-            return float(
-                self.scorer.predict_proba(trace.head_features[None, :])[0]
-            )
-        return trace.score
-
     def pipeline(self, **kwargs) -> "object":
         """A fresh :class:`~repro.search.pipeline.ServingPipeline` over
         this index; keyword arguments forward to its constructor."""
@@ -203,7 +196,7 @@ class SimilaritySearchIndex:
         """
         self._check_query(top_k)
         scores = [
-            self._pair_score(GraphPair(candidate, graph))
+            _pair_score(self.model, self.scorer, candidate, graph)
             for candidate in self._graphs
         ]
         return results_mod.rank_scores(scores, top_k)

@@ -558,6 +558,22 @@ def _mutate_cleanup_seed_ascending():
     return _patched(summary_mod, "_cleanup_seed", ascending)
 
 
+def _mutate_walk_window_off_by_one():
+    """Drop each block's last query node from the windows of the serial
+    reference's joint-window walk; the fast summary builders keep their
+    own walk, so only the reference changes. The check's pairs each fit
+    one window, so a walk bug must show in the window it visits rather
+    than in the direction it slides."""
+    from ..cgc import window as window_mod
+
+    original = window_mod._JointWalk.__dict__["window"]
+
+    def off_by_one(self):
+        return original(self) - {self.q_blocks[self.qi][-1]}
+
+    return _patched(window_mod._JointWalk, "window", off_by_one)
+
+
 @register_check(
     "sim.batched_vs_serial",
     kind="differential",
@@ -570,6 +586,7 @@ def _mutate_cleanup_seed_ascending():
         "gemm_batch_kernel_off_by_one": _mutate_gemm_batch_cycles,
         "plan_summary_halves_match_fraction": _mutate_plan_summary_fraction,
         "cleanup_seed_breaks_ties_ascending": _mutate_cleanup_seed_ascending,
+        "walk_window_drops_last_query": _mutate_walk_window_off_by_one,
     },
 )
 def check_batched_vs_serial(context: CheckContext):
