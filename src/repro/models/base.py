@@ -11,7 +11,7 @@ the node features entering the matching stage and the per-phase FLOPs.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import List, Optional
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -105,9 +105,24 @@ class GMNModel(ABC):
     def forward_pair(self, pair: GraphPair) -> PairTrace:
         """Run inference on one graph pair, returning the full trace."""
 
+    def score_pairs(
+        self, pairs: Sequence[GraphPair]
+    ) -> List[Tuple[float, Optional[np.ndarray]]]:
+        """Score and head features of every pair, without a trace.
+
+        The entry point serving scores through. This default runs
+        :meth:`forward_pair` per pair; a model with a batched forward
+        overrides it, and must return exactly what ``forward_pair``
+        would for each pair.
+        """
+        return [
+            (trace.score, trace.head_features)
+            for trace in map(self.forward_pair, pairs)
+        ]
+
     def score_pair(self, pair: GraphPair) -> float:
         """Similarity score only (convenience wrapper)."""
-        return self.forward_pair(pair).score
+        return self.score_pairs([pair])[0][0]
 
     # ------------------------------------------------------------------
     def _make_trace(

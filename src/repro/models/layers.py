@@ -53,6 +53,10 @@ class Linear:
         self.weight = glorot(rng, in_dim, out_dim)
         self.bias = np.zeros(out_dim)
 
+    def flop_count(self, rows: int) -> int:
+        """FLOPs of :meth:`forward` over ``rows`` input rows."""
+        return 2 * rows * self.in_dim * self.out_dim
+
     def forward(
         self, x: np.ndarray, flops: Optional[FlopCounter] = None, phase: str = "other"
     ) -> np.ndarray:
@@ -61,8 +65,7 @@ class Linear:
                 f"expected input dim {self.in_dim}, got {x.shape[-1]}"
             )
         if flops is not None:
-            rows = int(np.prod(x.shape[:-1]))
-            flops.add(phase, 2 * rows * self.in_dim * self.out_dim)
+            flops.add(phase, self.flop_count(int(np.prod(x.shape[:-1]))))
         return x @ self.weight + self.bias
 
 
@@ -84,6 +87,10 @@ class MLP:
     @property
     def out_dim(self) -> int:
         return self.sizes[-1]
+
+    def flop_count(self, rows: int) -> int:
+        """FLOPs of :meth:`forward` over ``rows`` input rows."""
+        return sum(layer.flop_count(rows) for layer in self.layers)
 
     def forward(
         self, x: np.ndarray, flops: Optional[FlopCounter] = None, phase: str = "other"

@@ -25,6 +25,7 @@ __all__ = [
     "similarity_matrix",
     "filtered_similarity_matrix",
     "matching_flops",
+    "attention_flops",
     "cross_graph_attention",
     "cross_graph_attention_unique",
 ]
@@ -40,28 +41,43 @@ def similarity_matrix(
     kind: str = "dot",
     flops: Optional[FlopCounter] = None,
 ) -> np.ndarray:
-    """All-to-all similarity between target features x and query features y."""
+    """All-to-all similarity between target features x and query features y.
+
+    ``x`` (n x f) and ``y`` (m x f) may carry the same leading axes, a
+    stack of equal-shape pairs (g x n x f and g x m x f); each pair's
+    matrix is then computed by the same kernel as a lone pair's.
+    """
     if kind not in SIMILARITY_KINDS:
         raise ValueError(f"unknown similarity {kind!r}; known: {SIMILARITY_KINDS}")
-    if x.ndim != 2 or y.ndim != 2 or x.shape[1] != y.shape[1]:
+    if (
+        x.ndim < 2
+        or x.shape[:-2] != y.shape[:-2]
+        or x.shape[-1] != y.shape[-1]
+    ):
         raise ValueError(
             f"feature matrices must share the feature dim, got {x.shape} and {y.shape}"
         )
     if flops is not None:
-        flops.add("match", matching_flops(x.shape[0], y.shape[0], x.shape[1], kind))
+        pairs = int(np.prod(x.shape[:-2]))
+        flops.add(
+            "match",
+            pairs * matching_flops(x.shape[-2], y.shape[-2], x.shape[-1], kind),
+        )
 
-    inner = x @ y.T
+    inner = x @ np.swapaxes(y, -1, -2)
     if kind == "dot":
         return inner
     if kind == "cosine":
-        x_norm = np.linalg.norm(x, axis=1)
-        y_norm = np.linalg.norm(y, axis=1)
-        return inner / np.maximum(np.outer(x_norm, y_norm), _EPS)
+        x_norm = np.linalg.norm(x, axis=-1)
+        y_norm = np.linalg.norm(y, axis=-1)
+        return inner / np.maximum(
+            x_norm[..., :, None] * y_norm[..., None, :], _EPS
+        )
     # euclidean: S = X Y^T / 2, then subtract squared magnitudes,
     # yielding -||x - y||^2 / 2 (monotone in negative distance).
-    x_sq = np.einsum("ij,ij->i", x, x)
-    y_sq = np.einsum("ij,ij->i", y, y)
-    return inner - 0.5 * (x_sq[:, None] + y_sq[None, :])
+    x_sq = np.einsum("...ij,...ij->...i", x, x)
+    y_sq = np.einsum("...ij,...ij->...i", y, y)
+    return inner - 0.5 * (x_sq[..., :, None] + y_sq[..., None, :])
 
 
 def filtered_similarity_matrix(
@@ -105,6 +121,14 @@ def matching_flops(n: int, m: int, feature_dim: int, kind: str = "dot") -> int:
     return base + 2 * (n + m) * feature_dim + 2 * n * m
 
 
+def attention_flops(n: int, m: int, feature_dim: int) -> int:
+    """FLOPs of :func:`cross_graph_attention` for n targets, m queries."""
+    if n * m == 0:
+        return 0
+    # softmax (~3 ops/entry) + weighted sum (2*n*m*f) + subtraction.
+    return 3 * n * m + 2 * n * m * feature_dim + n * feature_dim
+
+
 def cross_graph_attention(
     x: np.ndarray,
     y: np.ndarray,
@@ -115,22 +139,24 @@ def cross_graph_attention(
 
     ``a_ij = softmax_j(S_ij)``; ``mu_i = x_i - sum_j a_ij y_j``. Returns
     the per-target-node cross-graph message ``mu`` (n x f). Callers invoke
-    it twice (swapping roles) to obtain messages for both graphs.
+    it twice (swapping roles) to obtain messages for both graphs. Like
+    :func:`similarity_matrix`, it takes a stack of equal-shape pairs on
+    leading axes as well as one pair.
     """
-    if similarity.shape != (x.shape[0], y.shape[0]):
+    if similarity.shape != x.shape[:-1] + y.shape[-2:-1]:
         raise ValueError("similarity matrix shape mismatch")
     if similarity.size == 0:
         # One side is empty (degenerate pair): there is nothing to
         # attend to, so the attended term is zero and mu = x.
         return x.copy()
-    shifted = similarity - similarity.max(axis=1, keepdims=True)
+    shifted = similarity - similarity.max(axis=-1, keepdims=True)
     weights = np.exp(shifted)
-    weights /= weights.sum(axis=1, keepdims=True)
+    weights /= weights.sum(axis=-1, keepdims=True)
     attended = weights @ y
     if flops is not None:
-        n, m = similarity.shape
-        # softmax (~3 ops/entry) + weighted sum (2*n*m*f) + subtraction.
-        flops.add("match", 3 * n * m + 2 * n * m * y.shape[1] + n * y.shape[1])
+        pairs = int(np.prod(similarity.shape[:-2]))
+        n, m = similarity.shape[-2:]
+        flops.add("match", pairs * attention_flops(n, m, y.shape[-1]))
     return x - attended
 
 

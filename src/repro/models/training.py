@@ -80,15 +80,14 @@ def extract_features(
     model: GMNModel, pairs: Sequence[GraphPair]
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Run the backbone and collect (head features, labels)."""
+    if any(pair.label is None for pair in pairs):
+        raise ValueError("training requires labeled pairs")
     features: List[np.ndarray] = []
     labels: List[int] = []
-    for pair in pairs:
-        trace = model.forward_pair(pair)
-        if trace.head_features is None:
+    for pair, (_, head_features) in zip(pairs, model.score_pairs(pairs)):
+        if head_features is None:
             raise ValueError(f"{model.name} does not expose head features")
-        if pair.label is None:
-            raise ValueError("training requires labeled pairs")
-        features.append(trace.head_features)
+        features.append(head_features)
         labels.append(pair.label)
     return np.vstack(features), np.asarray(labels, dtype=float)
 

@@ -136,7 +136,10 @@ def _score_queries(
 ) -> List[np.ndarray]:
     """Score every query against ``graphs``, recording telemetry.
 
-    Shared by the worker body and the serial path so both emit the same
+    Each query's candidates go to the model in one
+    :meth:`~repro.models.base.GMNModel.score_pairs` call (GMN-Li
+    batches them), bit-identical to scoring them one at a time. Shared
+    by the worker body and the serial path so both emit the same
     ``execute.shard`` spans and ``search.serve.shard_seconds``
     observations. ``contexts`` holds one
     :class:`~repro.obs.context.RequestContext` wire dict (or ``None``)
@@ -147,10 +150,7 @@ def _score_queries(
     vectors: List[np.ndarray] = []
     for position, query in enumerate(queries):
         started = time.monotonic()
-        scores = np.array(
-            [_pair_score(model, scorer, graph, query) for graph in graphs],
-            dtype=np.float64,
-        )
+        scores = _pair_scores(model, scorer, graphs, query)
         elapsed = time.monotonic() - started
         if registry is not None:
             registry.observe(
@@ -270,17 +270,40 @@ def _unlink_owned(segment, owner: int) -> None:
         segment.unlink()
 
 
+def _pair_scores(
+    model: GMNModel,
+    scorer: Optional[LogisticHead],
+    candidates: Sequence[Graph],
+    query: Graph,
+) -> np.ndarray:
+    """Scores of ``query`` against every candidate, from one
+    :meth:`~repro.models.base.GMNModel.score_pairs` call.
+
+    The scorer runs per pair: one product over the stacked head
+    features is a different BLAS call from a lone pair's one-row
+    product, and need not round the same.
+    """
+    outputs = model.score_pairs([GraphPair(graph, query) for graph in candidates])
+    return np.array(
+        [
+            score
+            if scorer is None or head is None
+            else scorer.predict_proba(head[None, :])[0]
+            for score, head in outputs
+        ],
+        dtype=np.float64,
+    )
+
+
 def _pair_score(
     model: GMNModel,
     scorer: Optional[LogisticHead],
     candidate: Graph,
     query: Graph,
 ) -> float:
-    """Exact per-pair score; the flat reference path scores with it too."""
-    trace = model.forward_pair(GraphPair(candidate, query))
-    if scorer is not None and trace.head_features is not None:
-        return float(scorer.predict_proba(trace.head_features[None, :])[0])
-    return trace.score
+    """Exact score of one pair, as a batch of one; the flat reference
+    path scores with it."""
+    return float(_pair_scores(model, scorer, [candidate], query)[0])
 
 
 class ShardedExecutor:

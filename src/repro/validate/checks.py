@@ -1,6 +1,6 @@
 """The built-in correctness checks.
 
-Seven differential pairs and three invariant families, mirroring the
+Eleven differential pairs and three invariant families, mirroring the
 redundant implementations the repo maintains on purpose:
 
 ====================================  =========================================
@@ -16,6 +16,7 @@ check                                 redundant pair / invariant
 ``harness.trace_cache_on_off``        cached trace replay vs. fresh profile
 ``search.serve_vs_direct``            flat query loop vs. serving pipeline
 ``search.sketch_vs_flat``             sketch-gated retrieval vs. flat scoring
+``models.batched_vs_pair``            segment-batched GMN-Li vs. batches of one
 ``cgc.schedule_invariants``           window-schedule properties, all schemes
 ``cgc.degenerate_inputs``             capacity/empty-side contract
 ``emf.quantization_single_site``      quantize-exactly-once contract
@@ -1459,4 +1460,201 @@ def check_sketch_vs_flat(context: CheckContext):
     return (
         f"{compared} sketch-gated rankings bit-identical to flat; "
         f"{retriever.candidates_retrieved}/{scanned} candidates scored"
+    )
+
+
+# ----------------------------------------------------------------------
+# Pair 9: segment-batched GMN-Li forward vs. batches of one
+# ----------------------------------------------------------------------
+def _mutate_single_row_gemm():
+    from ..models import gmn_li as gmn_li_mod
+
+    def stacked_only(layer, rows, single_rows):
+        return layer.forward(rows)
+
+    return _patched(gmn_li_mod, "_segment_forward", stacked_only)
+
+
+def _mutate_scatter_reduceat():
+    from ..models import gmn_li as gmn_li_mod
+
+    def reduceat_scatter(num_rows, ranks, messages):
+        summed = np.zeros((num_rows, messages.shape[1]))
+        if not ranks:
+            return summed
+        dst = np.empty(len(messages), dtype=np.int64)
+        for edges, destinations in ranks:
+            dst[edges] = destinations
+        firsts = np.flatnonzero(np.r_[True, dst[1:] != dst[:-1]])
+        summed[dst[firsts]] = np.add.reduceat(messages, firsts, axis=0)
+        return summed
+
+    return _patched(gmn_li_mod, "_scatter_sum", reduceat_scatter)
+
+
+def _same_bits(left: np.ndarray, right: np.ndarray) -> bool:
+    """Equal NaN positions and bit-identical values everywhere else."""
+    left, right = np.asarray(left), np.asarray(right)
+    if left.shape != right.shape:
+        return False
+    nan = np.isnan(left)
+    return bool(
+        np.array_equal(nan, np.isnan(right))
+        and left[~nan].tobytes() == right[~nan].tobytes()
+    )
+
+
+def _batched_vs_pair_workloads(quick: bool):
+    """``(label, model, pairs)`` mixed batches for the batched forward."""
+    from ..graphs.datasets import DATASET_NAMES, generate_graph, load_dataset
+    from ..graphs.graph import Graph
+    from ..graphs.pairs import GraphPair
+    from ..models import build_model
+
+    rng = np.random.default_rng(11)
+    aids = [generate_graph("AIDS", rng) for _ in range(7)]
+    dim = aids[0].feature_dim
+
+    def features(graph, value):
+        poisoned = graph.node_features.copy()
+        poisoned[graph.num_nodes // 2, 0] = value
+        return graph.with_features(poisoned)
+
+    empty = Graph(0, [], np.zeros((0, dim)))
+    one_node = Graph(1, [], rng.normal(size=(1, dim)))
+    one_edge = Graph(2, [(0, 1)], rng.normal(size=(2, dim)))
+    edgeless = Graph(4, [], rng.normal(size=(4, dim)))
+    query = aids[0]
+    # Duplicates repeat pair shapes, so attention groups hold several
+    # pairs; the degenerate pairs stack a one-row segment (encoder, or
+    # edge MLP) alone, where numpy takes the one-row gemv path.
+    candidates = aids[1:] + aids[1:3] + [
+        features(aids[3], np.nan),
+        features(aids[4], np.inf),
+        empty,
+        one_node,
+        one_edge,
+        edgeless,
+    ]
+    small = [GraphPair(candidate, query) for candidate in candidates] + [
+        GraphPair(query, empty),
+        GraphPair(one_node, empty),
+        GraphPair(one_edge, edgeless),
+        GraphPair(empty, empty),
+        GraphPair(aids[5], features(query, np.nan)),
+        GraphPair(one_node, one_node),
+    ]
+    # One RD-B pair has more stacked edge rows than the batch budget,
+    # so it splits a batch of one-feature pairs and runs alone.
+    wide = [pair for _, pair in adversarial_pairs()]
+    wide[4:4] = load_dataset("RD-B", seed=0, num_pairs=1)
+    wide += load_dataset("COLLAB", seed=0, num_pairs=2)
+    if not quick:
+        for name in DATASET_NAMES:
+            if name != "AIDS":
+                wide += load_dataset(name, seed=1, num_pairs=2)
+    return [
+        ("AIDS", build_model("GMN-Li", input_dim=dim, seed=0), small),
+        (
+            "AIDS/emf",
+            build_model("GMN-Li", input_dim=dim, seed=0, use_emf=True),
+            small,
+        ),
+        ("one-feature", build_model("GMN-Li", input_dim=1, seed=0), wide),
+    ]
+
+
+@register_check(
+    "models.batched_vs_pair",
+    kind="differential",
+    pair=(
+        "repro.models.gmn_li.GMNLi.forward_pair",
+        "repro.models.gmn_li.GMNLi.score_pairs",
+    ),
+    mutators={
+        "single_row_segments_use_gemm": _mutate_single_row_gemm,
+        "scatter_uses_reduceat": _mutate_scatter_reduceat,
+    },
+)
+def check_batched_vs_pair(context: CheckContext):
+    """GMN-Li's segment-batched forward equals batches of one, bit for bit.
+
+    Two legs. (1) Whole forward: each mixed batch is scored in one
+    ``score_pairs`` call and pair by pair (``score_pairs`` on a batch
+    of one, and the traced ``forward_pair``); scores and head features
+    must be identical, NaN positions included. The batches hold empty
+    sides, one-node, one-edge and edgeless graphs, NaN and Inf
+    features, repeated pair shapes, and an RD-B pair above the row
+    budget. (2) Stacked steps: over the same graphs, the stacked MLP
+    and the edge scatter must equal one ``forward`` per segment and
+    ``np.add.at`` per graph, the per-pair definitions the batched
+    forward replaces. Bit-identity rests on the BLAS build (a GEMM's
+    rows must not depend on its row count), so this check, not the
+    argument, is the guarantee on a new BLAS or thread count.
+    """
+    from ..models import gmn_li as gmn_li_mod
+
+    workloads = _batched_vs_pair_workloads(context.quick)
+    compared = 0
+    grouped = False
+    # NaN and Inf features are inputs here, not faults.
+    with np.errstate(invalid="ignore", over="ignore"):
+        for label, model, pairs in workloads:
+            shapes = [(p.target.num_nodes, p.query.num_nodes) for p in pairs]
+            grouped |= len(set(shapes)) < len(shapes)
+            batched = model.score_pairs(pairs)
+            _require(
+                len(batched) == len(pairs),
+                f"[{label}] {len(batched)} outputs for {len(pairs)} pairs",
+            )
+            for index, (pair, (score, head)) in enumerate(zip(pairs, batched)):
+                (alone_score, alone_head), = model.score_pairs([pair])
+                trace = model.forward_pair(pair)
+                for name, other_score, other_head in (
+                    ("batch of one", alone_score, alone_head),
+                    ("forward_pair", trace.score, trace.head_features),
+                ):
+                    _require(
+                        _same_bits(score, other_score)
+                        and _same_bits(head, other_head),
+                        f"[{label}] pair {index} ({pair}): batched output "
+                        f"differs from {name}: score {score!r} vs "
+                        f"{other_score!r}",
+                    )
+                compared += 1
+    _require(grouped, "no batch repeats a pair shape")
+
+    rng = np.random.default_rng(0)
+    for label, model, pairs in workloads:
+        graphs = [g for pair in pairs for g in (pair.target, pair.query)]
+        mlp = model.edge_mlps[0]
+        segments = [rng.normal(size=(g.num_edges, mlp.in_dim)) for g in graphs]
+        _, single_rows = gmn_li_mod._segments([g.num_edges for g in graphs])
+        stacked = gmn_li_mod._segment_forward(
+            mlp, np.concatenate(segments), single_rows
+        )
+        expected = np.concatenate([mlp.forward(rows) for rows in segments])
+        _require(
+            _same_bits(stacked, expected),
+            f"[{label}] stacked edge MLP differs from one call per segment",
+        )
+        starts, _ = gmn_li_mod._segments([g.num_nodes for g in graphs])
+        dst = np.concatenate([g.dst + s for g, s in zip(graphs, starts)])
+        messages = rng.normal(size=(len(dst), mlp.out_dim))
+        scattered = gmn_li_mod._scatter_sum(
+            int(starts[-1]), gmn_li_mod._in_edge_ranks(dst), messages
+        )
+        offset = 0
+        for graph, start in zip(graphs, starts):
+            alone = np.zeros((graph.num_nodes, mlp.out_dim))
+            np.add.at(alone, graph.dst, messages[offset : offset + graph.num_edges])
+            offset += graph.num_edges
+            _require(
+                _same_bits(scattered[start : start + graph.num_nodes], alone),
+                f"[{label}] stacked scatter differs from np.add.at on "
+                f"{graph}",
+            )
+    return (
+        f"{compared} pairs: mixed batches bit-identical to batches of one; "
+        f"stacked MLP and scatter exact on {len(workloads)} batches"
     )

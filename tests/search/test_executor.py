@@ -11,8 +11,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro.graphs import generate_graph
-from repro.models import build_model
+from repro.graphs import Graph, GraphPair, generate_graph, load_dataset
+from repro.models import build_model, gmn_li, train_scorer
 from repro.obs import LATENCY_BUCKETS, metrics_enabled
 from repro.obs.context import RequestContext, RequestTracker
 from repro.perf import parallel
@@ -315,6 +315,110 @@ class TestWorkerTelemetry:
         assert shard_span.parent == "execute"
 
 
+def _bits(ranking):
+    """A ranking as (index, exact score bytes): bit-for-bit comparison."""
+    return [(r.index, np.float64(r.score).tobytes()) for r in ranking]
+
+
+@pytest.fixture(scope="module")
+def batched_index():
+    """A database for batched scoring: enough distinct AIDS graphs that
+    a shard's candidates span several row-budget chunks, plus empty,
+    one-node and one-edge graphs and clones."""
+    from repro.search import SimilaritySearchIndex
+
+    rng = np.random.default_rng(5)
+    base = [generate_graph("AIDS", rng) for _ in range(44)]
+    dim = base[0].feature_dim
+    degenerate = [
+        Graph(0, [], np.zeros((0, dim))),
+        Graph(1, [], rng.normal(size=(1, dim))),
+        Graph(2, [(0, 1)], rng.normal(size=(2, dim))),
+    ]
+    model = build_model("GMN-Li", input_dim=dim, seed=1)
+    index = SimilaritySearchIndex(model)
+    index.add_many(base[:20] + degenerate + base[20:] + base[3:5])
+    return index
+
+
+def _nan_query(graph):
+    features = graph.node_features.copy()
+    features[0, 0] = np.nan
+    return graph.with_features(features)
+
+
+class TestBatchedScoring:
+    """Each query's candidates are scored in one batched call per
+    row-budget chunk; served rankings must equal the one-pair-at-a-time
+    flat reference bit for bit, on the serial and the pool path."""
+
+    @pytest.fixture(params=[1, 2], ids=["serial", "pool"])
+    def workers(self, request, monkeypatch):
+        if request.param > 1:
+            monkeypatch.setattr(
+                executor_mod, "available_workers", lambda requested=None: 2
+            )
+        return request.param
+
+    @pytest.fixture(scope="class")
+    def scorer(self, batched_index):
+        train = load_dataset("AIDS", seed=3, num_pairs=12)
+        return train_scorer(batched_index.model, train, epochs=40)
+
+    def _check(self, index, workers, queries):
+        executor = ShardedExecutor(
+            index.model, index._graphs, scorer=index.scorer,
+            num_shards=3, workers=workers,
+        )
+        top_k = len(index._graphs)
+        try:
+            rankings = executor.run_batch(
+                _batch(BatchScheduler(), queries, top_k)
+            )
+        finally:
+            if executor._unlink is not None:
+                executor._unlink()
+        assert (executor._snapshot is not None) == (workers > 1)
+        for query, ranking in zip(queries, rankings):
+            assert _bits(ranking) == _bits(index._query_flat(query, top_k))
+        return rankings
+
+    def test_degenerate_database_graphs(self, batched_index, workers):
+        graphs = batched_index._graphs
+        queries = [graphs[0], graphs[20], graphs[21], graphs[22]]
+        self._check(batched_index, workers, queries)
+
+    def test_trained_scorer(self, batched_index, scorer, workers):
+        from repro.search import SimilaritySearchIndex
+
+        index = SimilaritySearchIndex(batched_index.model, scorer)
+        index.add_many(batched_index._graphs)
+        self._check(index, workers, [index._graphs[7], index._graphs[21]])
+
+    def test_nan_query_follows_the_nan_contract(self, batched_index, workers):
+        query = _nan_query(batched_index._graphs[9])
+        with np.errstate(invalid="ignore"):
+            (ranking,) = self._check(batched_index, workers, [query])
+        nan = [r.index for r in ranking if np.isnan(r.score)]
+        real = [r.score for r in ranking if not np.isnan(r.score)]
+        # NaN ranks after every real score, ties by ascending index.
+        assert nan and nan == sorted(nan)
+        assert [r.index for r in ranking][len(real):] == nan
+        assert real == sorted(real, reverse=True)
+
+    def test_candidates_span_row_budget_chunks(self, batched_index, workers):
+        graphs = batched_index._graphs
+        query = graphs[30]
+        # Every worker's slice of the unique candidates (and the whole
+        # list, on the serial path) takes more than one batched call.
+        # The clones come last, so the unique candidates are a prefix.
+        unique = len({graph_signature(g) for g in graphs})
+        for start, stop in shard_bounds(unique, workers):
+            pairs = [GraphPair(g, query) for g in graphs[start:stop]]
+            assert len(list(gmn_li._row_chunks(pairs))) > 1
+        self._check(batched_index, workers, [query, graphs[1]])
+
+
 def _die_in_worker(task):
     """A task body whose pool workers die mid-batch (in-process it works)."""
     if parallel.in_pool_worker:
@@ -488,8 +592,8 @@ def test_exit_is_prompt_after_stopping_the_resource_tracker():
     script = """
 import numpy as np
 from multiprocessing import resource_tracker
-from repro.graphs import generate_graph
-from repro.models import build_model
+from repro.graphs import Graph, GraphPair, generate_graph, load_dataset
+from repro.models import build_model, gmn_li, train_scorer
 from repro.perf import parallel
 from repro.search import executor as executor_mod
 from repro.search.requests import QueryRequest
