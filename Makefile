@@ -22,8 +22,8 @@ lint:
 bench:
 	$(PYTHON) -m pytest benchmarks/ --benchmark-only
 
-# EMF and harness microbenchmarks plus 4 s perfbench runs; appends each
-# run to the run store under results/obs/runs/.
+# 4 s perfbench runs of every workload, seeds 0-2; appends each run to
+# the run store under results/obs/runs/.
 bench-quick:
 	$(PYTHON) -m repro.perf.bench --quick
 

@@ -17,14 +17,14 @@ Subcommands::
         --window-seconds 0.25 --expo serve.prom --window-log windows.jsonl
     python -m repro obs tail windows.jsonl --prefix search.serve.
     python -m repro experiments fig16 [--full] [--jobs N]
-    python -m repro bench [--quick] [--only {emf,harness,perfbench}]
+    python -m repro bench [--quick] [--repeats N] [--store DIR]
     python -m repro simulate --quick --model GMN-Li --dataset AIDS \
         --metrics --trace trace.json
     python -m repro obs show results/obs/..._report.json
     python -m repro obs diff old_report.json new_report.json
     python -m repro obs record results/obs/..._report.json [--store DIR]
     python -m repro obs compare [results/obs/..._report.json] [--json-out FILE]
-    python -m repro obs trend [--markdown] [--json-out FILE]
+    python -m repro obs trend [--json-out FILE]
     python -m repro obs provenance results/experiments.json
     python -m repro obs dashboard --output dashboard.html
     python -m repro validate [--quick] [--only NAME] [--list] [--smoke]
@@ -542,14 +542,10 @@ def _cmd_obs_compare(args) -> int:
 
 
 def _cmd_obs_trend(args) -> int:
-    """Each series' metrics over its runs, changepoints marked (or the
-    README speedup table with ``--markdown``)."""
-    from .obs import RunStore, render_markdown_table, render_trend, trend_report
+    """Each series' metrics over its runs, changepoints marked."""
+    from .obs import RunStore, render_trend, trend_report
 
     store = RunStore(args.store)
-    if args.markdown:
-        print(render_markdown_table(store))
-        return 0
     names = store.series()
     if not names:
         print(f"no runs recorded under {store.root}")
@@ -1083,9 +1079,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     bench = subparsers.add_parser(
         "bench",
         add_help=False,
-        help="run the EMF/harness microbenchmarks and the perfbench "
-        "workloads (each run is appended to the run store); "
-        "options as python -m repro.perf.bench",
+        help="run the perfbench workloads (each run is appended to the "
+        "run store); options as python -m repro.perf.bench",
     )
     bench.set_defaults(handler=_cmd_bench)
 
@@ -1141,11 +1136,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         "changepoints marked",
     )
     _add_store_argument(obs_trend)
-    obs_trend.add_argument(
-        "--markdown",
-        action="store_true",
-        help="print the README speedup table from the newest runs instead",
-    )
     obs_trend.add_argument(
         "--json-out",
         metavar="FILE",

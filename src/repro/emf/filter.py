@@ -29,9 +29,6 @@ __all__ = [
     "PlanSummary",
 ]
 
-_BACKENDS = ("auto", "vectorized", "scalar")
-
-
 class FilterResult:
     """Output of Algorithm 1 for one graph's feature matrix.
 
@@ -126,7 +123,6 @@ def elastic_matching_filter(
     decimals: int = FEATURE_QUANTIZATION_DECIMALS,
     verify_conflicts: bool = True,
     method: str = "bytes",
-    backend: str = "auto",
 ) -> FilterResult:
     """Run Algorithm 1 over a feature matrix (one graph, one layer).
 
@@ -155,33 +151,23 @@ def elastic_matching_filter(
         enough for full-dataset simulation. ``"xxhash"`` runs the
         hardware-faithful XXH32 tagging (used for validation; the two
         methods produce identical RecordSet/TagMap whenever XXH32 has no
-        conflicts, which is every observed case).
-    backend:
-        ``"vectorized"`` digests the whole matrix with batch numpy ops
-        (one XXH32 pass over all rows, duplicate grouping via
-        ``np.unique``); ``"scalar"`` is the original per-node reference
-        loop. ``"auto"`` (default) picks per method: vectorized for
-        ``"xxhash"`` (batch hashing is ~50-70x faster than the Python
-        XXH32 loop) and scalar for ``"bytes"`` (the dict loop beats
-        sorting void-dtype rows at every measured size). Both backends
-        produce bit-identical :class:`FilterResult` contents.
+        conflicts, which is every observed case). The bytes method runs
+        a per-node dict loop; the xxhash method digests the whole matrix
+        in one batch XXH32 pass, held bit for bit to the per-node
+        reference loop :func:`_filter_scalar` by ``repro validate``.
     """
     features = np.asarray(features, dtype=np.float64)
     if features.ndim != 2:
         raise ValueError("features must be 2-D (nodes x feature_dim)")
     if method not in ("bytes", "xxhash"):
         raise ValueError(f"unknown method {method!r}")
-    if backend not in _BACKENDS:
-        raise ValueError(f"unknown backend {backend!r}; known: {_BACKENDS}")
     # Quantize exactly once; every downstream hash/compare sees the same
     # quantized array (decimals=None below means "already quantized").
     quantized = quantize_features(features, decimals)
-    if backend == "auto":
-        backend = "vectorized" if method == "xxhash" else "scalar"
-    if backend == "scalar":
-        result = _filter_scalar(quantized, seed, verify_conflicts, method)
+    if method == "bytes":
+        result = _filter_bytes(quantized)
     else:
-        result = _filter_vectorized(quantized, seed, verify_conflicts, method)
+        result = _filter_vectorized(quantized, seed, verify_conflicts)
     registry = get_metrics()
     if registry is not None:
         registry.inc("emf.filter.calls")
@@ -192,25 +178,30 @@ def elastic_matching_filter(
     return result
 
 
+def _filter_bytes(quantized: np.ndarray) -> FilterResult:
+    """The bytes method: a per-node dict loop keyed by feature bytes."""
+    record_set: Dict[int, int] = {}
+    tag_map: Dict[int, int] = {}
+    seen_bytes: Dict[bytes, int] = {}
+    for index in range(quantized.shape[0]):
+        key = quantized[index].tobytes()
+        if key in seen_bytes:
+            tag_map[index] = seen_bytes[key]
+        else:
+            seen_bytes[key] = index
+            # Derive a stable 32-bit tag without the full hash cost.
+            record_set[index] = hash(key) & 0xFFFFFFFF
+    return FilterResult(record_set, tag_map, quantized.shape[0], 0)
+
+
 def _filter_scalar(
-    quantized: np.ndarray, seed: int, verify_conflicts: bool, method: str
+    quantized: np.ndarray, seed: int, verify_conflicts: bool
 ) -> FilterResult:
-    """Reference per-node loop (the original Algorithm 1 digest order)."""
+    """Reference XXH32 per-node loop (the original Algorithm 1 digest
+    order), which :func:`_filter_vectorized` must match bit for bit."""
     record_set: Dict[int, int] = {}
     tag_map: Dict[int, int] = {}
     conflicts = 0
-    if method == "bytes":
-        seen_bytes: Dict[bytes, int] = {}
-        for index in range(quantized.shape[0]):
-            key = quantized[index].tobytes()
-            if key in seen_bytes:
-                tag_map[index] = seen_bytes[key]
-            else:
-                seen_bytes[key] = index
-                # Derive a stable 32-bit tag without the full hash cost.
-                record_set[index] = hash(key) & 0xFFFFFFFF
-        return FilterResult(record_set, tag_map, quantized.shape[0], 0)
-
     seen: Dict[int, int] = {}  # tag -> unique node index
     for index in range(quantized.shape[0]):
         tag = hash_feature_vector(quantized[index], seed, decimals=None)
@@ -242,34 +233,12 @@ def _first_occurrence_groups(keys: np.ndarray) -> np.ndarray:
 
 
 def _filter_vectorized(
-    quantized: np.ndarray, seed: int, verify_conflicts: bool, method: str
+    quantized: np.ndarray, seed: int, verify_conflicts: bool
 ) -> FilterResult:
-    """Batch digest: one hashing pass + ``np.unique`` duplicate grouping."""
-    num_nodes, feature_dim = quantized.shape
+    """The xxhash method: one batch XXH32 pass + ``np.unique`` grouping."""
+    num_nodes = quantized.shape[0]
     if num_nodes == 0:
         return FilterResult({}, {}, 0, 0)
-
-    if method == "bytes":
-        if feature_dim == 0:
-            # Zero-width rows all share the empty byte key.
-            holders = np.zeros(num_nodes, dtype=np.int64)
-        else:
-            contiguous = np.ascontiguousarray(quantized)
-            row_bytes = np.dtype((np.void, contiguous.dtype.itemsize * feature_dim))
-            holders = _first_occurrence_groups(contiguous.view(row_bytes).ravel())
-        indices = np.arange(num_nodes)
-        unique_mask = holders == indices
-        record_set = {
-            int(index): hash(quantized[index].tobytes()) & 0xFFFFFFFF
-            for index in indices[unique_mask]
-        }
-        tag_map = dict(
-            zip(
-                indices[~unique_mask].tolist(),
-                holders[~unique_mask].tolist(),
-            )
-        )
-        return FilterResult(record_set, tag_map, num_nodes, 0)
 
     tags = hash_feature_matrix(quantized, seed, decimals=None)
     holders = _first_occurrence_groups(tags)
@@ -328,15 +297,10 @@ class MatchingPlan:
         query_features: np.ndarray,
         seed: int = 0,
         method: str = "bytes",
-        backend: str = "auto",
     ) -> "MatchingPlan":
         return cls(
-            elastic_matching_filter(
-                target_features, seed, method=method, backend=backend
-            ),
-            elastic_matching_filter(
-                query_features, seed, method=method, backend=backend
-            ),
+            elastic_matching_filter(target_features, seed, method=method),
+            elastic_matching_filter(query_features, seed, method=method),
         )
 
     # ------------------------------------------------------------------

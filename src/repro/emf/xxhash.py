@@ -18,8 +18,8 @@ negligible (~3e-7% for 256-byte inputs). Two implementations live here:
 
 Quantization happens in exactly one place: :func:`quantize_features`.
 Every consumer (scalar hash, batch hash, Algorithm 1's byte-keyed path)
-routes through it, so the tags produced by any combination of method and
-backend agree bit for bit.
+routes through it, so the tags produced by either method and either
+hash path agree bit for bit.
 """
 
 from __future__ import annotations

@@ -56,7 +56,7 @@ Plus :func:`~repro.obs.logging.configure_logging` for the ``repro.*``
 stdlib-logging hierarchy used by the library in place of ``print``.
 """
 
-from .analytics import compare, render_markdown_table, render_trend, trend_report
+from .analytics import compare, render_trend, trend_report
 from .context import render_tree
 from .dashboard import write_dashboard
 from .export import read_windows, render_window, write_exposition
@@ -77,7 +77,6 @@ __all__ = [
     "metrics_enabled",
     "read_stamp",
     "read_windows",
-    "render_markdown_table",
     "render_tree",
     "render_trend",
     "render_window",

@@ -29,7 +29,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .store import Run, RunStore
+from .store import Run
 
 __all__ = [
     "COMPARISON_SCHEMA_VERSION",
@@ -45,7 +45,6 @@ __all__ = [
     "detect_changepoints",
     "trend_report",
     "render_trend",
-    "render_markdown_table",
     "stage_budget_means",
     "attribute_stages",
     "render_attribution",
@@ -415,11 +414,10 @@ def compare(history: Sequence[Run], candidate: Optional[Run] = None) -> Comparis
 
 
 def metric_names(runs: Sequence[Run]) -> List[str]:
-    """All trendable metric names: ``timing:<variant>``, ``speedup:<label>``."""
+    """All trendable metric names: ``timing:<variant>``."""
     names = set()
     for run in runs:
         names.update(f"timing:{variant}" for variant in run.samples)
-        names.update(f"speedup:{label}" for label in run.speedups)
     return sorted(names)
 
 
@@ -433,13 +431,9 @@ def metric_series(runs: Sequence[Run], metric: str) -> List[Optional[float]]:
         if kind == "timing":
             samples = run.samples.get(name)
             series.append(median(samples) if samples else None)
-        elif kind == "speedup":
-            value = run.speedups.get(name)
-            series.append(None if value is None else float(value))
         else:
             raise ValueError(
-                f"unknown metric kind {kind!r} "
-                "(expected 'timing:<variant>' or 'speedup:<label>')"
+                f"unknown metric kind {kind!r} (expected 'timing:<variant>')"
             )
     return series
 
@@ -535,29 +529,6 @@ def render_trend(report: Dict[str, object]) -> str:
             )
     if len(lines) == 1:
         lines.append("(no recorded metrics)")
-    return "\n".join(lines)
-
-
-def render_markdown_table(store: RunStore) -> str:
-    """The README performance table, generated from the run store.
-
-    One row per speedup label of each series' newest run, so the README
-    numbers are always traceable to a recorded, provenance-stamped run
-    instead of hand-transcribed.
-    """
-    lines = [
-        "| bench | speedup | ratio | commit |",
-        "|---|---|---|---|",
-    ]
-    for series in store.series():
-        run = store.latest(series)
-        if run is None:
-            continue
-        for label in sorted(run.speedups):
-            lines.append(
-                f"| `{series}` | `{label}` | "
-                f"~{run.speedups[label]:.1f}x | `{run.git_sha[:12]}` |"
-            )
     return "\n".join(lines)
 
 

@@ -20,7 +20,7 @@ from the store. :func:`ingest` classifies an artifact once: exact
 values (deterministic-prefixed counters, gauges and histogram
 fingerprints; scalar bench checks not named as throughput or latency),
 environmental values (info only: everything else, such as perfbench's
-per-seed ``attempted``/``failed`` lists), samples and speedups.
+per-seed ``attempted``/``failed`` lists) and samples.
 
 Properties the store guarantees:
 
@@ -164,7 +164,6 @@ class Run:
     exact: Dict[str, Dict[str, object]] = field(default_factory=dict)
     environmental: Dict[str, Dict[str, object]] = field(default_factory=dict)
     samples: Dict[str, List[float]] = field(default_factory=dict)
-    speedups: Dict[str, float] = field(default_factory=dict)
 
     @property
     def git_sha(self) -> str:
@@ -293,7 +292,6 @@ def _ingest_bench(artifact: Dict) -> Run:
         exact=exact,
         environmental=environmental,
         samples=report.samples,
-        speedups=report.speedups,
     )
 
 

@@ -11,18 +11,13 @@ This package holds the infrastructure that makes the reproduction run
 - :mod:`repro.perf.parallel` — a ``ProcessPoolExecutor`` runner that
   fans (model, dataset) workloads and graph-pair chunks across cores.
 - :mod:`repro.perf.bench` — ``python -m repro.perf.bench``, which
-  records the scalar-vs-vectorized EMF and serial-vs-optimized harness
-  speedups, and every perfbench workload's end-to-end metrics, in the
-  run store.
+  records every perfbench workload's end-to-end metrics in the run
+  store.
 """
 
 from .timing import BenchReport, StageTimer, time_stage
 from .trace_cache import TraceCache, default_trace_cache
-from .parallel import (
-    available_workers,
-    parallel_simulate_workload,
-    parallel_workload_results,
-)
+from .parallel import available_workers, parallel_simulate_workload
 
 __all__ = [
     "BenchReport",
@@ -32,5 +27,4 @@ __all__ = [
     "default_trace_cache",
     "available_workers",
     "parallel_simulate_workload",
-    "parallel_workload_results",
 ]

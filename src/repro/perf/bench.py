@@ -1,30 +1,16 @@
-"""Benchmarks backing the repository's performance claims.
+"""The recorder for perfbench, the repository's one benchmark.
 
 Run as ``python -m repro.perf.bench`` (add ``--quick`` for a fast
-smoke-sized run, ``--only NAME`` for one benchmark). Each benchmark
-produces :class:`~repro.perf.timing.BenchReport` s (aggregates plus raw
-per-repeat samples) and appends them to the run store
-(``results/obs/runs/``, see :mod:`repro.obs.store`), where ``repro obs
-compare|trend`` gate and chart them:
+smoke-sized run). It runs ``BENCHMARK.json``'s command for every
+workload the file declares, once per seed, and appends one
+:class:`~repro.perf.timing.BenchReport` per workload to the run store
+(``results/obs/runs/``, see :mod:`repro.obs.store`) as the series
+``perfbench-<workload>``: one sample per seed of each end-to-end metric,
+and the served answers' correctness as exact checks. ``repro obs
+compare|trend`` gate and chart them.
 
-- ``emf`` — scalar vs. vectorized EMF: raw XXH32 hashing of an (N, D)
-  feature matrix, and the full filter (Algorithm 1). The two backends
-  are also checked for bit-identical tags and filter results, so the
-  report certifies equivalence along with speed.
-- ``harness`` — the experiment harness on quick-mode workloads:
-  per-query fresh profiling (the uncached path) vs. the cached harness
-  with a cold and a warm on-disk trace cache, fanned across whatever
-  cores the host offers. Results are checked identical between the
-  cached and uncached paths.
-- ``perfbench`` — the repository's end-to-end benchmark
-  (``BENCHMARK.json`` and ``perfbench/``): every workload it declares,
-  once per seed, recorded as the series ``perfbench-<workload>`` with
-  one sample per seed of each end-to-end metric and the served answers'
-  correctness as exact checks.
-
-The process exits 1 when a boolean check is False: a fast path that
-disagreed with its reference, or a perfbench run that served a wrong
-answer.
+The process exits 1 when a boolean check is False: a perfbench run that
+served a wrong answer.
 """
 
 from __future__ import annotations
@@ -37,307 +23,16 @@ import signal
 import statistics
 import subprocess
 import sys
-import tempfile
-import time
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-import numpy as np
-
 from ..obs.logging import configure_logging
 from ..obs.store import RunStore
-from .parallel import available_workers, parallel_workload_results
 from .timing import BenchReport
 
-__all__ = [
-    "PerfbenchError",
-    "bench_emf",
-    "bench_harness",
-    "bench_perfbench",
-    "main",
-]
+__all__ = ["PerfbenchError", "bench_perfbench", "main"]
 
 logger = logging.getLogger("repro.perf.bench")
-
-
-def _sample_times(repeats: int, func) -> List[float]:
-    """Per-repeat wall-clock seconds, in call order.
-
-    Callers keep the min as the headline aggregate (classic timeit
-    discipline) but record the full list on the BenchReport, so the
-    gate can run median/MAD statistics over real samples.
-    """
-    samples = []
-    for _ in range(repeats):
-        start = time.perf_counter()
-        func()
-        samples.append(time.perf_counter() - start)
-    return samples
-
-
-def _duplicated_features(
-    num_nodes: int, feature_dim: int, unique_rows: int, seed: int = 0
-) -> np.ndarray:
-    """A feature matrix with realistic duplication (the EMF's target)."""
-    rng = np.random.default_rng(seed)
-    base = rng.normal(size=(unique_rows, feature_dim))
-    return base[rng.integers(0, unique_rows, size=num_nodes)]
-
-
-def bench_emf(quick: bool = False, repeats: int = 3) -> BenchReport:
-    """Scalar vs. vectorized EMF hashing and filtering."""
-    from ..emf.filter import elastic_matching_filter
-    from ..emf.xxhash import hash_feature_matrix, hash_feature_vector
-
-    num_nodes = 1024 if quick else 4096
-    feature_dim = 64
-    unique_rows = max(1, num_nodes // 8)
-    features = _duplicated_features(num_nodes, feature_dim, unique_rows)
-
-    report = BenchReport(
-        "emf",
-        config={
-            "num_nodes": num_nodes,
-            "feature_dim": feature_dim,
-            "unique_rows": unique_rows,
-            "repeats": repeats,
-            "quick": quick,
-        },
-    )
-    report.repeats = repeats
-
-    def hash_scalar() -> np.ndarray:
-        return np.array(
-            [hash_feature_vector(row) for row in features], dtype=np.uint32
-        )
-
-    def hash_vectorized() -> np.ndarray:
-        return hash_feature_matrix(features)
-
-    def timed(variant: str, func) -> None:
-        samples = _sample_times(repeats, func)
-        report.add_timing(variant, min(samples), samples)
-
-    timed("hash_scalar", hash_scalar)
-    timed("hash_vectorized", hash_vectorized)
-    report.add_speedup("emf_hashing", "hash_scalar", "hash_vectorized")
-    tags_equal = bool(np.array_equal(hash_scalar(), hash_vectorized()))
-
-    # Filter timing uses the hardware-faithful XXH32 method — the path
-    # the vectorized backend accelerates (the "bytes" method's dict loop
-    # was never the bottleneck and keeps its scalar backend under auto).
-    def filter_scalar():
-        return elastic_matching_filter(
-            features, method="xxhash", backend="scalar"
-        )
-
-    def filter_vectorized():
-        return elastic_matching_filter(
-            features, method="xxhash", backend="vectorized"
-        )
-
-    timed("filter_scalar", filter_scalar)
-    timed("filter_vectorized", filter_vectorized)
-    report.add_speedup("emf_filter", "filter_scalar", "filter_vectorized")
-
-    scalar_result = filter_scalar()
-    vector_result = filter_vectorized()
-    report.checks = {
-        "tags_identical": tags_equal,
-        "record_sets_identical": scalar_result.record_set
-        == vector_result.record_set,
-        "tag_maps_identical": scalar_result.tag_map == vector_result.tag_map,
-        "num_unique": scalar_result.num_unique,
-    }
-    return report
-
-
-def _quick_workloads(quick: bool) -> List[Tuple[str, str]]:
-    from ..experiments.common import DATASET_ORDER, MODEL_ORDER
-
-    datasets = DATASET_ORDER[:2] if quick else DATASET_ORDER[:4]
-    models = MODEL_ORDER[:1] if quick else MODEL_ORDER
-    return [(model, dataset) for model in models for dataset in datasets]
-
-
-def _results_signature(results) -> List[Tuple[str, str, float, int]]:
-    """Order-independent fingerprint of a harness result mapping."""
-    signature = []
-    for (model, dataset), per_platform in sorted(results.items()):
-        for platform, result in sorted(per_platform.items()):
-            signature.append(
-                (f"{model}/{dataset}", platform, result.cycles, result.num_pairs)
-            )
-    return signature
-
-
-def _simulate_serial(traces, platforms):
-    """:func:`~repro.core.api.simulate_traces` with every accelerator on
-    its per-pair reference loop (software models have one path)."""
-    from ..platforms import REGISTRY
-    from ..sim.engine import AcceleratorSimulator, _simulate_batches_serial
-
-    results = {}
-    for platform in platforms:
-        simulator = REGISTRY.build(platform)
-        if isinstance(simulator, AcceleratorSimulator):
-            results[platform] = _simulate_batches_serial(simulator, traces)
-        else:
-            results[platform] = simulator.simulate_batches(traces)
-    return results
-
-
-def bench_harness(
-    quick: bool = False, workers: Optional[int] = None
-) -> BenchReport:
-    """Uncached serial harness vs. the cached (and parallel) harness."""
-    from ..core.api import _profile_spec, simulate_traces
-    from ..platforms import DEFAULT_PLATFORMS, RunSpec
-    from ..experiments.common import (
-        QUICK_BATCH,
-        QUICK_PAIRS,
-        clear_workload_caches,
-        traces_for,
-    )
-
-    workloads = _quick_workloads(quick)
-    platforms = DEFAULT_PLATFORMS
-    workers = available_workers(workers)
-    # The figure experiments (fig16/17/19/21/24 plus the ablations) each
-    # query the same (model, dataset) workloads, so a harness run issues
-    # several queries per workload. Four queries is still a conservative
-    # model of that stream.
-    queries = 4
-    report = BenchReport(
-        "harness",
-        config={
-            "workloads": [f"{m}/{d}" for m, d in workloads],
-            "platforms": list(platforms),
-            "num_pairs": QUICK_PAIRS,
-            "batch_size": QUICK_BATCH,
-            "workers": workers,
-            "queries_per_workload": queries,
-            "quick": quick,
-        },
-    )
-
-    # Each harness pass is expensive, so every variant is timed once:
-    # the samples list is the single reading, and the gate's
-    # ratio fallback (not the CI test) applies to this bench.
-    report.repeats = 1
-
-    def record_once(variant: str, seconds: float) -> None:
-        report.add_timing(variant, seconds, [seconds])
-
-    saved_env = os.environ.get("REPRO_TRACE_CACHE")
-    try:
-        # Baseline: every query re-profiles and re-simulates from
-        # scratch on the per-pair reference loop (the pre-caching,
-        # pre-batching behavior of one fresh process per figure).
-        os.environ["REPRO_TRACE_CACHE"] = "off"
-        clear_workload_caches()
-        start = time.perf_counter()
-        for _ in range(queries):
-            baseline = {
-                (model, dataset): _simulate_serial(
-                    _profile_spec(
-                        RunSpec.make(
-                            model, dataset, QUICK_PAIRS, QUICK_BATCH, 0
-                        )
-                    ),
-                    platforms,
-                )
-                for model, dataset in workloads
-            }
-        record_once("serial_uncached", time.perf_counter() - start)
-
-        def harness_pass():
-            """One harness invocation: the same query stream, served by
-            the memoized + disk-cached + parallel-capable runner."""
-            for _ in range(queries):
-                results = parallel_workload_results(
-                    workloads,
-                    platforms,
-                    num_pairs=QUICK_PAIRS,
-                    batch_size=QUICK_BATCH,
-                    seed=0,
-                    workers=workers,
-                )
-            return results
-
-        with tempfile.TemporaryDirectory(prefix="repro-bench-cache-") as cache:
-            os.environ["REPRO_TRACE_CACHE"] = cache
-
-            # Cold cache: first harness invocation; profiles each
-            # workload once, persists traces, and serves repeat queries
-            # from the in-process memo.
-            clear_workload_caches()
-            start = time.perf_counter()
-            cold = harness_pass()
-            record_once("harness_cold_cache", time.perf_counter() - start)
-
-            # Warm cache: a later harness invocation (fresh process —
-            # emulated by dropping the in-process memos) replays traces
-            # from disk instead of re-profiling.
-            clear_workload_caches()
-            start = time.perf_counter()
-            warm = harness_pass()
-            record_once("harness_warm_cache", time.perf_counter() - start)
-
-            # Engine-level variants over the warm cache: identical
-            # memory-mapped traces (schedule sidecar attached), simulated
-            # once per engine. The batched engine consumes the array
-            # summaries directly; the serial reference loop rebuilds its
-            # window schedules per pair.
-            engine_results = {}
-            for engine, simulate in (
-                ("serial", _simulate_serial),
-                ("batched", simulate_traces),
-            ):
-                clear_workload_caches()
-                per_spec = [
-                    (
-                        (model, dataset),
-                        traces_for(
-                            RunSpec.make(
-                                model, dataset, QUICK_PAIRS, QUICK_BATCH, 0
-                            )
-                        ),
-                    )
-                    for model, dataset in workloads
-                ]
-                start = time.perf_counter()
-                engine_results[engine] = {
-                    workload: simulate(traces, platforms)
-                    for workload, traces in per_spec
-                }
-                record_once(
-                    f"sim_warm_{engine}", time.perf_counter() - start
-                )
-    finally:
-        if saved_env is None:
-            os.environ.pop("REPRO_TRACE_CACHE", None)
-        else:
-            os.environ["REPRO_TRACE_CACHE"] = saved_env
-        clear_workload_caches()
-
-    report.add_speedup("harness_quick", "serial_uncached", "harness_warm_cache")
-    report.add_speedup(
-        "harness_cold", "serial_uncached", "harness_cold_cache"
-    )
-    report.add_speedup("sim_batched", "sim_warm_serial", "sim_warm_batched")
-    report.checks = {
-        "cold_matches_uncached": _results_signature(baseline)
-        == _results_signature(cold),
-        "warm_matches_uncached": _results_signature(baseline)
-        == _results_signature(warm),
-        "batched_matches_serial": _results_signature(
-            engine_results["serial"]
-        )
-        == _results_signature(engine_results["batched"]),
-        "num_workloads": len(workloads),
-    }
-    return report
 
 
 #: A perfbench run still going after this many seconds is a hang.
@@ -469,29 +164,19 @@ def bench_perfbench(quick: bool = False, repeats: int = 3) -> List[BenchReport]:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.perf.bench",
-        description="EMF and harness microbenchmarks and the perfbench "
-        "workloads (appends each run to the run store)",
+        description="run the perfbench workloads (appends each run to the "
+        "run store)",
     )
     parser.add_argument(
         "--quick",
         action="store_true",
-        help=f"smaller matrices and workloads; {QUICK_RUN_SECONDS} s "
-        "perfbench runs",
+        help=f"{QUICK_RUN_SECONDS} s perfbench runs",
     )
     parser.add_argument(
         "--repeats",
         type=int,
         default=3,
-        help="timing repeats (min is kept); perfbench seeds 0..N-1",
-    )
-    parser.add_argument(
-        "--workers", type=int, default=None, help="harness worker processes"
-    )
-    parser.add_argument(
-        "--only",
-        choices=("emf", "harness", "perfbench"),
-        default=None,
-        help="run a single benchmark",
+        help="perfbench seeds 0..N-1 (at least 1)",
     )
     parser.add_argument(
         "--store",
@@ -500,18 +185,14 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         help="run store to append each run to (default results/obs/runs)",
     )
     args = parser.parse_args(argv)
+    if args.repeats < 1:
+        parser.error(f"--repeats must be at least 1, got {args.repeats}")
     # Bench results are the command's whole point: log them at INFO.
     configure_logging(1)
 
-    reports = []
-    if args.only in (None, "emf"):
-        reports.append(bench_emf(quick=args.quick, repeats=args.repeats))
-    if args.only in (None, "harness"):
-        reports.append(bench_harness(quick=args.quick, workers=args.workers))
-    if args.only in (None, "perfbench"):
-        reports.extend(bench_perfbench(quick=args.quick, repeats=args.repeats))
+    reports = bench_perfbench(quick=args.quick, repeats=args.repeats)
 
-    # Appending happens after all timing is done, so recording costs
+    # Appending happens after all runs are done, so recording costs
     # the benchmark nothing.
     store = RunStore(args.store)
     failures = 0
@@ -523,17 +204,14 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             run.entry_id,
             store.path_for(run.series),
         )
-        for label, value in report.speedups.items():
-            logger.info("  %s: %.2fx", label, value)
         for label, value in report.checks.items():
             logger.info("  check %s: %s", label, value)
-            # Boolean checks are equivalence assertions (batched vs
-            # serial, cached vs uncached, served vs reference answers);
-            # a False one fails the run so CI's bench smoke gates on them.
+            # A False check is a perfbench run that served a wrong
+            # answer; it fails the run so CI's bench smoke gates on it.
             if value is False:
                 failures += 1
     if failures:
-        logger.error("%d equivalence check(s) failed", failures)
+        logger.error("%d check(s) failed", failures)
         return 1
     return 0
 

@@ -2,8 +2,7 @@
 
 Two grains of parallelism, matching how the harness spends its time:
 
-- :func:`parallel_run_specs` (and its ``(model, dataset)``-keyed wrapper
-  :func:`parallel_workload_results`) fans whole workloads — the unit the
+- :func:`parallel_run_specs` fans whole workloads — the unit the
   experiment runners iterate over — across a ``ProcessPoolExecutor``.
   Workloads are independent (each rebuilds its dataset and model
   deterministically from the seed), so this is embarrassingly parallel.
@@ -60,7 +59,6 @@ __all__ = [
     "available_workers",
     "shutdown_serving_pool",
     "parallel_run_specs",
-    "parallel_workload_results",
     "parallel_simulate_workload",
 ]
 
@@ -306,30 +304,6 @@ def parallel_run_specs(
         _merge_worker_telemetry(telemetry)
     return {
         RunSpec.from_dict(payload): results for payload, results, _ in raw
-    }
-
-
-def parallel_workload_results(
-    workloads: Sequence[Tuple[str, str]],
-    platforms: Sequence[str],
-    num_pairs: int,
-    batch_size: int,
-    seed: int = 0,
-    workers: Optional[int] = None,
-) -> Dict[Tuple[str, str], Dict]:
-    """:func:`parallel_run_specs` keyed by ``(model, dataset)`` pairs.
-
-    Convenience wrapper for callers that sweep a model/dataset grid at
-    one uniform workload size.
-    """
-    specs = [
-        RunSpec.make(model, dataset, num_pairs, batch_size, seed)
-        for model, dataset in workloads
-    ]
-    computed = parallel_run_specs(specs, platforms, workers)
-    return {
-        (spec.model, spec.dataset): results
-        for spec, results in computed.items()
     }
 
 

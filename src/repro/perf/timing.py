@@ -27,7 +27,8 @@ __all__ = [
 # "samples" (the raw per-repeat wall-clock readings each aggregate was
 # derived from) and "repeats", so downstream comparison can run a real
 # statistical test instead of a single-number ratio. Readers accept v2
-# only.
+# only. v2 payloads written before the microbenchmarks were retired also
+# carry a "speedups" key of derived ratios; readers ignore it.
 BENCH_SCHEMA_VERSION = 2
 
 
@@ -98,7 +99,6 @@ class BenchReport:
           "timings": {...},         # seconds per measured variant
           "samples": {...},         # raw per-repeat seconds per variant
           "repeats": ...,           # requested timing repeats
-          "speedups": {...},        # derived ratios
           "checks": {...}           # equivalence verdicts, counts, ...
         }
 
@@ -113,7 +113,6 @@ class BenchReport:
         self.timings: Dict[str, float] = {}
         self.samples: Dict[str, List[float]] = {}
         self.repeats: Optional[int] = None
-        self.speedups: Dict[str, float] = {}
         self.checks: Dict = {}
         # Populated by from_dict so a loaded report round-trips with the
         # stamp it was written under instead of minting a fresh one.
@@ -135,21 +134,6 @@ class BenchReport:
         self.timings[variant] = float(seconds)
         if samples is not None:
             self.samples[variant] = [float(value) for value in samples]
-
-    def add_speedup(self, label: str, baseline: str, improved: str) -> None:
-        missing = [
-            variant
-            for variant in (baseline, improved)
-            if variant not in self.timings
-        ]
-        if missing:
-            raise ValueError(
-                f"speedup {label!r} references unrecorded timing variant(s) "
-                f"{missing}; recorded: {sorted(self.timings)}"
-            )
-        slow = self.timings[baseline]
-        fast = self.timings[improved]
-        self.speedups[label] = float(slow / fast) if fast > 0 else float("inf")
 
     def as_dict(self) -> Dict:
         from ..obs.metrics import get_metrics
@@ -183,7 +167,6 @@ class BenchReport:
                 for variant, values in self.samples.items()
             },
             "repeats": self.repeats,
-            "speedups": self.speedups,
             "checks": self.checks,
         }
 
@@ -220,10 +203,6 @@ class BenchReport:
         }
         raw_repeats = payload.get("repeats")
         report.repeats = None if raw_repeats is None else int(raw_repeats)
-        report.speedups = {
-            str(k): float(v)
-            for k, v in (payload.get("speedups") or {}).items()
-        }
         report.checks = dict(payload.get("checks") or {})
         loaded_prov = payload.get("provenance")
         report._loaded_provenance = (

@@ -919,9 +919,9 @@ def _simulate_batches_serial(
     """The per-pair reference run of ``simulator.simulate_batches``.
 
     Same merge order and ``sim.batch`` spans, with every batch simulated
-    by the pair-at-a-time loop. Validation and benchmark code only: the
-    ``sim.batched_vs_serial`` check and the harness bench compare the
-    batched engine against it.
+    by the pair-at-a-time loop. Validation code only: the
+    ``sim.batched_vs_serial`` check compares the batched engine against
+    it.
     """
     return simulator._accumulate(
         batch_traces, simulator._simulate_batch_serial

@@ -7,7 +7,7 @@ redundant implementations the repo maintains on purpose:
 check                                 redundant pair / invariant
 ====================================  =========================================
 ``emf.hash.scalar_vs_batch``          scalar XXH32 vs. lane-parallel batch
-``emf.filter.backends``               Algorithm 1 scalar loop vs. vectorized
+``emf.filter.backends``               Algorithm 1 XXH32 loop vs. batch digest
 ``emf.filter.methods``                byte-keyed digest vs. XXH32 tagging
 ``emf.pipeline.event_vs_cycle``       event-driven fast path vs. cycle loop
 ``sim.engine_vs_detailed``            analytic engine vs. per-step simulator
@@ -172,7 +172,7 @@ def check_hash_scalar_vs_batch(context: CheckContext):
 
 
 # ----------------------------------------------------------------------
-# Pair 1b: EMF scalar vs. vectorized backends, bytes vs. xxhash methods
+# Pair 1b: EMF batch digest vs. scalar reference, bytes vs. xxhash methods
 # ----------------------------------------------------------------------
 def _filter_signature(result):
     return {
@@ -210,26 +210,20 @@ def _mutate_vectorized_grouping():
     mutators={"vectorized_groups_by_last_occurrence": _mutate_vectorized_grouping},
 )
 def check_filter_backends(context: CheckContext):
-    """Scalar and vectorized Algorithm 1 digest identical filter results."""
+    """The xxhash method's batch digest matches the scalar XXH32 loop."""
     from ..emf import filter as filter_mod
 
     def compare(features: np.ndarray) -> None:
-        for method in ("bytes", "xxhash"):
-            scalar = filter_mod.elastic_matching_filter(
-                features, method=method, backend="scalar"
-            )
-            vectorized = filter_mod.elastic_matching_filter(
-                features, method=method, backend="vectorized"
-            )
-            left, right = (
-                _filter_signature(scalar),
-                _filter_signature(vectorized),
-            )
-            _require(
-                left == right,
-                f"filter backends diverge for method={method!r} on a "
-                f"{features.shape} matrix: scalar={left} vectorized={right}",
-            )
+        production = filter_mod.elastic_matching_filter(features, method="xxhash")
+        reference = filter_mod._filter_scalar(
+            filter_mod.quantize_features(features), 0, True
+        )
+        left, right = _filter_signature(reference), _filter_signature(production)
+        _require(
+            left == right,
+            f"xxhash filter diverges from the scalar reference on a "
+            f"{features.shape} matrix: scalar={left} vectorized={right}",
+        )
 
     matrices = feature_matrices(seed=2)
     for features in matrices:
@@ -256,7 +250,7 @@ def check_filter_backends(context: CheckContext):
             compare(features)
 
         property_backends_match()
-    return f"{len(matrices)} matrices x 2 methods, identical results"
+    return f"{len(matrices)} matrices, identical results"
 
 
 def _mutate_colliding_tags():
@@ -304,28 +298,22 @@ def check_filter_methods(context: CheckContext):
 
     matrices = feature_matrices(seed=3)
     for features in matrices:
-        for backend in ("scalar", "vectorized"):
-            by_bytes = filter_mod.elastic_matching_filter(
-                features, method="bytes", backend=backend
-            )
-            by_hash = filter_mod.elastic_matching_filter(
-                features, method="xxhash", backend=backend
-            )
-            _require(
-                by_hash.hash_conflicts == 0,
-                f"xxhash method reported {by_hash.hash_conflicts} "
-                f"conflict(s) on a {features.shape} matrix "
-                f"(backend={backend})",
-            )
-            _require(
-                by_bytes.unique_indices == by_hash.unique_indices
-                and dict(by_bytes.tag_map) == dict(by_hash.tag_map),
-                f"bytes and xxhash methods partition a {features.shape} "
-                f"matrix differently (backend={backend}): "
-                f"bytes unique={by_bytes.unique_indices} "
-                f"xxhash unique={by_hash.unique_indices}",
-            )
-    return f"{len(matrices)} matrices x 2 backends, identical partitions"
+        by_bytes = filter_mod.elastic_matching_filter(features, method="bytes")
+        by_hash = filter_mod.elastic_matching_filter(features, method="xxhash")
+        _require(
+            by_hash.hash_conflicts == 0,
+            f"xxhash method reported {by_hash.hash_conflicts} "
+            f"conflict(s) on a {features.shape} matrix",
+        )
+        _require(
+            by_bytes.unique_indices == by_hash.unique_indices
+            and dict(by_bytes.tag_map) == dict(by_hash.tag_map),
+            f"bytes and xxhash methods partition a {features.shape} "
+            f"matrix differently: "
+            f"bytes unique={by_bytes.unique_indices} "
+            f"xxhash unique={by_hash.unique_indices}",
+        )
+    return f"{len(matrices)} matrices, identical partitions"
 
 
 # ----------------------------------------------------------------------

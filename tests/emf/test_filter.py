@@ -5,8 +5,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.emf import MatchingPlan, elastic_matching_filter
+from repro.emf import MatchingPlan, elastic_matching_filter, quantize_features
+from repro.emf.filter import _filter_scalar
 from repro.models import similarity_matrix
+
+
+def _xxhash_digest(path, features, verify_conflicts=True):
+    """The xxhash method through the production batch digest
+    (``"vectorized"``) or the scalar XXH32 reference loop (``"scalar"``)."""
+    if path == "vectorized":
+        return elastic_matching_filter(
+            features, method="xxhash", verify_conflicts=verify_conflicts
+        )
+    return _filter_scalar(quantize_features(features), 0, verify_conflicts)
 
 
 class TestAlgorithm1:
@@ -162,9 +173,7 @@ class TestHashConflictHandling:
             filter_module, "hash_feature_vector", lambda *a, **k: 42
         )
         features = np.array([[1.0, 2.0], [3.0, 4.0], [1.0, 2.0]])
-        result = elastic_matching_filter(
-            features, method="xxhash", backend="scalar"
-        )
+        result = _xxhash_digest("scalar", features)
         assert result.hash_conflicts >= 1
         assert result.representative(1) == 1  # distinct row stays unique
         # Node 2 duplicates node 0's features but the constant hash maps
@@ -172,8 +181,8 @@ class TestHashConflictHandling:
         assert result.representative(2) == 0
 
     def test_conflicting_tags_treated_as_unique_vectorized(self, monkeypatch):
-        """Same conflict guarantee on the vectorized backend (collision
-        forced by a constant batch hash)."""
+        """Same conflict guarantee on the production batch digest
+        (collision forced by a constant batch hash)."""
         import repro.emf.filter as filter_module
 
         monkeypatch.setattr(
@@ -184,9 +193,7 @@ class TestHashConflictHandling:
             ),
         )
         features = np.array([[1.0, 2.0], [3.0, 4.0], [1.0, 2.0]])
-        result = elastic_matching_filter(
-            features, method="xxhash", backend="vectorized"
-        )
+        result = _xxhash_digest("vectorized", features)
         assert result.hash_conflicts >= 1
         assert result.representative(1) == 1
         assert result.representative(2) == 0
@@ -198,9 +205,7 @@ class TestHashConflictHandling:
             filter_module, "hash_feature_vector", lambda *a, **k: 42
         )
         features = np.array([[1.0, 2.0], [3.0, 4.0]])
-        result = elastic_matching_filter(
-            features, method="xxhash", backend="scalar", verify_conflicts=False
-        )
+        result = _xxhash_digest("scalar", features, verify_conflicts=False)
         # Without verification the collision silently merges -- the mode
         # the hardware uses because real conflicts are ~1e-7.
         assert result.hash_conflicts == 0
@@ -219,17 +224,13 @@ class TestHashConflictHandling:
             ),
         )
         features = np.array([[1.0, 2.0], [3.0, 4.0]])
-        result = elastic_matching_filter(
-            features,
-            method="xxhash",
-            backend="vectorized",
-            verify_conflicts=False,
-        )
+        result = _xxhash_digest("vectorized", features, verify_conflicts=False)
         assert result.hash_conflicts == 0
         assert result.representative(1) == 0
 
     def test_unknown_backend_rejected(self):
-        with pytest.raises(ValueError):
+        """The method picks the path; there is no backend switch."""
+        with pytest.raises(TypeError, match="backend"):
             elastic_matching_filter(np.ones((2, 2)), backend="gpu")
 
 
@@ -242,33 +243,25 @@ class TestBitwiseVerification:
         [[np.nan, 1.0], [np.nan, 1.0], [2.0, 3.0]]
     )
 
-    @pytest.mark.parametrize("backend", ["scalar", "vectorized"])
-    def test_bit_identical_nan_rows_are_duplicates(self, backend):
-        result = elastic_matching_filter(
-            self.NAN_FEATURES, method="xxhash", backend=backend
-        )
+    @pytest.mark.parametrize("path", ["scalar", "vectorized"])
+    def test_bit_identical_nan_rows_are_duplicates(self, path):
+        result = _xxhash_digest(path, self.NAN_FEATURES)
         assert result.hash_conflicts == 0
         assert result.representative(1) == 0
         assert result.tag_map == {1: 0}
 
-    @pytest.mark.parametrize("backend", ["scalar", "vectorized"])
-    def test_methods_agree_on_nan_rows(self, backend):
-        by_bytes = elastic_matching_filter(
-            self.NAN_FEATURES, method="bytes", backend=backend
-        )
-        by_hash = elastic_matching_filter(
-            self.NAN_FEATURES, method="xxhash", backend=backend
-        )
+    @pytest.mark.parametrize("path", ["scalar", "vectorized"])
+    def test_methods_agree_on_nan_rows(self, path):
+        by_bytes = elastic_matching_filter(self.NAN_FEATURES, method="bytes")
+        by_hash = _xxhash_digest(path, self.NAN_FEATURES)
         assert by_bytes.unique_indices == by_hash.unique_indices
         assert by_bytes.tag_map == by_hash.tag_map
 
-    @pytest.mark.parametrize("backend", ["scalar", "vectorized"])
-    def test_distinct_nan_payload_columns_stay_unique(self, backend):
+    @pytest.mark.parametrize("path", ["scalar", "vectorized"])
+    def test_distinct_nan_payload_columns_stay_unique(self, path):
         # Rows differ only in a non-NaN column; bitwise comparison must
         # not over-merge them.
         features = np.array([[np.nan, 1.0], [np.nan, 2.0]])
-        result = elastic_matching_filter(
-            features, method="xxhash", backend=backend
-        )
+        result = _xxhash_digest(path, features)
         assert result.num_unique == 2
         assert result.hash_conflicts == 0

@@ -1,7 +1,7 @@
-"""Vectorized XXH32 / EMF backend equivalence tests.
+"""Vectorized XXH32 / EMF batch digest equivalence tests.
 
-The vectorized backend must be bit-identical to the scalar reference:
-same XXH32 words on the official test vectors, same tags on arbitrary
+The batch path must be bit-identical to the scalar reference: same
+XXH32 words on the official test vectors, same tags on arbitrary
 feature matrices (including NaN and signed zeros), and the same
 FilterResult record/tag maps through the full filter.
 """
@@ -19,6 +19,7 @@ from repro.emf import (
     xxh32,
     xxh32_batch,
 )
+from repro.emf.filter import _filter_scalar
 
 
 def _as_matrix(data: bytes) -> np.ndarray:
@@ -139,7 +140,23 @@ class TestQuantizeFeatures:
 
 
 class TestBackendEquivalence:
-    """Both backends produce identical FilterResult contents."""
+    """Each method's production filter partitions nodes exactly as the
+    scalar XXH32 reference loop does; the xxhash method's batch digest
+    also matches its tags and conflict count bit for bit."""
+
+    @staticmethod
+    def _assert_matches_reference(features, method, verify=True):
+        production = elastic_matching_filter(
+            features, method=method, verify_conflicts=verify
+        )
+        reference = _filter_scalar(quantize_features(features), 0, verify)
+        assert production.tag_map == reference.tag_map
+        assert production.unique_indices == reference.unique_indices
+        assert production.num_nodes == reference.num_nodes
+        if method == "xxhash":
+            assert production.record_set == reference.record_set
+            assert production.hash_conflicts == reference.hash_conflicts
+        return production
 
     @pytest.mark.parametrize("method", ["bytes", "xxhash"])
     @pytest.mark.parametrize("verify", [True, False])
@@ -147,22 +164,7 @@ class TestBackendEquivalence:
         rng = np.random.default_rng(7)
         base = rng.normal(size=(10, 6))
         features = base[rng.integers(0, 10, size=80)]
-        scalar = elastic_matching_filter(
-            features,
-            method=method,
-            backend="scalar",
-            verify_conflicts=verify,
-        )
-        vectorized = elastic_matching_filter(
-            features,
-            method=method,
-            backend="vectorized",
-            verify_conflicts=verify,
-        )
-        assert scalar.record_set == vectorized.record_set
-        assert scalar.tag_map == vectorized.tag_map
-        assert scalar.num_nodes == vectorized.num_nodes
-        assert scalar.hash_conflicts == vectorized.hash_conflicts
+        self._assert_matches_reference(features, method, verify)
 
     @pytest.mark.parametrize("method", ["bytes", "xxhash"])
     def test_special_values(self, method):
@@ -175,22 +177,14 @@ class TestBackendEquivalence:
                 [np.inf, 2.0],
             ]
         )
-        scalar = elastic_matching_filter(
-            features, method=method, backend="scalar"
-        )
-        vectorized = elastic_matching_filter(
-            features, method=method, backend="vectorized"
-        )
-        assert scalar.record_set == vectorized.record_set
-        assert scalar.tag_map == vectorized.tag_map
-        assert scalar.hash_conflicts == vectorized.hash_conflicts
+        result = self._assert_matches_reference(features, method)
         # 1+1e-9 rounds onto 1.0 and is recognized as a duplicate. The
         # NaN rows are bit-identical, and verification compares the
         # quantized feature *bytes* — the same stream the hash digests —
         # so both methods merge them (NaN ``==`` would disagree with the
         # hash and misreport a conflict).
-        assert vectorized.tag_map == {1: 0, 3: 2}
-        assert vectorized.hash_conflicts == 0
+        assert result.tag_map == {1: 0, 3: 2}
+        assert result.hash_conflicts == 0
 
     @given(n=st.integers(0, 40), d=st.integers(0, 5), dup=st.integers(1, 6))
     @settings(max_examples=30, deadline=None)
@@ -203,14 +197,7 @@ class TestBackendEquivalence:
             else np.zeros((0, d))
         )
         for method in ("bytes", "xxhash"):
-            scalar = elastic_matching_filter(
-                features, method=method, backend="scalar"
-            )
-            vectorized = elastic_matching_filter(
-                features, method=method, backend="vectorized"
-            )
-            assert scalar.record_set == vectorized.record_set
-            assert scalar.tag_map == vectorized.tag_map
+            self._assert_matches_reference(features, method)
 
 
 class TestBatchEdgeCases:

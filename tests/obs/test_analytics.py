@@ -14,7 +14,6 @@ from repro.obs.analytics import (
     median,
     metric_series,
     render_attribution,
-    render_markdown_table,
     render_trend,
     stage_budget_means,
     timing_decision,
@@ -44,7 +43,6 @@ def _entry(seconds=1.0, noise=0.0, seed=0, checks=None, config=None, tag=""):
             "timings": {"fast": min(samples)},
             "samples": {"fast": samples},
             "repeats": 5,
-            "speedups": {"gain": 2.0},
             "checks": dict(checks or {"identical": True, "num_unique": 128}),
         }
     )
@@ -264,8 +262,7 @@ class TestTrend:
         assert report["kind"] == "repro-trend"
         assert report["series"] == "unit"
         assert len(report["points"]) == 4
-        assert "timing:fast" in report["metrics"]
-        assert "speedup:gain" in report["metrics"]
+        assert list(report["metrics"]) == ["timing:fast"]
         text = render_trend(report)
         assert "timing:fast" in text
 
@@ -280,14 +277,6 @@ class TestTrend:
     def test_metric_series_unknown_kind_raises(self):
         with pytest.raises(ValueError, match="metric kind"):
             metric_series([_entry()], "bogus:thing")
-
-    def test_markdown_table_from_history(self, tmp_path):
-        store = RunStore(tmp_path)
-        store.append(_entry(seed=1))
-        table = render_markdown_table(store)
-        assert "| bench | speedup | ratio | commit |" in table
-        assert "`unit`" in table and "`gain`" in table
-        assert "~2.0x" in table
 
 
 def _serving_report(execute_seconds):

@@ -223,7 +223,8 @@ class TestTrajectoryPage:
         assert "benchmark trajectory" in page
         assert "bench: emf" in page
         assert "timing:fast" in page
-        assert "speedup:gain" in page
+        # A pre-retirement run's "speedups" ratios are not charted.
+        assert "speedup:gain" not in page
         assert "<polyline" in page
 
     def test_changepoint_commit_listed(self, store):

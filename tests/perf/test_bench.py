@@ -1,4 +1,4 @@
-"""Tests for the timing utilities and the microbenchmark driver."""
+"""Tests for the timing utilities and the perfbench recorder."""
 
 import json
 
@@ -39,77 +39,16 @@ class TestBenchReport:
         report = BenchReport("unit", config={"n": 4})
         report.add_timing("slow", 2.0)
         report.add_timing("fast", 0.5)
-        report.add_speedup("gain", "slow", "fast")
         report.checks["ok"] = True
         store = RunStore(tmp_path)
         store.append(report.as_dict())
         line = store.path_for("unit").read_text().splitlines()[0]
         data = json.loads(line)["artifact"]
         assert data["schema_version"] == 2
-        assert data["speedups"]["gain"] == 4.0
+        assert "speedups" not in data
         assert data["checks"]["ok"] is True
         assert data["config"]["n"] == 4
         assert data["platform"]["cpus"] >= 1
-
-    def test_zero_time_speedup_is_inf(self):
-        report = BenchReport("unit")
-        report.add_timing("slow", 1.0)
-        report.add_timing("fast", 0.0)
-        report.add_speedup("gain", "slow", "fast")
-        assert report.speedups["gain"] == float("inf")
-
-
-class TestBenchEMF:
-    def test_quick_run_confirms_equivalence_and_speedup(self):
-        from repro.perf.bench import bench_emf
-
-        report = bench_emf(quick=True, repeats=1)
-        assert report.checks["tags_identical"]
-        assert report.checks["record_sets_identical"]
-        assert report.checks["tag_maps_identical"]
-        # The acceptance bar is 5x; quick mode clears it with margin.
-        assert report.speedups["emf_hashing"] > 5.0
-        assert report.speedups["emf_filter"] > 5.0
-
-
-@pytest.mark.slow
-class TestBenchHarness:
-    def test_quick_harness_speedup(self, tmp_path):
-        from repro.perf.bench import bench_harness
-
-        report = bench_harness(quick=True)
-        assert report.checks["cold_matches_uncached"]
-        assert report.checks["warm_matches_uncached"]
-        assert report.checks["batched_matches_serial"]
-        assert report.speedups["harness_quick"] > 1.0
-        assert report.as_dict()["name"] == "harness"
-
-
-class TestBenchHistoryIntegration:
-    def test_main_appends_history_entry(self, tmp_path, monkeypatch):
-        from repro.obs.store import RunStore
-        from repro.perf.bench import main
-
-        monkeypatch.chdir(tmp_path)
-        store_dir = tmp_path / "runs"
-        status = main(
-            [
-                "--quick",
-                "--only",
-                "emf",
-                "--repeats",
-                "1",
-                "--store",
-                str(store_dir),
-            ]
-        )
-        assert status == 0
-        runs = RunStore(store_dir).read("emf")
-        assert len(runs) == 1
-        assert runs[0].samples  # raw repeats retained
-        assert runs[0].artifact["repeats"] == 1
-        # The store is the only output: no BENCH_*.json in the cwd.
-        assert not list(tmp_path.glob("BENCH_*.json"))
 
 
 _STUB = """
@@ -203,7 +142,7 @@ class TestBenchPerfbench:
 
         stub_benchmark(**{"clone_hot:1": "wrong_answer"})
         store = tmp_path / "runs"
-        status = main(["--only", "perfbench", "--repeats", "2", "--store", str(store)])
+        status = main(["--repeats", "2", "--store", str(store)])
         assert status == 1
         (run,) = RunStore(store).read("perfbench-clone_hot")
         assert run.exact["check"]["correct"] is False
@@ -236,3 +175,45 @@ class TestBenchPerfbench:
         )
         with pytest.raises(bench_module.PerfbenchError, match="not found"):
             bench_module.bench_perfbench(repeats=1)
+
+
+class TestBenchHistoryIntegration:
+    def test_main_appends_history_entry(self, stub_benchmark, tmp_path, monkeypatch):
+        from repro.perf.bench import main
+
+        declared = stub_benchmark()
+        monkeypatch.chdir(tmp_path)
+        store_dir = tmp_path / "runs"
+        status = main(["--quick", "--repeats", "1", "--store", str(store_dir)])
+        assert status == 0
+        store = RunStore(store_dir)
+        # perfbench's series are the only ones recorded.
+        assert store.series() == sorted(
+            f"perfbench-{entry['name']}" for entry in declared["workloads"]
+        )
+        runs = store.read("perfbench-clone_hot")
+        assert len(runs) == 1
+        assert runs[0].samples  # raw per-seed samples retained
+        assert runs[0].artifact["repeats"] == 1
+        # The store is the only output: no BENCH_*.json in the cwd.
+        assert not list(tmp_path.glob("BENCH_*.json"))
+
+
+class TestBenchOptions:
+    @pytest.mark.parametrize("repeats", ["0", "-1"])
+    def test_repeats_below_one_rejected(self, stub_benchmark, capsys, repeats):
+        from repro.perf.bench import main
+
+        stub_benchmark()
+        with pytest.raises(SystemExit) as excinfo:
+            main(["--repeats", repeats, "--store", "unused"])
+        assert excinfo.value.code == 2
+        assert "--repeats must be at least 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("retired", [["--only", "emf"], ["--workers", "2"]])
+    def test_retired_options_rejected(self, retired):
+        from repro.perf.bench import main
+
+        with pytest.raises(SystemExit) as excinfo:
+            main(retired)
+        assert excinfo.value.code == 2

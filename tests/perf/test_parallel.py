@@ -17,8 +17,8 @@ from repro.perf.parallel import (
     _merge_worker_telemetry,
     _telemetry_payload,
     available_workers,
+    parallel_run_specs,
     parallel_simulate_workload,
-    parallel_workload_results,
 )
 from repro.platforms import RunSpec
 
@@ -174,18 +174,15 @@ class TestWorkerDeathFallback:
         parallel.shutdown_serving_pool()
 
     def test_results_complete_after_worker_death(self, _dying_pool):
-        workloads = [("GMN-Li", "AIDS"), ("SimGNN", "AIDS")]
-        fanned = parallel_workload_results(
-            workloads, PLATFORMS, 2, 2, seed=0, workers=2
-        )
-        assert set(fanned) == set(workloads)
-        for model, dataset in workloads:
-            direct = workload_results(model, dataset, PLATFORMS, 2, 2, 0)
+        specs = [
+            RunSpec.make(model, "AIDS", 2, 2, 0) for model in ("GMN-Li", "SimGNN")
+        ]
+        fanned = parallel_run_specs(specs, PLATFORMS, workers=2)
+        assert set(fanned) == set(specs)
+        for spec in specs:
+            direct = workload_results(spec.model, spec.dataset, PLATFORMS, 2, 2, 0)
             for platform in PLATFORMS:
-                assert (
-                    fanned[(model, dataset)][platform].cycles
-                    == direct[platform].cycles
-                )
+                assert fanned[spec][platform].cycles == direct[platform].cycles
 
     def test_merged_registry_complete_and_failure_counted(self, _dying_pool):
         from repro.obs.metrics import metrics_enabled
@@ -412,18 +409,15 @@ class TestWorkerTelemetryTransport:
 
 class TestParallelWorkloadResults:
     def test_matches_direct_results(self):
-        workloads = [("GMN-Li", "AIDS"), ("SimGNN", "AIDS")]
-        fanned = parallel_workload_results(
-            workloads, PLATFORMS, 2, 2, seed=0, workers=2
-        )
-        assert set(fanned) == set(workloads)
-        for model, dataset in workloads:
-            direct = workload_results(model, dataset, PLATFORMS, 2, 2, 0)
+        specs = [
+            RunSpec.make(model, "AIDS", 2, 2, 0) for model in ("GMN-Li", "SimGNN")
+        ]
+        fanned = parallel_run_specs(specs, PLATFORMS, workers=2)
+        assert set(fanned) == set(specs)
+        for spec in specs:
+            direct = workload_results(spec.model, spec.dataset, PLATFORMS, 2, 2, 0)
             for platform in PLATFORMS:
-                assert (
-                    fanned[(model, dataset)][platform].cycles
-                    == direct[platform].cycles
-                )
+                assert fanned[spec][platform].cycles == direct[platform].cycles
 
     def test_prewarm_primes_memo(self):
         prewarm_workloads(

@@ -46,45 +46,12 @@ class TestStageTimer:
         assert timer.calls["stage"] == 2
 
 
-class TestBenchReportSpeedups:
-    def test_speedup_from_recorded_timings(self):
-        report = BenchReport("unit")
-        report.add_timing("slow", 2.0)
-        report.add_timing("fast", 1.0)
-        report.add_speedup("x", "slow", "fast")
-        assert report.speedups["x"] == 2.0
-
-    def test_missing_variant_raises_with_names(self):
-        report = BenchReport("unit")
-        report.add_timing("slow", 2.0)
-        with pytest.raises(ValueError) as excinfo:
-            report.add_speedup("x", "slow", "never_timed")
-        message = str(excinfo.value)
-        assert "never_timed" in message
-        assert "slow" in message  # lists what *was* recorded
-
-    def test_both_variants_missing_are_named(self):
-        report = BenchReport("unit")
-        with pytest.raises(ValueError) as excinfo:
-            report.add_speedup("x", "a", "b")
-        assert "'a'" in str(excinfo.value)
-        assert "'b'" in str(excinfo.value)
-
-    def test_zero_fast_time_is_infinite(self):
-        report = BenchReport("unit")
-        report.add_timing("slow", 1.0)
-        report.add_timing("fast", 0.0)
-        report.add_speedup("x", "slow", "fast")
-        assert report.speedups["x"] == float("inf")
-
-
 class TestBenchReportSchemaV2:
     def _report(self):
         report = BenchReport("unit", config={"n": 4})
         report.add_timing("slow", 2.0, samples=[2.0, 2.1, 2.05])
         report.add_timing("fast", 1.0, samples=[1.0, 1.02, 0.98])
         report.repeats = 3
-        report.add_speedup("gain", "slow", "fast")
         report.checks["identical"] = True
         return report
 
@@ -100,11 +67,20 @@ class TestBenchReportSchemaV2:
         clone = BenchReport.from_dict(payload)
         assert clone.samples == payload["samples"]
         assert clone.repeats == 3
-        assert clone.speedups["gain"] == 2.0
         # Re-serializing a loaded report keeps the original stamp
         # instead of minting a fresh one.
         assert clone.as_dict()["provenance"] == payload["provenance"]
         assert clone.as_dict()["platform"] == payload["platform"]
+
+    def test_payload_with_retired_speedups_key_loads(self):
+        """v2 runs recorded before the speedup ratios were retired carry
+        a ``speedups`` key; readers ignore it."""
+        payload = self._report().as_dict()
+        assert "speedups" not in payload
+        payload["speedups"] = {"gain": 2.0}
+        clone = BenchReport.from_dict(payload)
+        assert clone.timings == {"slow": 2.0, "fast": 1.0}
+        assert clone.checks == {"identical": True}
 
     def test_timing_without_samples_stays_sampleless(self):
         report = BenchReport("unit")
