@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from typing import Dict, List, Sequence
 
-import networkx as nx
 import numpy as np
 
 from .graph import Graph
@@ -23,6 +22,8 @@ __all__ = ["graph_profile", "dataset_profile"]
 
 def graph_profile(graph: Graph, wl_rounds: int = 3) -> Dict[str, float]:
     """Structural summary of one graph."""
+    import networkx as nx
+
     degrees = graph.in_degree()
     nx_graph = to_networkx(graph)
     num_components = (

@@ -309,6 +309,28 @@ def _direction(run: Run, variant: str) -> Dict[str, object]:
     return {"better": entry["better"], "min_effect": float(entry["bound"])}
 
 
+def _host_speed(baseline: Run, candidate: Run) -> str:
+    """Candidate/baseline ratio of each host-speed probe both runs carry.
+
+    Above 1 the candidate's host ran that probe slower. Printed next to
+    timing verdicts as information only: nothing is normalised by it.
+    """
+    probes = []
+    for run in (baseline, candidate):
+        host = run.artifact.get("platform")
+        calibration = host.get("calibration") if isinstance(host, dict) else None
+        probes.append(calibration if isinstance(calibration, dict) else {})
+    names = sorted(set(probes[0]) & set(probes[1]))
+    ratios = [
+        f"{name} {probes[1][name] / probes[0][name]:.2f}x"
+        for name in names
+        if probes[0][name] > 0
+    ]
+    if not ratios:
+        return "host speed: not calibrated on both runs"
+    return "host speed run/baseline: " + ", ".join(ratios)
+
+
 def compare(history: Sequence[Run], candidate: Optional[Run] = None) -> Comparison:
     """Gate a run against the newest comparable run of ``history``.
 
@@ -390,7 +412,8 @@ def compare(history: Sequence[Run], candidate: Optional[Run] = None) -> Comparis
             continue
         detail = (
             f"{verdict['method']}: ratio {verdict['ratio']:.3f} "
-            f"(n={verdict['baseline_n']}->{verdict['current_n']})"
+            f"(n={verdict['baseline_n']}->{verdict['current_n']}); "
+            f"{_host_speed(baseline, candidate)}"
         )
         finding = Finding(
             "timing",

@@ -7,7 +7,10 @@ workload the file declares, once per seed, and appends one
 (``results/obs/runs/``, see :mod:`repro.obs.store`) as the series
 ``perfbench-<workload>``: one sample per seed of each end-to-end metric,
 and the served answers' correctness as exact checks. ``repro obs
-compare|trend`` gate and chart them.
+compare|trend`` gate and chart them. Each run's ``platform`` also
+carries a host-speed calibration sampled before the first perfbench run
+(:func:`host_calibration`, on perfbench's one BLAS thread), so runs
+from different days can be told apart from code changes.
 
 The process exits 1 when a boolean check is False: a perfbench run that
 served a wrong answer.
@@ -23,14 +26,17 @@ import signal
 import statistics
 import subprocess
 import sys
+import time
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
+
+import numpy as np
 
 from ..obs.logging import configure_logging
 from ..obs.store import RunStore
 from .timing import BenchReport
 
-__all__ = ["PerfbenchError", "bench_perfbench", "main"]
+__all__ = ["PerfbenchError", "bench_perfbench", "host_calibration", "main"]
 
 logger = logging.getLogger("repro.perf.bench")
 
@@ -41,6 +47,8 @@ PERFBENCH_TIMEOUT_SECONDS = 300
 QUICK_RUN_SECONDS = 4
 #: The benchmark declaration, at the repository root next to ``src/``.
 BENCHMARK_PATH = Path(__file__).resolve().parents[3] / "BENCHMARK.json"
+#: Timed calls per host-speed probe; the median is stored.
+CALIBRATION_REPEATS = 21
 
 
 class PerfbenchError(RuntimeError):
@@ -95,6 +103,64 @@ def _perfbench_run(
     return proc.returncode == 0 and result.get("correct") is True, result
 
 
+def _median_seconds(probe: Callable[[], object]) -> float:
+    times = []
+    for _ in range(CALIBRATION_REPEATS):
+        start = time.perf_counter()
+        probe()
+        times.append(time.perf_counter() - start)
+    return statistics.median(times)
+
+
+def _python_loop() -> int:
+    total = 0
+    for value in range(100_000):
+        total += value * value
+    return total
+
+
+def host_calibration() -> Dict[str, float]:
+    """Median seconds of two fixed probes of this host's speed.
+
+    ``python_loop_s`` times a pure-Python loop (the interpreter) and
+    ``gemm_256_s`` one 256x256 float64 matrix product (the BLAS). A
+    ratio between two runs' probes says how much faster or slower their
+    hosts ran; ``repro obs compare`` prints it and normalises nothing.
+    """
+    rng = np.random.default_rng(0)
+    left, right = rng.standard_normal((2, 256, 256))
+    return {
+        "python_loop_s": _median_seconds(_python_loop),
+        "gemm_256_s": _median_seconds(lambda: left @ right),
+    }
+
+
+def _calibrate_like_perfbench() -> Dict[str, float]:
+    """:func:`host_calibration` in a fresh interpreter on one BLAS thread.
+
+    perfbench pins one BLAS thread; a GEMM probe on more threads than
+    that times the host's thread contention instead of its speed.
+    """
+    env = dict(os.environ)
+    for name in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+        env[name] = "1"
+    source = str(Path(__file__).resolve().parents[2])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [source, env.get("PYTHONPATH")]))
+    probe = (
+        "import json; from repro.perf.bench import host_calibration; "
+        "print(json.dumps(host_calibration()))"
+    )
+    completed = subprocess.run(
+        [sys.executable, "-c", probe],
+        env=env,
+        capture_output=True,
+        text=True,
+        check=True,
+        timeout=PERFBENCH_TIMEOUT_SECONDS,
+    )
+    return json.loads(completed.stdout)
+
+
 def bench_perfbench(quick: bool = False, repeats: int = 3) -> List[BenchReport]:
     """perfbench's end-to-end metrics: one report per workload.
 
@@ -104,7 +170,8 @@ def bench_perfbench(quick: bool = False, repeats: int = 3) -> List[BenchReport]:
     end-to-end metric except ``agree_frac``; the config carries
     every sampled metric's ``better`` and ``bound`` from the file, which
     is where the gate reads them. ``correct`` (every seed passed) and
-    ``agree_frac`` (the lowest seed's) are exact checks.
+    ``agree_frac`` (the lowest seed's) are exact checks. Every report
+    carries the :func:`host_calibration` taken before the first run.
     """
     if not BENCHMARK_PATH.is_file():
         raise PerfbenchError(
@@ -118,6 +185,7 @@ def bench_perfbench(quick: bool = False, repeats: int = 3) -> List[BenchReport]:
     end_to_end = {entry["name"]: entry for entry in benchmark["end_to_end"]}
     # agree_frac is a share of exact answers: an exact check, not a sample.
     sampled = [name for name in end_to_end if name != "agree_frac"]
+    calibration = _calibrate_like_perfbench()
     reports = []
     for workload in [entry["name"] for entry in benchmark["workloads"]]:
         runs = []
@@ -145,6 +213,7 @@ def bench_perfbench(quick: bool = False, repeats: int = 3) -> List[BenchReport]:
             },
         )
         report.repeats = repeats
+        report.calibration = calibration
         for name in sampled:
             samples = [result["metrics"][name]["value"] for _, result in runs]
             report.add_timing(name, statistics.median(samples), samples)

@@ -39,8 +39,9 @@ The harness starts a pool per call. Serving (``repro.search.executor``)
 instead maps onto one long-lived pool per process
 (``_map_tasks(..., persistent=True)``): started lazily, shared by every
 serving executor, dropped and rebuilt after a worker death, and shut
-down at exit. Its workers are spawned and drop their inherited
-resource-tracker connection.
+down at exit or when the resource tracker is stopped, whichever comes
+first. Its workers are spawned and drop their inherited resource-tracker
+connection.
 """
 
 from __future__ import annotations
@@ -185,7 +186,32 @@ def _serving_pool(workers: int) -> ProcessPoolExecutor:
     if _serving is None:
         _serving = _start_pool(workers, persistent=True)
         _serving_width, _serving_pid = workers, os.getpid()
+        _shutdown_before_tracker_stop()
     return _serving
+
+
+def _shutdown_before_tracker_stop() -> None:
+    """Make stopping the resource tracker shut the serving pool first.
+
+    The pool's queues hold semaphores the tracker unlinks as leaked when
+    it stops; a pool still alive then unlinks them again at exit and
+    prints a ``FileNotFoundError`` traceback for each. The tracker's
+    ``_stop`` is wrapped once per process; hosts without it are left
+    alone.
+    """
+    from multiprocessing import resource_tracker
+
+    tracker = resource_tracker._resource_tracker
+    stop = getattr(tracker, "_stop", None)
+    if stop is None or getattr(stop, "stops_serving_pool", False):
+        return
+
+    def _stop(*args, **kwargs):
+        shutdown_serving_pool()
+        return stop(*args, **kwargs)
+
+    _stop.stops_serving_pool = True
+    tracker._stop = _stop
 
 
 def shutdown_serving_pool(wait: bool = True) -> None:

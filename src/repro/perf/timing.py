@@ -93,7 +93,8 @@ class BenchReport:
         {
           "schema_version": 2,
           "name": ...,
-          "platform": {"python": ..., "machine": ..., "cpus": ...},
+          "platform": {"python": ..., "machine": ..., "cpus": ...,
+                       "calibration": {...}},  # when measured
           "provenance": {...},      # git sha, timestamp, metrics digest
           "config": {...},          # benchmark parameters
           "timings": {...},         # seconds per measured variant
@@ -114,6 +115,9 @@ class BenchReport:
         self.samples: Dict[str, List[float]] = {}
         self.repeats: Optional[int] = None
         self.checks: Dict = {}
+        #: Host-speed probe seconds (see ``repro.perf.bench``), stored
+        #: in ``platform`` when set.
+        self.calibration: Optional[Dict[str, float]] = None
         # Populated by from_dict so a loaded report round-trips with the
         # stamp it was written under instead of minting a fresh one.
         self._loaded_provenance: Optional[Dict] = None
@@ -155,6 +159,8 @@ class BenchReport:
                 "machine": platform.machine(),
                 "cpus": os.cpu_count() or 1,
             }
+            if self.calibration is not None:
+                host["calibration"] = dict(self.calibration)
         return {
             "schema_version": BENCH_SCHEMA_VERSION,
             "name": self.name,

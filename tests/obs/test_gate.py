@@ -151,6 +151,38 @@ class TestHigherIsBetterGate:
         assert [w.name for w in result.warnings] == ["sat_ops_per_s"]
 
 
+class TestHostSpeed:
+    """The calibration ratio rides along with timing verdicts, unchanged."""
+
+    @staticmethod
+    def _gate_on_hosts(base_host, current_host):
+        payloads = [_perfbench([20.0]), _perfbench([10.0], "2026-08-09T00:00:00Z")]
+        for payload, host in zip(payloads, (base_host, current_host)):
+            if host is not None:
+                payload["platform"] = {"cpus": 2, "calibration": host}
+        baseline, current = (ingest(payload) for payload in payloads)
+        return compare([baseline], current)
+
+    def test_ratio_printed_next_to_each_timing_verdict(self):
+        fast = {"python_loop_s": 0.01, "gemm_256_s": 0.001}
+        slow = {"python_loop_s": 0.02, "gemm_256_s": 0.0025}
+        (warning,) = self._gate_on_hosts(fast, slow).warnings
+        assert warning.detail.endswith(
+            "host speed run/baseline: gemm_256_s 2.50x, python_loop_s 2.00x"
+        )
+
+    def test_verdict_and_exit_code_do_not_depend_on_it(self):
+        fast = {"python_loop_s": 0.01, "gemm_256_s": 0.001}
+        slow = {"python_loop_s": 0.02, "gemm_256_s": 0.002}
+        calibrated = self._gate_on_hosts(fast, slow)
+        uncalibrated = self._gate_on_hosts(None, None)
+        assert calibrated.exit_code == uncalibrated.exit_code == 2
+        assert [w.name for w in calibrated.warnings] == ["sat_ops_per_s"]
+        assert uncalibrated.warnings[0].detail.endswith(
+            "host speed: not calibrated on both runs"
+        )
+
+
 class TestExactGate:
     def test_exact_drift_exits_1(self, kind):
         build, exact_name, _ = kind

@@ -49,6 +49,28 @@ class TestBenchReport:
         assert data["checks"]["ok"] is True
         assert data["config"]["n"] == 4
         assert data["platform"]["cpus"] >= 1
+        assert "calibration" not in data["platform"]
+
+    def test_calibration_stored_in_platform_and_round_trips(self):
+        report = BenchReport("unit")
+        report.calibration = {"python_loop_s": 0.01, "gemm_256_s": 0.001}
+        payload = report.as_dict()
+        assert payload["platform"]["calibration"] == report.calibration
+        assert BenchReport.from_dict(payload).as_dict() == payload
+
+    def test_payload_without_calibration_round_trips_unchanged(self):
+        payload = BenchReport("unit").as_dict()
+        payload["platform"] = {"python": "3.9.0", "machine": "x86_64", "cpus": 2}
+        assert BenchReport.from_dict(payload).as_dict() == payload
+
+
+class TestHostCalibration:
+    def test_probes_run_in_a_fresh_interpreter(self):
+        from repro.perf.bench import _calibrate_like_perfbench
+
+        calibration = _calibrate_like_perfbench()
+        assert sorted(calibration) == ["gemm_256_s", "python_loop_s"]
+        assert all(seconds > 0 for seconds in calibration.values())
 
 
 _STUB = """
@@ -82,6 +104,9 @@ sys.exit(0 if correct else 1)
 """
 
 
+CALIBRATION = {"python_loop_s": 0.01, "gemm_256_s": 0.001}
+
+
 @pytest.fixture
 def stub_benchmark(tmp_path, monkeypatch):
     """A BENCHMARK.json whose command is a stub perfbench.
@@ -99,6 +124,7 @@ def stub_benchmark(tmp_path, monkeypatch):
     (tmp_path / "BENCHMARK.json").write_text(json.dumps(declared))
     (tmp_path / "stub.py").write_text(_STUB)
     monkeypatch.setattr(bench_module, "BENCHMARK_PATH", tmp_path / "BENCHMARK.json")
+    monkeypatch.setattr(bench_module, "_calibrate_like_perfbench", lambda: CALIBRATION)
 
     def set_modes(**modes):
         (tmp_path / "modes.json").write_text(json.dumps(modes))
@@ -127,6 +153,7 @@ class TestBenchPerfbench:
         assert report.config["run_seconds"] == declared["run_seconds"]
         assert report.samples == {name: [10.0, 11.0] for name in sampled}
         run = ingest(report.as_dict())
+        assert run.artifact["platform"]["calibration"] == CALIBRATION
         assert run.exact["check"] == {"correct": True, "agree_frac": 1.0}
         assert run.environmental["check"] == {"attempted": [7, 8], "failed": [0, 1]}
 

@@ -1,7 +1,13 @@
 """Tests for the process-pool harness runner (serial-fallback paths run
 everywhere; actual pools only engage on multi-core hosts)."""
 
+import json
 import math
+import os
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import pytest
 
@@ -35,13 +41,9 @@ def _no_disk_cache(monkeypatch):
 
 class TestAvailableWorkers:
     def test_defaults_to_cpu_count(self):
-        import os
-
         assert available_workers() == (os.cpu_count() or 1)
 
     def test_clamped_to_cores_and_floor_of_one(self):
-        import os
-
         cores = os.cpu_count() or 1
         assert available_workers(10_000) == cores
         assert available_workers(0) == 1
@@ -303,11 +305,6 @@ class TestSharedMemoryTransport:
         # worker that registered and unregistered its attach dropped
         # the parent's registration, and the parent's unlink then made
         # the tracker print a KeyError traceback at exit.
-        import os
-        import subprocess
-        import sys
-        from pathlib import Path
-
         script = """
 from repro.perf import parallel
 from repro.platforms import RunSpec
@@ -335,6 +332,79 @@ print("done")
         assert completed.returncode == 0, completed.stderr
         assert "done" in completed.stdout
         assert "Traceback" not in completed.stderr, completed.stderr
+
+
+# perfbench's order: serve on a two-worker pool, stop the resource tracker
+# while that pool is alive, exit. Prints the pids of the pool's workers
+# and of the tracker.
+_TRACKER_STOP_SCRIPT = """
+import json
+import multiprocessing
+from multiprocessing import resource_tracker
+
+from repro.graphs import load_dataset
+from repro.models import build_model
+from repro.search import SimilaritySearchIndex, executor
+
+executor.available_workers = lambda requested=None: 2
+
+if __name__ == "__main__":
+    pairs = load_dataset("AIDS", seed=0, num_pairs=8)
+    model = build_model("GMN-Li", input_dim=pairs[0].target.feature_dim, seed=0)
+    index = SimilaritySearchIndex(model)
+    index.add_many([pair.target for pair in pairs])
+    index.pipeline(workers=2).serve([pair.query for pair in pairs[:4]])
+    pids = [child.pid for child in multiprocessing.active_children()]
+    tracker = resource_tracker._resource_tracker
+    pids.append(tracker._pid)
+    stop = getattr(tracker, "_stop", None)
+    if stop is not None:
+        stop()
+    print(json.dumps(pids))
+"""
+
+
+def _running(pid):
+    """Whether ``pid`` is a live process (a zombie counts as ended)."""
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except OSError:
+        return True
+    return stat.rsplit(")", 1)[1].split()[0] != "Z"
+
+
+class TestServingPoolExit:
+    def test_tracker_stop_with_live_pool_exits_quietly(self, tmp_path):
+        # Stopping the tracker unlinks the live pool's queue semaphores
+        # as leaked; the pool's own finalizers then failed to unlink them
+        # again at exit, printing a FileNotFoundError traceback each.
+        script = tmp_path / "tracker_stop.py"
+        script.write_text(_TRACKER_STOP_SCRIPT)
+        source = Path(__file__).resolve().parents[2] / "src"
+        env = dict(os.environ, REPRO_TRACE_CACHE="off")
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [str(source), env.get("PYTHONPATH")])
+        )
+        completed = subprocess.run(
+            [sys.executable, str(script)],
+            cwd=tmp_path,
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=300,
+        )
+        assert completed.returncode == 0, completed.stderr
+        assert completed.stderr == ""
+        pids = json.loads(completed.stdout.splitlines()[-1])
+        assert len(pids) == 3, pids  # two pool workers and the tracker
+        deadline = time.monotonic() + 10.0
+        while any(map(_running, pids)) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert not [pid for pid in pids if _running(pid)]
 
 
 class TestWorkerTelemetryTransport:
@@ -423,8 +493,6 @@ class TestParallelWorkloadResults:
         prewarm_workloads(
             [("GMN-Li", "AIDS")], PLATFORMS, 2, 2, seed=0, workers=1
         )
-        import time
-
         start = time.perf_counter()
         workload_results("GMN-Li", "AIDS", PLATFORMS, 2, 2, 0)
         assert time.perf_counter() - start < 0.05  # memo hit, no profiling
