@@ -17,11 +17,11 @@ shrink toward exact duplicates.
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import List
 
 import numpy as np
 
-from .filter import FilterResult
+from .filter import FilterResult, first_occurrence
 
 __all__ = [
     "simhash_signatures",
@@ -76,16 +76,12 @@ def approximate_matching_filter(
     bucketing-by-equality; with few bits it merges near-duplicates too.
     """
     signatures = simhash_signatures(features, num_bits, seed, center)
-    record_set: Dict[int, int] = {}
-    tag_map: Dict[int, int] = {}
-    seen: Dict[int, int] = {}
-    for index, signature in enumerate(signatures.tolist()):
-        if signature in seen:
-            tag_map[index] = seen[signature]
-        else:
-            seen[signature] = index
-            record_set[index] = signature & 0xFFFFFFFF
-    return FilterResult(record_set, tag_map, features.shape[0], 0)
+    representatives, inverse = first_occurrence(signatures.tolist())
+    return FilterResult(
+        representatives.tolist(),
+        inverse,
+        signatures[representatives].astype(np.uint32),
+    )
 
 
 def e2lsh_signatures(
@@ -124,13 +120,9 @@ def e2lsh_matching_filter(
 ) -> FilterResult:
     """Approximate filter over E2LSH buckets (distance-sensitive)."""
     signatures = e2lsh_signatures(features, num_projections, bucket_width, seed)
-    record_set: Dict[int, int] = {}
-    tag_map: Dict[int, int] = {}
-    seen: Dict[tuple, int] = {}
-    for index, signature in enumerate(signatures):
-        if signature in seen:
-            tag_map[index] = seen[signature]
-        else:
-            seen[signature] = index
-            record_set[index] = hash(signature) & 0xFFFFFFFF
-    return FilterResult(record_set, tag_map, features.shape[0], 0)
+    representatives, inverse = first_occurrence(signatures)
+    # A tuple of ints hashes the same in every process (no hash salt).
+    tags = [hash(signatures[index]) & 0xFFFFFFFF for index in representatives]
+    return FilterResult(
+        representatives.tolist(), inverse, np.array(tags, dtype=np.uint32)
+    )

@@ -6,11 +6,13 @@ RecordSet; subsequent nodes with the same tag are *duplicate nodes* and
 enter the TagMap, affiliated with their unique counterpart. During the
 matching stage only unique nodes are matched; duplicate nodes' similarity
 rows/columns are copies of their unique counterpart's results (Fig. 6).
+:class:`FilterResult` holds both as arrays: the RecordSet is
+``unique_indices`` (with ``tags``), the TagMap is ``inverse``.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import Dict, Hashable, Iterable, List, Optional, Tuple
 
 import numpy as np
 
@@ -23,21 +25,54 @@ from .xxhash import (
 )
 
 __all__ = [
+    "first_occurrence",
     "FilterResult",
     "elastic_matching_filter",
     "MatchingPlan",
     "PlanSummary",
 ]
 
+
+def first_occurrence(keys: Iterable[Hashable]) -> Tuple[np.ndarray, np.ndarray]:
+    """Group equal keys onto their first occurrence.
+
+    Returns ``(representatives, inverse)``: the ascending positions of
+    each distinct key's first occurrence, and for every position the
+    slot of its representative — so ``rows[inverse]`` broadcasts one
+    row per group back to every position. Keys compare by hash and
+    ``==``, so byte keys group bit-identical rows exactly. This is the
+    one grouping body behind the filter methods and the executor's
+    candidate dedup.
+    """
+    slots: Dict[Hashable, int] = {}
+    representatives: List[int] = []
+    inverse: List[int] = []
+    for position, key in enumerate(keys):
+        slot = slots.setdefault(key, len(representatives))
+        if slot == len(representatives):
+            representatives.append(position)
+        inverse.append(slot)
+    return (
+        np.array(representatives, dtype=np.int64),
+        np.array(inverse, dtype=np.int64),
+    )
+
+
 class FilterResult:
     """Output of Algorithm 1 for one graph's feature matrix.
 
     Attributes
     ----------
-    record_set:
-        ``{unique_node_index: tag}`` — the RecordSet ``R_l``.
-    tag_map:
-        ``{duplicate_node_index: unique_node_index}`` — the TagMap ``M_l``.
+    unique_indices:
+        Ascending unique node indices — the RecordSet ``R_l``.
+    inverse:
+        ``int64`` array: ``inverse[i]`` is the position in
+        :attr:`unique_indices` of the unique node whose results node
+        ``i`` shares (a unique node points at itself).
+    tags:
+        ``uint32`` tags of the unique nodes, aligned with
+        :attr:`unique_indices`; None for the bytes method, which
+        digests no hash.
     num_nodes:
         Total nodes digested.
     hash_conflicts:
@@ -46,49 +81,51 @@ class FilterResult:
         zero conflicts across all experiments and so do we).
     """
 
-    __slots__ = ("record_set", "tag_map", "num_nodes", "hash_conflicts")
+    __slots__ = (
+        "unique_indices", "inverse", "tags", "num_nodes", "hash_conflicts"
+    )
 
     def __init__(
         self,
-        record_set: Dict[int, int],
-        tag_map: Dict[int, int],
-        num_nodes: int,
+        unique_indices: List[int],
+        inverse: np.ndarray,
+        tags: Optional[np.ndarray] = None,
         hash_conflicts: int = 0,
     ) -> None:
-        self.record_set = record_set
-        self.tag_map = tag_map
-        self.num_nodes = num_nodes
+        self.unique_indices = unique_indices
+        self.inverse = inverse
+        self.tags = tags
+        self.num_nodes = len(inverse)
         self.hash_conflicts = hash_conflicts
 
     @property
-    def unique_indices(self) -> List[int]:
-        return sorted(self.record_set)
-
-    @property
     def num_unique(self) -> int:
-        return len(self.record_set)
+        return len(self.unique_indices)
 
     @property
     def num_duplicates(self) -> int:
-        return len(self.tag_map)
+        return self.num_nodes - self.num_unique
 
     @property
     def unique_fraction(self) -> float:
         return self.num_unique / self.num_nodes if self.num_nodes else 1.0
 
+    @property
+    def tag_map(self) -> Dict[int, int]:
+        """The TagMap ``M_l``: ``{duplicate node: its unique node}``,
+        derived from :attr:`inverse` on each read."""
+        holders = np.asarray(self.unique_indices, dtype=np.int64)[self.inverse]
+        duplicates = np.flatnonzero(holders != np.arange(self.num_nodes))
+        return dict(zip(duplicates.tolist(), holders[duplicates].tolist()))
+
     def representative(self, node: int) -> int:
         """The unique node whose matching results ``node`` shares."""
-        return self.tag_map.get(node, node)
+        return self.unique_indices[self.inverse[node]]
 
     def multiplicities(self) -> np.ndarray:
         """How many nodes each unique node represents (itself included),
         aligned with :attr:`unique_indices`."""
-        counts = {index: 1 for index in self.record_set}
-        for unique_index in self.tag_map.values():
-            counts[unique_index] += 1
-        return np.array(
-            [counts[index] for index in self.unique_indices], dtype=np.int64
-        )
+        return np.bincount(self.inverse, minlength=self.num_unique)
 
     def expand_rows(self, unique_rows: np.ndarray) -> np.ndarray:
         """Broadcast per-unique-node rows back to all nodes.
@@ -97,18 +134,11 @@ class FilterResult:
         result has one row per original node, duplicates receiving their
         unique counterpart's row.
         """
-        position = {
-            node: pos for pos, node in enumerate(self.unique_indices)
-        }
-        if unique_rows.shape[0] != len(position):
+        if unique_rows.shape[0] != self.num_unique:
             raise ValueError(
-                f"expected {len(position)} unique rows, got {unique_rows.shape[0]}"
+                f"expected {self.num_unique} unique rows, got {unique_rows.shape[0]}"
             )
-        index = np.array(
-            [position[self.representative(i)] for i in range(self.num_nodes)],
-            dtype=np.int64,
-        )
-        return unique_rows[index]
+        return unique_rows[self.inverse]
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
@@ -151,10 +181,11 @@ def elastic_matching_filter(
         enough for full-dataset simulation. ``"xxhash"`` runs the
         hardware-faithful XXH32 tagging (used for validation; the two
         methods produce identical RecordSet/TagMap whenever XXH32 has no
-        conflicts, which is every observed case). The bytes method runs
-        a per-node dict loop; the xxhash method digests the whole matrix
-        in one batch XXH32 pass, held bit for bit to the per-node
-        reference loop :func:`_filter_scalar` by ``repro validate``.
+        conflicts, which is every observed case). Both group nodes
+        with :func:`first_occurrence`: the bytes method keys it by
+        feature bytes, the xxhash method by the tags of one batch XXH32
+        pass, held bit for bit to the per-node reference loop
+        :func:`_filter_scalar` by ``repro validate``.
     """
     features = np.asarray(features, dtype=np.float64)
     if features.ndim != 2:
@@ -179,19 +210,11 @@ def elastic_matching_filter(
 
 
 def _filter_bytes(quantized: np.ndarray) -> FilterResult:
-    """The bytes method: a per-node dict loop keyed by feature bytes."""
-    record_set: Dict[int, int] = {}
-    tag_map: Dict[int, int] = {}
-    seen_bytes: Dict[bytes, int] = {}
-    for index in range(quantized.shape[0]):
-        key = quantized[index].tobytes()
-        if key in seen_bytes:
-            tag_map[index] = seen_bytes[key]
-        else:
-            seen_bytes[key] = index
-            # Derive a stable 32-bit tag without the full hash cost.
-            record_set[index] = hash(key) & 0xFFFFFFFF
-    return FilterResult(record_set, tag_map, quantized.shape[0], 0)
+    """The bytes method: nodes grouped by their quantized feature bytes."""
+    representatives, inverse = first_occurrence(
+        [row.tobytes() for row in quantized]
+    )
+    return FilterResult(representatives.tolist(), inverse)
 
 
 def _filter_scalar(
@@ -199,8 +222,8 @@ def _filter_scalar(
 ) -> FilterResult:
     """Reference XXH32 per-node loop (the original Algorithm 1 digest
     order), which :func:`_filter_vectorized` must match bit for bit."""
-    record_set: Dict[int, int] = {}
-    tag_map: Dict[int, int] = {}
+    recorded: Dict[int, int] = {}  # unique node index -> tag
+    inverse = np.empty(quantized.shape[0], dtype=np.int64)
     conflicts = 0
     seen: Dict[int, int] = {}  # tag -> unique node index
     for index in range(quantized.shape[0]):
@@ -215,35 +238,30 @@ def _filter_scalar(
                 != quantized[counterpart].tobytes()
             ):
                 conflicts += 1
-                record_set[index] = tag
+                inverse[index] = len(recorded)
+                recorded[index] = tag
                 continue
-            tag_map[index] = counterpart
+            inverse[index] = inverse[counterpart]
         else:
             seen[tag] = index
-            record_set[index] = tag
-    return FilterResult(record_set, tag_map, quantized.shape[0], conflicts)
-
-
-def _first_occurrence_groups(keys: np.ndarray) -> np.ndarray:
-    """Map every element to the index of its first equal occurrence."""
-    _, first_index, inverse = np.unique(
-        keys, return_index=True, return_inverse=True
+            inverse[index] = len(recorded)
+            recorded[index] = tag
+    return FilterResult(
+        list(recorded),
+        inverse,
+        np.array(list(recorded.values()), dtype=np.uint32),
+        conflicts,
     )
-    return first_index[inverse.ravel()]
 
 
 def _filter_vectorized(
     quantized: np.ndarray, seed: int, verify_conflicts: bool
 ) -> FilterResult:
-    """The xxhash method: one batch XXH32 pass + ``np.unique`` grouping."""
-    num_nodes = quantized.shape[0]
-    if num_nodes == 0:
-        return FilterResult({}, {}, 0, 0)
-
+    """The xxhash method: one batch XXH32 pass, then the nodes grouped
+    by tag."""
     tags = hash_feature_matrix(quantized, seed, decimals=None)
-    holders = _first_occurrence_groups(tags)
-    indices = np.arange(num_nodes)
-    is_holder = holders == indices
+    representatives, inverse = first_occurrence(tags.tolist())
+    conflicts = 0
     if verify_conflicts:
         # A tag hit only counts as a duplicate when the quantized
         # features match the first holder's bit for bit; otherwise it is
@@ -251,28 +269,17 @@ def _filter_vectorized(
         # the raw bit patterns (as the hash does), not float values —
         # NaN != NaN would otherwise turn bit-identical rows into
         # spurious conflicts and diverge from the bytes method.
+        holders = representatives[inverse]
         bits = np.ascontiguousarray(quantized).view(np.uint64)
-        same_features = np.all(bits == bits[holders], axis=1)
-        duplicate_mask = ~is_holder & same_features
-        conflict_mask = ~is_holder & ~same_features
-    else:
-        duplicate_mask = ~is_holder
-        conflict_mask = np.zeros(num_nodes, dtype=bool)
-    record_mask = is_holder | conflict_mask
-    record_set = dict(
-        zip(
-            indices[record_mask].tolist(),
-            tags[record_mask].astype(np.int64).tolist(),
-        )
-    )
-    tag_map = dict(
-        zip(
-            indices[duplicate_mask].tolist(),
-            holders[duplicate_mask].tolist(),
-        )
-    )
+        conflict_mask = ~np.all(bits == bits[holders], axis=1)
+        conflicts = int(conflict_mask.sum())
+        if conflicts:
+            owners = np.where(
+                conflict_mask, np.arange(len(holders)), holders
+            )
+            representatives, inverse = first_occurrence(owners.tolist())
     return FilterResult(
-        record_set, tag_map, num_nodes, int(conflict_mask.sum())
+        representatives.tolist(), inverse, tags[representatives], conflicts
     )
 
 
@@ -336,39 +343,22 @@ class MatchingPlan:
         This is the Matching Controller's type-(a) broadcast: every
         duplicate row/column is filled from its unique counterpart.
         """
-        rows = self.target_filter.unique_indices
-        cols = self.query_filter.unique_indices
-        if unique_similarity.shape != (len(rows), len(cols)):
+        shape = (self.target_filter.num_unique, self.query_filter.num_unique)
+        if unique_similarity.shape != shape:
             raise ValueError(
-                f"expected {(len(rows), len(cols))} unique results, got "
+                f"expected {shape} unique results, got "
                 f"{unique_similarity.shape}"
             )
-        row_position = {node: position for position, node in enumerate(rows)}
-        col_position = {node: position for position, node in enumerate(cols)}
-        n = self.target_filter.num_nodes
-        m = self.query_filter.num_nodes
-        row_index = np.array(
-            [
-                row_position[self.target_filter.representative(i)]
-                for i in range(n)
-            ],
-            dtype=np.int64,
-        )
-        col_index = np.array(
-            [
-                col_position[self.query_filter.representative(j)]
-                for j in range(m)
-            ],
-            dtype=np.int64,
-        )
-        return unique_similarity[np.ix_(row_index, col_index)]
+        return unique_similarity[
+            np.ix_(self.target_filter.inverse, self.query_filter.inverse)
+        ]
 
     def summary(self) -> "PlanSummary":
         """The simulator-facing projection of this plan.
 
         Exactly the fields the cycle simulators consume — active index
-        tuples, remaining fraction, unique count — with the RecordSet /
-        TagMap dictionaries dropped, so it is cheap to persist in the
+        tuples, remaining fraction, unique count — with the inverse and
+        tag arrays dropped, so it is cheap to persist in the
         trace-cache sidecar and to ship across process boundaries.
         """
         return PlanSummary(

@@ -9,13 +9,13 @@ total order, the merged result is bit-identical to one flat sort over
 the whole database — the property the ``search.serve_vs_direct`` check
 gates.
 
-Work is deduplicated before it is split. The parent collapses
-byte-identical candidates via
-:func:`~repro.search.storage.graph_signature` — one forward pass per
-*unique* candidate, its score broadcast to the duplicates (the EMF
-dedup-and-broadcast move at database granularity; exact by
-construction, so rankings cannot change) — and then scores the unique
-representatives one of two ways:
+Work is deduplicated before it is split. The parent groups the
+candidates by :func:`~repro.search.storage.graph_signature` with
+:func:`~repro.emf.filter.first_occurrence`, the EMF filter's own
+grouping — one forward pass per *unique* candidate, its score
+broadcast to the duplicates (the EMF dedup-and-broadcast move at
+database granularity; exact by construction, so rankings cannot
+change) — and then scores the unique representatives one of two ways:
 
 - **Serial** (the guaranteed path): in-process.
 - **Worker pool** (multi-core hosts): the representatives are split
@@ -59,6 +59,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from ..emf.filter import first_occurrence
 from ..graphs.graph import Graph
 from ..graphs.pairs import GraphPair
 from ..models.base import GMNModel
@@ -104,25 +105,6 @@ def shard_bounds(database_size: int, num_shards: int) -> List[Tuple[int, int]]:
         (start, min(start + stride, database_size))
         for start in range(0, database_size, stride)
     ]
-
-
-def _dedup_plan(signatures: Sequence[bytes]) -> Tuple[np.ndarray, np.ndarray]:
-    """Collapse byte-identical candidates onto their first occurrence.
-
-    Returns ``(representatives, inverse)``: the positions of each
-    signature's first occurrence in order, and for every position the
-    slot of its representative — so ``rep_scores[inverse]`` broadcasts
-    one score per unique candidate back to all of them.
-    """
-    slots: Dict[bytes, int] = {}
-    representatives: List[int] = []
-    inverse = np.empty(len(signatures), dtype=np.int64)
-    for position, signature in enumerate(signatures):
-        slot = slots.setdefault(signature, len(representatives))
-        if slot == len(representatives):
-            representatives.append(position)
-        inverse[position] = slot
-    return np.array(representatives, dtype=np.int64), inverse
 
 
 def _score_queries(
@@ -459,7 +441,9 @@ class ShardedExecutor:
             workers if self.num_shards is None else self.num_shards,
         )
         signatures = self.signatures()
-        representatives, inverse = _dedup_plan([signatures[i] for i in ids])
+        representatives, inverse = first_occurrence(
+            [signatures[i] for i in ids]
+        )
         unique_ids = ids[representatives]
         queries = [group.graph for group in batch.groups]
         contexts = (

@@ -176,8 +176,9 @@ def check_hash_scalar_vs_batch(context: CheckContext):
 # ----------------------------------------------------------------------
 def _filter_signature(result):
     return {
-        "record_set": dict(result.record_set),
-        "tag_map": dict(result.tag_map),
+        "unique_indices": result.unique_indices,
+        "tags": result.tags.tolist(),
+        "tag_map": result.tag_map,
         "num_nodes": result.num_nodes,
         "hash_conflicts": result.hash_conflicts,
     }
@@ -186,18 +187,15 @@ def _filter_signature(result):
 def _mutate_vectorized_grouping():
     from ..emf import filter as filter_mod
 
-    def last_occurrence_groups(keys: np.ndarray) -> np.ndarray:
-        keys = np.asarray(keys)
-        reversed_keys = keys[::-1]
-        _, first_index, inverse = np.unique(
-            reversed_keys, return_index=True, return_inverse=True
-        )
-        holders = first_index[inverse.ravel()]
-        return (len(keys) - 1) - holders[::-1]
+    original = filter_mod.first_occurrence
 
-    return _patched(
-        filter_mod, "_first_occurrence_groups", last_occurrence_groups
-    )
+    def last_occurrence(keys):
+        representatives, inverse = original(keys)
+        last = representatives.copy()
+        np.maximum.at(last, inverse, np.arange(len(inverse)))
+        return last, inverse
+
+    return _patched(filter_mod, "first_occurrence", last_occurrence)
 
 
 @register_check(
@@ -1122,6 +1120,14 @@ def _mutate_request_signatures():
     )
 
 
+def _mutate_candidate_signatures():
+    from ..search import executor as executor_mod
+
+    return _patched(
+        executor_mod, "graph_signature", lambda graph: b"everything-collides"
+    )
+
+
 def _mutate_stale_snapshot():
     from ..search import executor as executor_mod
 
@@ -1148,6 +1154,7 @@ def _mutate_stale_snapshot():
         "executor_drops_last_shard": _mutate_shard_bounds,
         "merge_skips_best_result": _mutate_merge_order,
         "scheduler_collides_all_requests": _mutate_request_signatures,
+        "executor_collides_all_candidates": _mutate_candidate_signatures,
         "workers_score_stale_snapshot": _mutate_stale_snapshot,
     },
 )

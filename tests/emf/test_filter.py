@@ -1,5 +1,11 @@
 """Tests for the Elastic Matching Filter (Algorithm 1) and MatchingPlan."""
 
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -39,7 +45,7 @@ class TestAlgorithm1:
         """Paper's Fig. 10 example: node 1 recorded, node 2 affiliated."""
         features = np.array([[1.0, 2.0], [1.0, 2.0], [3.0, 4.0]])
         result = elastic_matching_filter(features)
-        assert 0 in result.record_set
+        assert 0 in result.unique_indices
         assert result.tag_map == {1: 0}
         assert result.representative(1) == 0
         assert result.representative(2) == 2
@@ -265,3 +271,69 @@ class TestBitwiseVerification:
         result = _xxhash_digest(path, features)
         assert result.num_unique == 2
         assert result.hash_conflicts == 0
+
+
+_DIGEST_SCRIPT = """
+import json
+import numpy as np
+from repro.emf import (
+    approximate_matching_filter, e2lsh_matching_filter, elastic_matching_filter,
+)
+from repro.validate.workloads import feature_matrices
+
+FILTERS = {
+    "bytes": lambda x: elastic_matching_filter(x, method="bytes"),
+    "xxhash": lambda x: elastic_matching_filter(x, method="xxhash"),
+    "simhash": approximate_matching_filter,
+    "e2lsh": e2lsh_matching_filter,
+}
+rng = np.random.default_rng(0)
+matrices = feature_matrices(seed=1) + [rng.normal(size=(4, 3))[[0, 1, 0, 2, 1, 3]]]
+digests = {}
+for name, run in FILTERS.items():
+    digests[name] = []
+    for features in matrices:
+        result = run(features)
+        digests[name].append([
+            result.unique_indices,
+            sorted(result.tag_map.items()),
+            None if result.tags is None else result.tags.tolist(),
+        ])
+print(json.dumps(digests))
+"""
+
+
+@pytest.fixture(scope="module")
+def digests_by_hash_seed(tmp_path_factory):
+    """Every filter method's results in two interpreters whose Python
+    hash salts differ."""
+    source = Path(__file__).resolve().parents[2] / "src"
+    runs = []
+    for hash_seed in ("1", "2"):
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [str(source), env.get("PYTHONPATH")])
+        )
+        completed = subprocess.run(
+            [sys.executable, "-c", _DIGEST_SCRIPT],
+            cwd=tmp_path_factory.mktemp("digest"),
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=300,
+        )
+        assert completed.returncode == 0, completed.stderr
+        runs.append(json.loads(completed.stdout.splitlines()[-1]))
+    return runs
+
+
+class TestCrossProcessDeterminism:
+    """Unique nodes, the TagMap and the tags are the same in every
+    process: none of them may depend on Python's per-process hash salt."""
+
+    @pytest.mark.parametrize("method", ["bytes", "xxhash", "simhash", "e2lsh"])
+    def test_same_results_under_different_hash_seeds(
+        self, digests_by_hash_seed, method
+    ):
+        first, second = digests_by_hash_seed
+        assert first[method] == second[method]

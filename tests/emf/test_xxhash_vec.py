@@ -154,7 +154,7 @@ class TestBackendEquivalence:
         assert production.unique_indices == reference.unique_indices
         assert production.num_nodes == reference.num_nodes
         if method == "xxhash":
-            assert production.record_set == reference.record_set
+            assert np.array_equal(production.tags, reference.tags)
             assert production.hash_conflicts == reference.hash_conflicts
         return production
 

@@ -11,6 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from repro.emf.filter import first_occurrence
 from repro.graphs import Graph, GraphPair, generate_graph, load_dataset
 from repro.models import build_model, gmn_li, train_scorer
 from repro.obs import LATENCY_BUCKETS, metrics_enabled
@@ -18,12 +19,7 @@ from repro.obs.context import RequestContext, RequestTracker
 from repro.perf import parallel
 from repro.perf.parallel import _merge_worker_telemetry
 from repro.search import executor as executor_mod
-from repro.search.executor import (
-    ShardedExecutor,
-    _dedup_plan,
-    _shard_task,
-    shard_bounds,
-)
+from repro.search.executor import ShardedExecutor, _shard_task, shard_bounds
 from repro.search.requests import QueryRequest
 from repro.search.scheduler import BatchScheduler
 from repro.search.storage import graph_signature
@@ -76,7 +72,7 @@ class TestDedupScores:
             return float(graph.num_nodes)
 
         signatures = [graph_signature(graph) for graph in database]
-        representatives, inverse = _dedup_plan(signatures)
+        representatives, inverse = first_occurrence(signatures)
         scores = np.array(
             [score(database[i]) for i in representatives]
         )[inverse]
@@ -174,7 +170,7 @@ class TestShardTask:
         # so it costs no pass.
         ids = np.arange(start, stop)
         signatures = executor.signatures()
-        representatives, _ = _dedup_plan([signatures[i] for i in ids])
+        representatives, _ = first_occurrence([signatures[i] for i in ids])
         assert len(ids) - len(representatives) == 1
         unique_ids = ids[representatives]
         task = (

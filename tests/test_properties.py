@@ -5,16 +5,24 @@ complement the per-module tests with randomized coverage.
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from repro.cgc import SCHEDULERS, batch_coordinated_schedule
 from repro.counters import FlopCounter
-from repro.emf import MatchingPlan, elastic_matching_filter
+from repro.emf import (
+    MatchingPlan,
+    approximate_matching_filter,
+    e2lsh_matching_filter,
+    elastic_matching_filter,
+)
+from repro.emf import filter as filter_mod
 from repro.graphs import Graph, GraphPair, GraphPairBatch, erdos_renyi_graph
 from repro.models import similarity_matrix
 from repro.sim import DRAMModel
+from repro.validate.workloads import feature_matrices
 
 
 def _pair(seed, n_t=6, n_q=7):
@@ -65,6 +73,62 @@ class TestFilterProperties:
         features = base[rng.integers(0, 3, size=15)]
         result = elastic_matching_filter(features)
         assert result.multiplicities().sum() == result.num_nodes
+
+    @pytest.mark.parametrize(
+        "method", ["bytes", "xxhash", "xxhash_colliding", "simhash", "e2lsh"]
+    )
+    def test_array_invariants(self, method, monkeypatch):
+        """Every filter method's result is one consistent grouping:
+        ascending representatives, each its own slot, each node mapped
+        to a representative at or before it, and the broadcasts equal
+        the dense gathers through the TagMap."""
+        if method == "xxhash_colliding":
+            # Every tag collides, so nodes that differ from node 0 are
+            # hash conflicts and stay unique.
+            monkeypatch.setattr(
+                filter_mod,
+                "hash_feature_matrix",
+                lambda x, seed=0, decimals=None: np.zeros(len(x), np.uint32),
+            )
+        run = {
+            "bytes": lambda x: elastic_matching_filter(x, method="bytes"),
+            "xxhash": lambda x: elastic_matching_filter(x, method="xxhash"),
+            "xxhash_colliding": lambda x: elastic_matching_filter(
+                x, method="xxhash"
+            ),
+            "simhash": approximate_matching_filter,
+            "e2lsh": e2lsh_matching_filter,
+        }[method]
+        rng = np.random.default_rng(0)
+        conflicts = 0
+        for features in feature_matrices(seed=4):
+            result = run(features)
+            unique = np.asarray(result.unique_indices, dtype=np.int64)
+            nodes = np.arange(result.num_nodes)
+            assert result.num_nodes == len(features)
+            assert np.all(np.diff(unique) > 0)
+            assert result.inverse.dtype == np.int64
+            assert np.array_equal(
+                result.inverse[unique], np.arange(result.num_unique)
+            )
+            assert np.all(unique[result.inverse] <= nodes)
+            assert result.multiplicities().sum() == result.num_nodes
+            if result.tags is not None:
+                assert result.tags.dtype == np.uint32
+                assert len(result.tags) == result.num_unique
+            holders = [result.tag_map.get(i, i) for i in nodes.tolist()]
+            rows = rng.normal(size=(result.num_nodes, 3))
+            assert np.array_equal(
+                result.expand_rows(rows[unique]), rows[holders]
+            )
+            full = rng.normal(size=(result.num_nodes, result.num_nodes))
+            plan = MatchingPlan(result, result)
+            assert np.array_equal(
+                plan.broadcast(full[np.ix_(unique, unique)]),
+                full[np.ix_(holders, holders)],
+            )
+            conflicts += result.hash_conflicts
+        assert (conflicts > 0) == (method == "xxhash_colliding")
 
 
 class TestBroadcastProperties:
