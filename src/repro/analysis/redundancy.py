@@ -8,9 +8,8 @@ filtering each matching layer's features with Algorithm 1, and counting.
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence
+from typing import Dict, Sequence
 
-from ..emf.filter import MatchingPlan
 from ..trace.events import PairTrace
 
 __all__ = [
@@ -22,15 +21,17 @@ __all__ = [
 
 
 def pair_matching_counts(trace: PairTrace) -> Dict[str, int]:
-    """Total vs unique matchings summed over a pair's matching layers."""
+    """Total vs unique matchings summed over a pair's matching layers.
+
+    Reads each layer's memoized default plan, so a layer the simulator
+    has already filtered is not filtered again.
+    """
     total = 0
     unique = 0
     for layer in trace.layers:
         if not layer.has_matching:
             continue
-        plan = MatchingPlan.from_features(
-            layer.target_features, layer.query_features
-        )
+        plan = layer.matching_plan()
         total += plan.total_matchings
         unique += plan.unique_matchings
     return {"total": total, "unique": unique, "redundant": total - unique}

@@ -33,23 +33,36 @@ bit, and ``repro validate --only sim.batched_vs_serial`` enforces it):
   key=node_remains)`` tie-breaks on int-set iteration order, and that
   order is load-bearing: breaking ties in ascending node order picks a
   different seed in about a third of a headline pass's cleanup rounds.
-  When one node alone holds the top remaining degree it is the seed,
-  and no set is built. Otherwise the fast path builds the set with one
-  ``set(...)`` call over the alive edges' endpoints interleaved
-  ``src, dst`` in canonical order — the serial comprehension's
-  insertion sequence, so CPython lays out the same table — and takes
-  the first tied node in its iteration order, as ``max`` does.
+  When one node alone holds the top remaining degree it is the seed.
+  Otherwise the fast path predicts the set's order from two CPython
+  facts: (a) inserting a key already present never changes the table,
+  so the set of the distinct endpoints in first-occurrence order
+  iterates like the serial one; (b) an insert-only set's table size is
+  fixed by its count of distinct keys (:func:`_set_table_mask`). If no
+  two nodes share a home slot ``node & mask``, every node sits in its
+  home slot and iteration is home-slot order — ascending when no node
+  exceeds the mask. If two share one, probing decides, and the seed is
+  read off a real set of the distinct nodes inserted in
+  first-occurrence order (alive edges in canonical order, ``src``
+  before ``dst``). Either way the first tied node is taken, as ``max``
+  does.
 - A cleanup window grows from its seed along alive edges only, so a
   pending edge outside the seed's alive connected component never
   touches the window and never retires. The grow scan and the retire
   pass therefore visit only the seed's component, in the same sorted
   order; component labels are taken once when cleanup starts, which
-  stays exact because components only split as edges retire.
+  stays exact because components only split as edges retire. A window
+  holding every node of its component retires all of the component's
+  edges, and the scan stops once it holds them all, since it can add
+  no further node.
 - ``remaining_degree`` counts every edge *occurrence* (duplicates
   included), while processing only retires canonical edges; the fast
   tracker replicates this asymmetry via one ``np.bincount`` over the
   raw endpoint list, and retires edges with ``np.bincount`` too
-  (integer counts, so it equals per-edge decrements).
+  (integer counts, so it equals per-edge decrements). Without repeated
+  edges a node's remaining degree is exactly its count of alive edge
+  ends, so it also tells which nodes the cleanup seed's set holds; a
+  pair with repeated edges keeps that count separately.
 - The coordinated scheme's jump ``min(unmatched, key=manhattan)``
   iterates a set built by one comprehension and shrunk only by
   ``discard`` — replicated verbatim, so ties resolve identically.
@@ -61,6 +74,8 @@ AOE decisions go through the real
 
 from __future__ import annotations
 
+import sys
+from functools import lru_cache
 from typing import Callable, Dict, Iterable, List, Optional, Tuple
 from weakref import WeakKeyDictionary
 
@@ -267,25 +282,30 @@ class _Topology:
 
     Canonical order is the iteration order of ``set(edges)`` (see module
     docstring). ``remains`` holds the initial remaining degrees and
-    ``order`` the canonical indices in ``sorted(edges)`` order; builds
-    copy ``remains`` and never write the rest.
+    ``order`` the canonical indices in ``sorted(edges)`` order;
+    ``incidence`` counts each node's canonical edge ends, and is None
+    when no edge repeats (``remains`` is that count then). Builds copy
+    ``remains`` and ``incidence`` and never write the rest.
     """
 
-    __slots__ = ("src_list", "dst_list", "src", "dst", "remains", "order")
+    __slots__ = ("src", "dst", "remains", "incidence", "order")
 
     def __init__(self, pair: GraphPair) -> None:
         edges = _pair_edges(pair)
-        canonical = list(set(edges))
-        self.src_list = [edge[0] for edge in canonical]
-        self.dst_list = [edge[1] for edge in canonical]
-        self.src = np.array(self.src_list, dtype=np.int64)
-        self.dst = np.array(self.dst_list, dtype=np.int64)
+        canonical = np.array(list(set(edges)), dtype=np.int64).reshape(-1, 2)
+        self.src = canonical[:, 0].copy()
+        self.dst = canonical[:, 1].copy()
         num_nodes = pair.total_nodes
         if edges:
             endpoints = np.array(edges, dtype=np.int64).ravel()
             self.remains = np.bincount(endpoints, minlength=num_nodes)
         else:
             self.remains = np.zeros(num_nodes, dtype=np.int64)
+        self.incidence = None
+        if len(canonical) < len(edges):
+            self.incidence = np.bincount(
+                np.concatenate((self.src, self.dst)), minlength=num_nodes
+            )
         self.order = np.lexsort((self.dst, self.src))
 
 
@@ -297,7 +317,9 @@ class _ArrayTracker:
     over that list per window instead of per-node set algebra.
     """
 
-    __slots__ = ("topology", "src", "dst", "alive", "remains", "_mark", "_gen")
+    __slots__ = (
+        "topology", "src", "dst", "alive", "remains", "incidence", "_mark", "_gen"
+    )
 
     def __init__(self, pair: GraphPair) -> None:
         topology = memoized(pair, "topology", (), lambda: _Topology(pair))
@@ -306,6 +328,9 @@ class _ArrayTracker:
         self.dst = topology.dst
         self.alive = np.ones(self.src.shape[0], dtype=bool)
         self.remains = topology.remains.copy()
+        self.incidence = (
+            None if topology.incidence is None else topology.incidence.copy()
+        )
         self._mark = np.zeros(self.remains.shape[0], dtype=np.int64)
         self._gen = 0
 
@@ -329,11 +354,32 @@ class _ArrayTracker:
         ]
         if done.size:
             self.alive[done] = False
-            self.remains -= np.bincount(
+            ends = np.bincount(
                 np.concatenate((self.src[done], self.dst[done])),
                 minlength=self.remains.shape[0],
             )
+            self.remains -= ends
+            if self.incidence is not None:
+                self.incidence -= ends
         return int(done.size)
+
+    def retire_component(self, edges: np.ndarray, nodes: np.ndarray) -> None:
+        """Retire ``edges``: every alive edge at any of ``nodes``."""
+        self.alive[edges] = False
+        if self.incidence is None:
+            self.remains[nodes] = 0
+        else:
+            self.remains[nodes] -= self.incidence[nodes]
+            self.incidence[nodes] = 0
+
+    def alive_degrees(self) -> np.ndarray:
+        """``remaining_degree`` of each node with an alive edge; every
+        other node reads below 1. Without repeated edges a node's
+        remaining degree is its count of alive edge ends, so
+        ``remains`` serves as is."""
+        if self.incidence is None:
+            return self.remains
+        return np.where(self.incidence > 0, self.remains, -1)
 
 
 class _StepRecorder:
@@ -396,22 +442,98 @@ def _component_labels(
         labels = lowered
 
 
-def _cleanup_seed(tracker: _ArrayTracker, alive_index: np.ndarray) -> int:
+@lru_cache(maxsize=4096)
+def _set_table_mask(count: int) -> int:
+    """Hash-table mask of a CPython set after ``count`` distinct inserts
+    and no deletions: a table resizes when its fill reaches three fifths
+    of the mask, to the first power of two above four times its key
+    count (twice, past 50,000 keys)."""
+    mask = 7
+    while True:
+        fill = (3 * mask + 4) // 5
+        if count < fill:
+            return mask
+        minimum = fill * 2 if fill > 50000 else fill * 4
+        size = 8
+        while size <= minimum:
+            size <<= 1
+        mask = size - 1
+
+
+def _set_layout_predictable() -> bool:
+    """Whether this interpreter sizes int sets as :func:`_set_table_mask`
+    says and iterates them in home-slot order (checked once, at import);
+    if not, every tied cleanup seed is read off a real set."""
+    if sys.implementation.name != "cpython" or list({9, 2}) != [9, 2]:
+        return False
+    empty = sys.getsizeof(set())
+    entry = None
+    for count in (4, 5, 18, 19, 76, 77, 306, 307):
+        grown = sys.getsizeof(set(range(count))) - empty
+        slots = _set_table_mask(count) + 1
+        if slots == 8:
+            if grown:
+                return False
+            continue
+        entry = entry or grown // slots
+        if not entry or grown != entry * slots:
+            return False
+    return True
+
+
+_SET_LAYOUT_PREDICTABLE = _set_layout_predictable()
+
+
+def _homes_distinct(homes: np.ndarray) -> bool:
+    """Whether no two nodes share a home slot ``node & mask``."""
+    return int(np.bincount(homes).max()) <= 1
+
+
+def _cleanup_seed(tracker: _ArrayTracker, first: np.ndarray) -> int:
     """The serial ``max({u for edge in remaining for u in edge},
-    key=node_remains)`` over the alive edges ``alive_index``."""
-    src = tracker.src[alive_index]
-    dst = tracker.dst[alive_index]
-    degree = np.full(tracker.remains.shape[0], -1, dtype=np.int64)
-    degree[src] = tracker.remains[src]
-    degree[dst] = tracker.remains[dst]
-    tied = np.flatnonzero(degree == degree.max())
+    key=node_remains)``: the first top-degree node in the set's
+    iteration order, predicted from the table layout where no two nodes
+    share a home slot (see module notes) and read off the set where
+    they do. ``first`` holds each node's first alive edge end (see
+    :func:`_first_ends`)."""
+    degree = tracker.alive_degrees()
+    (tied,) = (degree == degree.max()).nonzero()
     if tied.size == 1:
         return int(tied[0])
-    # max() keeps the first maximum in the set's iteration order; the
-    # same insertion sequence gives the same table (see module notes).
+    (nodes,) = (degree > 0).nonzero()
+    if _SET_LAYOUT_PREDICTABLE:
+        mask = _set_table_mask(nodes.size)
+        if nodes[-1] <= mask:
+            return int(tied[0])
+        if _homes_distinct(nodes & mask):
+            return int(tied[np.argmin(tied & mask)])
+    return _cleanup_seed_by_set(nodes, tied, first)
+
+
+def _cleanup_seed_by_set(
+    nodes: np.ndarray, tied: np.ndarray, first: np.ndarray
+) -> int:
+    """The first of the ``tied`` nodes in the iteration order of a set
+    of the alive edges' ``nodes``, inserted in the order the serial
+    comprehension first meets them (by ``first``). Repeated inserts
+    leave a set's table as it was, so this set iterates as the serial
+    one does."""
     tied_nodes = set(tied.tolist())
-    nodes = set(np.column_stack((src, dst)).ravel().tolist())
-    return next(node for node in nodes if node in tied_nodes)
+    ordered = nodes[np.argsort(first[nodes])]
+    return next(node for node in set(ordered.tolist()) if node in tied_nodes)
+
+
+def _first_ends(
+    first: np.ndarray, src: np.ndarray, dst: np.ndarray, edges: np.ndarray
+) -> None:
+    """Set ``first`` at every endpoint of ``edges`` to its first end
+    among them: position ``2 * i`` for the ``src`` of canonical edge
+    ``i`` and ``2 * i + 1`` for its ``dst``, the order in which the
+    serial comprehension meets endpoints. ``edges`` must hold every
+    alive edge at those endpoints."""
+    first[src[edges]] = first[dst[edges]] = np.iinfo(np.int64).max
+    np.minimum.at(first, src[edges], 2 * edges)
+    np.minimum.at(first, dst[edges], 2 * edges + 1)
 
 
 def _cleanup_rounds(
@@ -421,46 +543,70 @@ def _cleanup_rounds(
     alive_index = np.flatnonzero(tracker.alive)
     if alive_index.size == 0:
         return
-    topology = tracker.topology
-    src_list, dst_list = topology.src_list, topology.dst_list
+    src, dst = tracker.src, tracker.dst
     # sorted(remaining), split by alive connected component. A window
     # grows from its seed along alive edges only, so edges outside the
     # seed's component never touch it. Components only split as edges
     # retire, so labels taken now stay valid for every round.
     labels = _component_labels(
-        tracker.src[alive_index],
-        tracker.dst[alive_index],
-        tracker.remains.shape[0],
+        src[alive_index], dst[alive_index], tracker.remains.shape[0]
     )
-    pending = topology.order[tracker.alive[topology.order]]
-    pending_labels = labels[tracker.src[pending]]
-    by_label = np.argsort(pending_labels, kind="stable")
-    keys, starts = np.unique(pending_labels[by_label], return_index=True)
-    components = dict(
-        zip(keys.tolist(), np.split(pending[by_label], starts[1:]))
-    )
-    while alive_index.size:
-        seed = _cleanup_seed(tracker, alive_index)
+    order = tracker.topology.order
+    pending = order[tracker.alive[order]]
+    pending_labels = labels[src[pending]]
+    grouped = np.argsort(pending_labels, kind="stable")
+    by_label = pending[grouped]
+    keys, starts = np.unique(pending_labels[grouped], return_index=True)
+    bounds = starts.tolist()[1:] + [by_label.size]
+    edge_pairs = list(zip(src[by_label].tolist(), dst[by_label].tolist()))
+    # Per component: its alive edges' indices and (src, dst) pairs, in
+    # sorted order, and how many nodes those edges touch.
+    components = {
+        label: (by_label[start:stop], edge_pairs[start:stop])
+        for label, start, stop in zip(keys.tolist(), starts.tolist(), bounds)
+    }
+    members = np.bincount(
+        labels[tracker.alive_degrees() > 0], minlength=labels.shape[0]
+    ).tolist()
+    first = np.empty(labels.shape[0], dtype=np.int64)
+    _first_ends(first, src, dst, alive_index)
+    remaining = alive_index.size
+    while remaining:
+        seed = _cleanup_seed(tracker, first)
         label = int(labels[seed])
-        component = components[label]
+        component, edges = components[label]
+        # Past the component's node count the scan can add no node.
+        limit = min(capacity, members[label])
         chosen = {seed}
-        for index in component.tolist():
-            if len(chosen) >= capacity:
+        for u, v in edges:
+            if len(chosen) >= limit:
                 break
-            u = src_list[index]
-            v = dst_list[index]
             if u in chosen:
                 if v not in chosen:
                     chosen.add(v)
             elif v in chosen:
                 chosen.add(u)
         window = np.fromiter(chosen, dtype=np.int64, count=len(chosen))
-        processed = tracker.process(window, component)
-        if processed == 0:  # pragma: no cover - safety net
-            raise RuntimeError("cleanup failed to make progress")
+        if len(chosen) == members[label]:
+            # The window holds every node of the component, so every
+            # edge of it retires.
+            tracker.retire_component(component, window)
+            processed = component.size
+            del components[label]
+        else:
+            processed = tracker.process(window, component)
+            if processed == 0:  # pragma: no cover - safety net
+                raise RuntimeError("cleanup failed to make progress")
+            kept = tracker.alive[component]
+            component = component[kept]
+            edges = [edge for edge, keep in zip(edges, kept.tolist()) if keep]
+            components[label] = (component, edges)
+            members[label] = np.unique(
+                np.concatenate((src[component], dst[component]))
+            ).size
+            _first_ends(first, src, dst, component)
         recorder.append(window, 0, processed, cleanup=True)
-        components[label] = component[tracker.alive[component]]
-        alive_index = np.flatnonzero(tracker.alive)
+        remaining -= processed
 
 
 def summarize_single(

@@ -28,7 +28,13 @@ __all__ = [
     "approximate_matching_filter",
     "e2lsh_signatures",
     "e2lsh_matching_filter",
+    "NONFINITE_BUCKET",
 ]
+
+#: E2LSH signature of rows whose projections have no int64 bucket. It is
+#: empty, so no finite row (one entry per projection) shares it, and its
+#: hash is the same in every process.
+NONFINITE_BUCKET: tuple = ()
 
 
 def simhash_signatures(
@@ -97,6 +103,10 @@ def e2lsh_signatures(
     the right family for post-ReLU GNN features: their directions
     collapse and the informative differences are magnitudes (see the
     ``future_approximate_emf`` experiment for the comparison).
+
+    A row with a NaN or infinite projection, or one beyond the int64
+    range, gets the signature :data:`NONFINITE_BUCKET`: all such rows
+    share one bucket, apart from every finite one.
     """
     features = np.asarray(features, dtype=np.float64)
     if features.ndim != 2:
@@ -108,8 +118,17 @@ def e2lsh_signatures(
     rng = np.random.default_rng(seed)
     projections = rng.normal(size=(features.shape[1], num_projections))
     offsets = rng.uniform(0.0, bucket_width, size=num_projections)
-    buckets = np.floor((features @ projections + offsets) / bucket_width)
-    return [tuple(row) for row in buckets.astype(np.int64).tolist()]
+    # Non-finite results are expected here and handled just below.
+    with np.errstate(invalid="ignore", over="ignore"):
+        buckets = np.floor((features @ projections + offsets) / bucket_width)
+    # NaN and out-of-range buckets have no int64 value; such rows share
+    # one bucket rather than whatever the platform's cast yields.
+    exact = np.all(np.abs(buckets) < 2.0**63, axis=1)
+    buckets[~exact] = 0.0
+    return [
+        tuple(row) if ok else NONFINITE_BUCKET
+        for row, ok in zip(buckets.astype(np.int64).tolist(), exact.tolist())
+    ]
 
 
 def e2lsh_matching_filter(

@@ -12,6 +12,7 @@ rows/columns are copies of their unique counterpart's results (Fig. 6).
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Dict, Hashable, Iterable, List, Optional, Tuple
 
 import numpy as np
@@ -209,12 +210,78 @@ def elastic_matching_filter(
     return result
 
 
+#: Fewest rows for which :func:`_group_rows` beats the dict loop of
+#: :func:`first_occurrence`; below it the loop's lower fixed cost wins.
+_GROUP_ROWS_MIN = 64
+
+
 def _filter_bytes(quantized: np.ndarray) -> FilterResult:
-    """The bytes method: nodes grouped by their quantized feature bytes."""
-    representatives, inverse = first_occurrence(
-        [row.tobytes() for row in quantized]
-    )
+    """The bytes method: nodes grouped by their quantized feature bytes.
+
+    Matrices of :data:`_GROUP_ROWS_MIN` rows or more are grouped in
+    array form by :func:`_group_rows`; smaller ones, and any matrix on
+    which its row hash collides, by :func:`first_occurrence` over each
+    row's bytes, the reference the array form is held to.
+    """
+    grouped = None
+    if quantized.shape[0] >= _GROUP_ROWS_MIN:
+        grouped = _group_rows(quantized)
+    if grouped is None:
+        grouped = first_occurrence([row.tobytes() for row in quantized])
+    representatives, inverse = grouped
     return FilterResult(representatives.tolist(), inverse)
+
+
+@lru_cache(maxsize=16)
+def _row_multipliers(width: int) -> np.ndarray:
+    """Fixed odd uint64 multipliers, one per column (read-only)."""
+    rng = np.random.default_rng(width)
+    draws = rng.integers(0, 2**63, size=width, dtype=np.uint64)
+    multipliers = draws * np.uint64(2) + np.uint64(1)
+    multipliers.flags.writeable = False
+    return multipliers
+
+
+def _row_hash(bits: np.ndarray) -> np.ndarray:
+    """Multiply-sum hash of each row of a uint64 matrix, modulo 2**64.
+
+    Odd multipliers make rows that differ in one word hash apart; other
+    collisions are possible, and :func:`_group_rows` detects them.
+    """
+    return bits @ _row_multipliers(bits.shape[1])
+
+
+def _same_rows(bits: np.ndarray, holders: np.ndarray) -> bool:
+    """Whether every row is bit-identical to the row it is grouped onto."""
+    return np.array_equal(bits, bits[holders])
+
+
+def _group_rows(quantized: np.ndarray) -> Optional[Tuple[np.ndarray, np.ndarray]]:
+    """:func:`first_occurrence` over the rows' bytes, in array form.
+
+    Rows are keyed by :func:`_row_hash` of their bits, sorted stably so
+    each hash group's first position is its first occurrence, and then
+    compared bit for bit with their group's first row. Returns None when
+    any row differs from it (a hash collision); the caller then groups
+    with the dict loop.
+    """
+    count = quantized.shape[0]
+    bits = np.ascontiguousarray(quantized).view(np.uint64)
+    hashes = _row_hash(bits)
+    order = np.argsort(hashes, kind="stable")
+    ordered = hashes[order]
+    starts = np.empty(count, dtype=bool)
+    starts[:1] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=starts[1:])
+    firsts = order[starts]
+    slots = np.empty(firsts.size, dtype=np.int64)
+    slots[np.argsort(firsts)] = np.arange(firsts.size)
+    inverse = np.empty(count, dtype=np.int64)
+    inverse[order] = slots[np.cumsum(starts) - 1]
+    representatives = np.sort(firsts)
+    if not _same_rows(bits, representatives[inverse]):
+        return None
+    return representatives, inverse
 
 
 def _filter_scalar(

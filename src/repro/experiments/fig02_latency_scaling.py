@@ -8,7 +8,7 @@ GMN-Li protocol and the platform models.
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import Dict
 
 import numpy as np
 

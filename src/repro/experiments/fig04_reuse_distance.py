@@ -9,8 +9,6 @@ from __future__ import annotations
 
 from typing import Dict
 
-import numpy as np
-
 from ..analysis.metrics import ResultTable
 from ..analysis.reuse import fraction_within, profile_reuse, reuse_distance_cdf
 from ..graphs.datasets import load_dataset

@@ -6,7 +6,7 @@ into ASCII charts; unsupported experiments simply render no chart.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List
+from typing import Callable, Dict
 
 from ..analysis.ascii_plot import bar_chart, line_plot, log_bar_chart
 from .common import ExperimentResult

@@ -8,7 +8,7 @@ the reproduction's conclusions should not be a property of seed 0.
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import Dict
 
 import numpy as np
 

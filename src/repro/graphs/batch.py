@@ -13,7 +13,6 @@ from typing import Iterator, List, Sequence, Tuple
 
 import numpy as np
 
-from .graph import Graph
 from .pairs import GraphPair
 
 __all__ = ["GraphPairBatch", "make_batches"]

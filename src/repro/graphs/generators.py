@@ -15,7 +15,7 @@ Erdos-Renyi graphs with an expected degree, paired by edge substitution.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
@@ -101,7 +101,6 @@ def barabasi_albert_graph(
     if num_nodes < attach + 1:
         raise ValueError("num_nodes must exceed attach")
     edges: List[Edge] = []
-    targets = list(range(attach))
     repeated: List[int] = list(range(attach))
     for new_node in range(attach, num_nodes):
         chosen = set()

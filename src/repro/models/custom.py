@@ -20,7 +20,7 @@ from ..graphs.interop import propagation_matrix
 from ..graphs.pairs import GraphPair
 from ..trace.events import LayerTrace
 from .base import GMNModel
-from .layers import MLP, FlopCounter, GCNLayer, Linear, sigmoid
+from .layers import MLP, FlopCounter, GCNLayer, Linear
 from .similarity import SIMILARITY_KINDS, cross_graph_attention
 
 __all__ = ["CustomGMN"]

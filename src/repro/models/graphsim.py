@@ -18,7 +18,6 @@ from typing import List
 
 import numpy as np
 
-from ..graphs.graph import Graph
 from ..graphs.interop import propagation_matrix
 from ..graphs.pairs import GraphPair
 from ..trace.events import LayerTrace

@@ -10,7 +10,7 @@ match / other), which feeds the Fig. 3 breakdown and the platform models.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -169,9 +169,9 @@ class NeuralTensorNetwork:
 class Conv2D:
     """Minimal 3x3 same-padding convolution with optional 2x2 max-pool.
 
-    Used by GraphSim's CNN stages over (padded) similarity matrices. The
-    implementation favours clarity over speed; similarity matrices are
-    resized to a small fixed extent before convolution.
+    Used by GraphSim's CNN stages over (padded) similarity matrices,
+    which are resized to a small fixed extent before convolution. The
+    convolution is one GEMM over im2col patches.
     """
 
     KERNEL = 3
@@ -201,13 +201,14 @@ class Conv2D:
             )
         channels, height, width = x.shape
         padded = np.pad(x, ((0, 0), (1, 1), (1, 1)))
-        # im2col: gather 3x3 patches.
-        patches = np.empty((height * width, channels * 9))
-        idx = 0
-        for i in range(height):
-            for j in range(width):
-                patches[idx] = padded[:, i : i + 3, j : j + 3].ravel()
-                idx += 1
+        # im2col: row i * width + j holds pixel (i, j)'s 3x3 patch,
+        # channel-major, as a C-contiguous float64 GEMM operand.
+        windows = np.lib.stride_tricks.sliding_window_view(
+            padded, (3, 3), axis=(1, 2)
+        )
+        patches = np.ascontiguousarray(
+            windows.transpose(1, 2, 0, 3, 4), dtype=np.float64
+        ).reshape(height * width, channels * 9)
         kernel = self.weight.reshape(self.out_channels, -1).T
         out = relu(patches @ kernel + self.bias)
         out = out.T.reshape(self.out_channels, height, width)

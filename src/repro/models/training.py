@@ -17,7 +17,7 @@ whether the backbone ran dense or EMF-filtered matching.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 

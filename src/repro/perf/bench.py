@@ -34,6 +34,7 @@ import numpy as np
 
 from ..obs.logging import configure_logging
 from ..obs.store import RunStore
+from .parallel import BLAS_THREAD_VARIABLES
 from .timing import BenchReport
 
 __all__ = ["PerfbenchError", "bench_perfbench", "host_calibration", "main"]
@@ -141,9 +142,7 @@ def _calibrate_like_perfbench() -> Dict[str, float]:
     perfbench pins one BLAS thread; a GEMM probe on more threads than
     that times the host's thread contention instead of its speed.
     """
-    env = dict(os.environ)
-    for name in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-        env[name] = "1"
+    env = dict(os.environ, **dict.fromkeys(BLAS_THREAD_VARIABLES, "1"))
     source = str(Path(__file__).resolve().parents[2])
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [source, env.get("PYTHONPATH")]))
     probe = (

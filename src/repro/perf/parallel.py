@@ -40,7 +40,8 @@ instead maps onto one long-lived pool per process
 (``_map_tasks(..., persistent=True)``): started lazily, shared by every
 serving executor, dropped and rebuilt after a worker death, and shut
 down at exit or when the resource tracker is stopped, whichever comes
-first. Its workers are spawned and drop their inherited resource-tracker
+first. Its workers are spawned with one BLAS thread each unless the
+user chose a thread count, and drop their inherited resource-tracker
 connection.
 """
 
@@ -50,6 +51,7 @@ import atexit
 import logging
 import multiprocessing
 import os
+import threading
 from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -132,15 +134,53 @@ def _start_pool(workers: int, persistent: bool = False) -> ProcessPoolExecutor:
     """Create a process pool: the one place pools are made.
 
     A persistent pool's workers are spawned, not forked: the pool lives
-    on in a process that may have started threads since.
+    on in a process that may have started threads since. They start
+    with one BLAS thread each (see :class:`_OneBlasThreadProcess`).
     """
     if not persistent:
         return ProcessPoolExecutor(max_workers=workers)
     return ProcessPoolExecutor(
         max_workers=workers,
-        mp_context=multiprocessing.get_context("spawn"),
+        mp_context=_ServingContext(),
         initializer=_init_pool_worker,
     )
+
+
+#: The thread-count variables of OpenMP, OpenBLAS and MKL.
+BLAS_THREAD_VARIABLES = (
+    "OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"
+)
+_environ_lock = threading.Lock()
+
+
+class _OneBlasThreadProcess(multiprocessing.context.SpawnProcess):
+    """A spawned process whose BLAS runs one thread by default.
+
+    Serving workers already run side by side, one per core, so a BLAS
+    thread pool in each only oversubscribes the cores. BLAS sizes its
+    pool when numpy loads, and a spawned child imports the parent's
+    main module (numpy with it) before any initializer runs, so the
+    variables must be in the environment the child starts with: each
+    is set to 1 in the parent while the child is launched. If the user
+    set any of them, all are left as they are.
+    """
+
+    @staticmethod
+    def _Popen(process_obj):
+        launch = multiprocessing.context.SpawnProcess._Popen
+        with _environ_lock:
+            if any(name in os.environ for name in BLAS_THREAD_VARIABLES):
+                return launch(process_obj)
+            os.environ.update(dict.fromkeys(BLAS_THREAD_VARIABLES, "1"))
+            try:
+                return launch(process_obj)
+            finally:
+                for name in BLAS_THREAD_VARIABLES:
+                    del os.environ[name]
+
+
+class _ServingContext(multiprocessing.context.SpawnContext):
+    Process = _OneBlasThreadProcess
 
 
 # ----------------------------------------------------------------------

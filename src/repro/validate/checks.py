@@ -1,6 +1,6 @@
 """The built-in correctness checks.
 
-Eleven differential pairs and three invariant families, mirroring the
+Twelve differential pairs and three invariant families, mirroring the
 redundant implementations the repo maintains on purpose:
 
 ====================================  =========================================
@@ -9,6 +9,7 @@ check                                 redundant pair / invariant
 ``emf.hash.scalar_vs_batch``          scalar XXH32 vs. lane-parallel batch
 ``emf.filter.backends``               Algorithm 1 XXH32 loop vs. batch digest
 ``emf.filter.methods``                byte-keyed digest vs. XXH32 tagging
+``emf.filter.bytes_key``              hashed array row key vs. dict loop
 ``emf.pipeline.event_vs_cycle``       event-driven fast path vs. cycle loop
 ``sim.engine_vs_detailed``            analytic engine vs. per-step simulator
 ``sim.batched_vs_serial``             batched numpy engine vs. per-pair loop
@@ -315,6 +316,90 @@ def check_filter_methods(context: CheckContext):
 
 
 # ----------------------------------------------------------------------
+# Pair 1c: the bytes method's array key vs. its dict loop
+# ----------------------------------------------------------------------
+def _mutate_skip_byte_check():
+    from ..emf import filter as filter_mod
+
+    return _patched(filter_mod, "_same_rows", lambda bits, holders: True)
+
+
+@register_check(
+    "emf.filter.bytes_key",
+    kind="differential",
+    pair=("first_occurrence(row bytes)", "repro.emf.filter._group_rows"),
+    mutators={"bytes_key_skips_byte_check": _mutate_skip_byte_check},
+)
+def check_bytes_key(context: CheckContext):
+    """The bytes method's hashed array key groups rows exactly as the
+    dict loop over row bytes does.
+
+    Each quantized matrix, and a copy tiled past the row count at which
+    ``_filter_bytes`` takes the array key, is grouped by the loop, by
+    ``_group_rows`` and by ``_filter_bytes``. Then the row hash is
+    forced to one constant: ``_group_rows`` must report the collision
+    on every matrix with two distinct rows, and ``_filter_bytes`` must
+    still equal the loop.
+    """
+    from ..emf import filter as filter_mod
+
+    def loop(quantized):
+        return filter_mod.first_occurrence(
+            [row.tobytes() for row in quantized]
+        )
+
+    def equal(left, right) -> bool:
+        return all(np.array_equal(a, b) for a, b in zip(left, right))
+
+    matrices = []
+    for features in feature_matrices(seed=5):
+        quantized = filter_mod.quantize_features(features)
+        matrices.append(quantized)
+        if quantized.shape[0]:
+            copies = -(-filter_mod._GROUP_ROWS_MIN // quantized.shape[0])
+            matrices.append(np.tile(quantized, (copies, 1)))
+    # Rows one ulp apart are distinct keys.
+    ulp = np.tile(matrices[0], (8, 1))
+    ulp[1::2, -1] = np.nextafter(ulp[1::2, -1], np.inf)
+    matrices.append(ulp)
+
+    for quantized in matrices:
+        reference = loop(quantized)
+        grouped = filter_mod._group_rows(quantized)
+        _require(
+            grouped is None or equal(grouped, reference),
+            f"array key groups a {quantized.shape} matrix differently "
+            f"from the dict loop: {grouped} != {reference}",
+        )
+        result = filter_mod._filter_bytes(quantized)
+        _require(
+            equal((result.unique_indices, result.inverse), reference),
+            f"_filter_bytes diverges from the dict loop on a "
+            f"{quantized.shape} matrix",
+        )
+
+    def constant_hash(bits):
+        return np.zeros(bits.shape[0], dtype=np.uint64)
+
+    with _patched(filter_mod, "_row_hash", constant_hash):
+        for quantized in matrices:
+            reference = loop(quantized)
+            distinct = reference[0].size > 1
+            _require(
+                not distinct or filter_mod._group_rows(quantized) is None,
+                f"array key missed a forced hash collision on a "
+                f"{quantized.shape} matrix",
+            )
+            result = filter_mod._filter_bytes(quantized)
+            _require(
+                equal((result.unique_indices, result.inverse), reference),
+                f"_filter_bytes diverges from the dict loop on a "
+                f"{quantized.shape} matrix under forced collisions",
+            )
+    return f"{len(matrices)} matrices x 2 hashes, identical groupings"
+
+
+# ----------------------------------------------------------------------
 # Pair 2: event-driven EMF pipeline vs. cycle-accurate reference
 # ----------------------------------------------------------------------
 def _pipeline_stats_tuple(stats):
@@ -534,15 +619,18 @@ def _mutate_cleanup_seed_ascending():
     instead of the serial scheduler's set iteration order."""
     from ..cgc import summary as summary_mod
 
-    def ascending(tracker, alive_index):
-        nodes = np.unique(
-            np.concatenate(
-                (tracker.src[alive_index], tracker.dst[alive_index])
-            )
-        )
-        return int(nodes[np.argmax(tracker.remains[nodes])])
+    def ascending(tracker, first):
+        return int(np.argmax(tracker.alive_degrees()))
 
     return _patched(summary_mod, "_cleanup_seed", ascending)
+
+
+def _mutate_cleanup_seed_ignores_slot_collisions():
+    """Predict every tied cleanup seed from home-slot order, even when
+    two nodes share a home slot and the set's probing decides."""
+    from ..cgc import summary as summary_mod
+
+    return _patched(summary_mod, "_homes_distinct", lambda homes: True)
 
 
 def _mutate_walk_window_off_by_one():
@@ -573,6 +661,9 @@ def _mutate_walk_window_off_by_one():
         "gemm_batch_kernel_off_by_one": _mutate_gemm_batch_cycles,
         "plan_summary_halves_match_fraction": _mutate_plan_summary_fraction,
         "cleanup_seed_breaks_ties_ascending": _mutate_cleanup_seed_ascending,
+        "cleanup_seed_ignores_slot_collisions": (
+            _mutate_cleanup_seed_ignores_slot_collisions
+        ),
         "walk_window_drops_last_query": _mutate_walk_window_off_by_one,
     },
 )

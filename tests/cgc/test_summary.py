@@ -5,6 +5,8 @@ serial path is the specification, and `ScheduleSummary.from_schedule`
 of a real `WindowSchedule` is the ground truth they are compared to.
 """
 
+import sys
+
 import numpy as np
 import pytest
 
@@ -79,6 +81,24 @@ class TestExactness:
         )
 
     @pytest.mark.parametrize("scheme", sorted(FAST_BUILDERS))
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matches_serial_with_repeated_edges(self, scheme, seed):
+        # Repeated edges count in remaining degrees but retire once, so
+        # a node's remaining degree is not its count of alive edges.
+        rng = np.random.default_rng(seed)
+
+        def side(n):
+            edges = [tuple(e) for e in rng.integers(0, n, size=(3 * n, 2))]
+            return Graph(n, edges + edges[: n // 2] + [(0, 0), (0, 0)])
+
+        pair = GraphPair(side(30), side(40))
+        fast, serial = FAST_BUILDERS[scheme]
+        for capacity in (2, 6, 64):
+            assert fast(pair, capacity) == ScheduleSummary.from_schedule(
+                serial(pair, capacity)
+            )
+
+    @pytest.mark.parametrize("scheme", sorted(FAST_BUILDERS))
     def test_matches_serial_on_empty_active_side(self, scheme):
         # Regression: an empty active side used to crash the scheduler.
         pair = random_pair(5)
@@ -122,18 +142,77 @@ def ascending_divergences(monkeypatch):
     original = summary_mod._cleanup_seed
     counts = {"rounds": 0, "diverging": 0}
 
-    def spy(tracker, alive_index):
-        seed = original(tracker, alive_index)
-        nodes = np.unique(
-            np.concatenate((tracker.src[alive_index], tracker.dst[alive_index]))
-        )
+    def spy(tracker, first):
+        seed = original(tracker, first)
         counts["rounds"] += 1
-        if seed != int(nodes[np.argmax(tracker.remains[nodes])]):
+        if seed != int(np.argmax(tracker.alive_degrees())):
             counts["diverging"] += 1
         return seed
 
     monkeypatch.setattr(summary_mod, "_cleanup_seed", spy)
     return counts
+
+
+def serial_seed(tracker):
+    """The serial scheduler's seed expression, run as written over the
+    alive edges in canonical order (the iteration order of its set)."""
+    alive = np.flatnonzero(tracker.alive)
+    remaining = zip(tracker.src[alive].tolist(), tracker.dst[alive].tolist())
+    degrees = tracker.remains.tolist()
+    return max({u for edge in remaining for u in edge}, key=degrees.__getitem__)
+
+
+@pytest.fixture
+def seeds_vs_serial(monkeypatch):
+    """Holds every cleanup seed to :func:`serial_seed`, and counts the
+    rounds, the tied rounds, and the ties read off a real set."""
+    original = summary_mod._cleanup_seed
+    by_set = summary_mod._cleanup_seed_by_set
+    counts = {"rounds": 0, "tied": 0, "by_set": 0}
+
+    def checked(tracker, first):
+        seed = original(tracker, first)
+        assert seed == serial_seed(tracker)
+        counts["rounds"] += 1
+        degree = tracker.alive_degrees()
+        counts["tied"] += int(np.count_nonzero(degree == degree.max()) > 1)
+        return seed
+
+    def counted(*args):
+        counts["by_set"] += 1
+        return by_set(*args)
+
+    monkeypatch.setattr(summary_mod, "_cleanup_seed", checked)
+    monkeypatch.setattr(summary_mod, "_cleanup_seed_by_set", counted)
+    return counts
+
+
+class TestSetLayout:
+    """The facts the cleanup seed's layout prediction rests on."""
+
+    def test_predictable_here(self):
+        assert summary_mod._SET_LAYOUT_PREDICTABLE
+
+    def test_table_mask_matches_getsizeof(self):
+        empty = sys.getsizeof(set())
+        entry = (sys.getsizeof(set(range(5))) - empty) // 32
+        for count in range(3000):
+            slots = summary_mod._set_table_mask(count) + 1
+            grown = sys.getsizeof(set(range(count))) - empty
+            assert grown == (0 if slots == 8 else slots * entry), count
+
+    def test_distinct_homes_iterate_in_slot_order(self):
+        rng = np.random.default_rng(0)
+        for _ in range(2000):
+            count = int(rng.integers(1, 400))
+            nodes = rng.choice(4 * count + 64, size=count, replace=False)
+            mask = summary_mod._set_table_mask(count)
+            homes = nodes & mask
+            if not summary_mod._homes_distinct(homes):
+                continue
+            # Any insertion order, duplicates included.
+            inserts = rng.permutation(np.concatenate([nodes, nodes[: count // 3]]))
+            assert list(set(inserts.tolist())) == nodes[np.argsort(homes)].tolist()
 
 
 class TestLargePairExactness:
@@ -164,7 +243,7 @@ class TestLargePairExactness:
     }
 
     @pytest.mark.parametrize("family", sorted(CASES))
-    def test_matches_serial(self, family, ascending_divergences):
+    def test_matches_serial(self, family, ascending_divergences, seeds_vs_serial):
         make_pairs, full_capacities, subset_capacities = self.CASES[family]
         for pair in make_pairs():
             runs = [(capacity, None, None) for capacity in full_capacities]
@@ -183,6 +262,39 @@ class TestLargePairExactness:
                 )
         # Not vacuous: some round's tie broke differently than ascending.
         assert ascending_divergences["diverging"] > 0, ascending_divergences
+        assert seeds_vs_serial["tied"] > 0, seeds_vs_serial
+
+    def test_set_and_prediction_both_exercised(self, seeds_vs_serial):
+        for pair in self.CASES["RD-B"][0]():
+            summarize_coordinated(pair, 64)
+        assert 0 < seeds_vs_serial["by_set"] < seeds_vs_serial["tied"]
+
+
+def test_paper_sim_pass_seeds_match_serial(seeds_vs_serial, monkeypatch):
+    """Every cleanup seed of one quick seed-0 headline pass (the cells
+    perfbench's ``paper_sim`` runs) equals the serial expression's."""
+    from repro.experiments.common import (
+        DATASET_ORDER,
+        MODEL_ORDER,
+        clear_workload_caches,
+        workload_results,
+        workload_size,
+    )
+    from repro.platforms import DEFAULT_PLATFORMS
+
+    monkeypatch.setenv("REPRO_TRACE_CACHE", "off")
+    clear_workload_caches()
+    try:
+        for model in MODEL_ORDER:
+            for dataset in DATASET_ORDER:
+                num_pairs, batch_size = workload_size(True, dataset)
+                workload_results(
+                    model, dataset, DEFAULT_PLATFORMS, num_pairs, batch_size, 0
+                )
+    finally:
+        clear_workload_caches()
+    assert seeds_vs_serial["rounds"] > 1000, seeds_vs_serial
+    assert 0 < seeds_vs_serial["by_set"] < seeds_vs_serial["tied"]
 
 
 class TestArrayRoundTrip:

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from repro.cgc import (
     SCHEDULERS,
     coordinated_window_schedule,
-    double_window_schedule,
     joint_window_schedule,
     single_window_schedule,
 )

@@ -1,8 +1,11 @@
 """Tests for approximate (LSH) matching filters."""
 
+import warnings
+
 import numpy as np
 import pytest
 
+from repro.emf.approximate import NONFINITE_BUCKET
 from repro.emf import (
     approximate_matching_filter,
     e2lsh_matching_filter,
@@ -71,6 +74,23 @@ class TestE2LSH:
         exact = elastic_matching_filter(features).num_unique
         approx = e2lsh_matching_filter(features, 12, 1e-4).num_unique
         assert approx == exact
+
+    def test_nonfinite_rows_share_an_explicit_bucket(self):
+        # NaN, infinite and out-of-int64-range projections have no
+        # bucket value: those rows share one bucket, no cast warns, and
+        # the finite rows keep theirs.
+        features = np.array(
+            [[np.nan, 1.0], [1.0, 2.0], [np.inf, 0.0], [1e300, 1e300], [1.0, 2.0]]
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            signatures = e2lsh_signatures(features, 4, 0.1)
+            result = e2lsh_matching_filter(features, 4, 0.1)
+        assert signatures[0] == signatures[2] == signatures[3] == NONFINITE_BUCKET
+        assert signatures[1] == signatures[4] != NONFINITE_BUCKET
+        assert len(signatures[1]) == 4
+        assert result.unique_indices == [0, 1]
+        assert result.inverse.tolist() == [0, 1, 0, 0, 1]
 
     def test_validation(self):
         with pytest.raises(ValueError):

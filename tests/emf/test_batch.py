@@ -1,6 +1,5 @@
 """Tests for cross-pair (batch-scoped) duplicate analysis."""
 
-import numpy as np
 import pytest
 
 from repro.emf import batch_matching_counts, cross_pair_headroom

@@ -12,8 +12,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.emf import MatchingPlan, elastic_matching_filter, quantize_features
+from repro.emf import filter as filter_mod
 from repro.emf.filter import _filter_scalar
 from repro.models import similarity_matrix
+from repro.validate.workloads import feature_matrices
 
 
 def _xxhash_digest(path, features, verify_conflicts=True):
@@ -337,3 +339,75 @@ class TestCrossProcessDeterminism:
     ):
         first, second = digests_by_hash_seed
         assert first[method] == second[method]
+
+
+def _dict_loop(quantized):
+    return filter_mod.first_occurrence([row.tobytes() for row in quantized])
+
+
+def _assert_groups_like_loop(quantized):
+    reference = _dict_loop(quantized)
+    grouped = filter_mod._group_rows(quantized)
+    assert grouped is not None
+    for left, right in zip(grouped, reference):
+        assert left.dtype == right.dtype == np.int64
+        assert np.array_equal(left, right)
+    result = filter_mod._filter_bytes(quantized)
+    assert np.array_equal(result.unique_indices, reference[0])
+    assert np.array_equal(result.inverse, reference[1])
+
+
+class TestBytesArrayKey:
+    """The bytes method's hashed array key equals the dict loop over
+    row bytes, which stays its reference and its fallback."""
+
+    @pytest.mark.parametrize("copies", [1, 7, 30])
+    def test_matches_loop_on_workload_matrices(self, copies):
+        # Tiled copies reach the row count at which _filter_bytes
+        # takes the array key; NaN rows and signed zeros included.
+        for features in feature_matrices(seed=6):
+            quantized = np.tile(quantize_features(features), (copies, 1))
+            _assert_groups_like_loop(quantized)
+
+    def test_nan_rows_group_bitwise(self):
+        rows = np.array([[np.nan, 1.0], [1.0, 2.0], [np.nan, 1.0], [-np.nan, 1.0]])
+        quantized = np.tile(rows, (20, 1))
+        _assert_groups_like_loop(quantized)
+        assert filter_mod._group_rows(quantized)[0].tolist() == [0, 1, 3]
+
+    def test_rows_one_ulp_apart_stay_distinct(self):
+        rng = np.random.default_rng(8)
+        base = quantize_features(rng.normal(size=(40, 6)))
+        nudged = base.copy()
+        nudged[:, 3] = np.nextafter(nudged[:, 3], np.inf)
+        quantized = np.concatenate([base, nudged, base])
+        _assert_groups_like_loop(quantized)
+        assert filter_mod._group_rows(quantized)[0].size == 80
+
+    def test_forced_collision_takes_the_loop(self, monkeypatch):
+        monkeypatch.setattr(
+            filter_mod,
+            "_row_hash",
+            lambda bits: np.zeros(bits.shape[0], dtype=np.uint64),
+        )
+        rng = np.random.default_rng(9)
+        base = rng.normal(size=(5, 4))
+        quantized = quantize_features(base[rng.integers(0, 5, size=100)])
+        assert filter_mod._group_rows(quantized) is None
+        result = filter_mod._filter_bytes(quantized)
+        reference = _dict_loop(quantized)
+        assert np.array_equal(result.unique_indices, reference[0])
+        assert np.array_equal(result.inverse, reference[1])
+
+    def test_small_matrices_keep_the_loop(self, monkeypatch):
+        calls = []
+        original = filter_mod._group_rows
+        monkeypatch.setattr(
+            filter_mod,
+            "_group_rows",
+            lambda quantized: calls.append(len(quantized)) or original(quantized),
+        )
+        small = filter_mod._GROUP_ROWS_MIN - 1
+        elastic_matching_filter(np.ones((small, 3)))
+        elastic_matching_filter(np.ones((small + 1, 3)))
+        assert calls == [small + 1]

@@ -4,7 +4,6 @@ Each runner must execute, produce a well-formed table, and satisfy the
 paper's qualitative claims for its figure.
 """
 
-import numpy as np
 import pytest
 
 from repro.experiments.registry import EXPERIMENTS, run_experiment

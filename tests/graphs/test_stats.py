@@ -1,6 +1,5 @@
 """Tests for graph statistics."""
 
-import numpy as np
 import pytest
 
 from repro.graphs import Graph, dataset_profile, graph_profile

@@ -6,7 +6,6 @@ Section III-C). These tests run each model densely and EMF-filtered on
 the same pairs and compare scores and FLOPs.
 """
 
-import numpy as np
 import pytest
 
 from repro.graphs import Graph, GraphPair, load_dataset

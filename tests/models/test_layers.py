@@ -184,3 +184,40 @@ class TestConv2D:
         out = conv.forward(np.ones((1, 6, 6)), pool=False)
         interior = out[0, 1:-1, 1:-1]
         assert np.allclose(interior, interior[0, 0])
+
+
+def _conv_per_pixel(conv, x, pool):
+    """Reference: the per-pixel im2col loop, then the same GEMM."""
+    channels, height, width = x.shape
+    padded = np.pad(x, ((0, 0), (1, 1), (1, 1)))
+    patches = np.empty((height * width, channels * 9))
+    idx = 0
+    for i in range(height):
+        for j in range(width):
+            patches[idx] = padded[:, i : i + 3, j : j + 3].ravel()
+            idx += 1
+    kernel = conv.weight.reshape(conv.out_channels, -1).T
+    out = relu(patches @ kernel + conv.bias)
+    out = out.T.reshape(conv.out_channels, height, width)
+    if pool and height >= 2 and width >= 2:
+        h2, w2 = height // 2, width // 2
+        out = out[:, : h2 * 2, : w2 * 2]
+        out = out.reshape(conv.out_channels, h2, 2, w2, 2).max(axis=(2, 4))
+    return out
+
+
+class TestConv2DIm2col:
+    """The strided im2col equals the per-pixel loop bit for bit."""
+
+    @pytest.mark.parametrize("shape", [(1, 1), (1, 2), (3, 5), (16, 16)])
+    @pytest.mark.parametrize("channels", [1, 16])
+    @pytest.mark.parametrize("pool", [True, False])
+    def test_matches_per_pixel_loop(self, shape, channels, pool):
+        rng = _rng(7)
+        conv = Conv2D(channels, 16, rng)
+        conv.bias = rng.normal(size=16)
+        x = rng.normal(size=(channels, *shape))
+        out = conv.forward(x, pool=pool)
+        reference = _conv_per_pixel(conv, x, pool)
+        assert out.shape == reference.shape
+        assert out.tobytes() == reference.tobytes()

@@ -13,7 +13,6 @@ def aids_pairs():
 
 
 def _unlabeled_pair(n=8, seed=0):
-    rng = np.random.default_rng(seed)
     edges = [(i, (i + 1) % n) for i in range(n)]
     target = Graph.from_undirected_edges(n, edges)
     query = Graph.from_undirected_edges(n, edges[:-1] + [(0, n // 2)])

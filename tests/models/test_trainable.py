@@ -1,6 +1,5 @@
 """Tests for the end-to-end trainable GMN."""
 
-import numpy as np
 import pytest
 
 from repro.graphs import Graph, GraphPair, load_dataset

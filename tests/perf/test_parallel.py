@@ -377,6 +377,35 @@ def _running(pid):
     return stat.rsplit(")", 1)[1].split()[0] != "Z"
 
 
+class TestServingPoolBlasThreads:
+    """Spawned serving workers start with one BLAS thread, unless the
+    user set a thread count: then they inherit the environment as is."""
+
+    @pytest.fixture(autouse=True)
+    def _fresh_pool(self, monkeypatch):
+        for name in parallel.BLAS_THREAD_VARIABLES:
+            monkeypatch.delenv(name, raising=False)
+        parallel.shutdown_serving_pool()
+        yield
+        parallel.shutdown_serving_pool()
+
+    def _in_worker(self):
+        pool = parallel._serving_pool(2)
+        return [
+            pool.submit(os.getenv, name).result()
+            for name in parallel.BLAS_THREAD_VARIABLES
+        ]
+
+    def test_one_thread_when_unset(self):
+        assert self._in_worker() == ["1", "1", "1"]
+        # The parent's own environment is left as it was.
+        assert not set(parallel.BLAS_THREAD_VARIABLES) & set(os.environ)
+
+    def test_user_value_is_kept(self, monkeypatch):
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "3")
+        assert self._in_worker() == [None, "3", None]
+
+
 class TestServingPoolExit:
     def test_tracker_stop_with_live_pool_exits_quietly(self, tmp_path):
         # Stopping the tracker unlinks the live pool's queue semaphores

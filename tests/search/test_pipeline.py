@@ -3,13 +3,14 @@
 import numpy as np
 import pytest
 
-from repro.graphs import generate_graph, substitute_edges
+from repro.graphs import Graph, generate_graph, substitute_edges
 from repro.models import build_model
 from repro.obs import metrics_enabled
 from repro.obs.context import RequestTracker
 from repro.obs.exemplars import ExemplarBuffer
 from repro.obs.timeseries import TimeseriesRecorder
 from repro.search import SimilaritySearchIndex
+from repro.search import executor as executor_mod
 
 
 class FakeClock:
@@ -285,3 +286,31 @@ class TestPolicies:
         responses = pipeline.serve(stream, top_k=3)
         for graph, response in zip(stream, responses):
             assert list(response.results) == index._query_flat(graph, top_k=3)
+
+
+class TestEmptyGraphContract:
+    """A 0-node query, and a 0-node graph in the database, are served:
+    status ``ok``, finite scores, bit-identical to the flat path, on the
+    serial path and through the worker pool."""
+
+    @pytest.mark.parametrize("workers", [1, 2], ids=["serial", "pool"])
+    def test_empty_graphs_serve_finite_flat_scores(
+        self, database, workers, monkeypatch
+    ):
+        monkeypatch.setattr(
+            executor_mod, "available_workers", lambda requested=None: workers
+        )
+        dim = database[0].feature_dim
+        empty = Graph(0, [], np.zeros((0, dim)))
+        index = SimilaritySearchIndex(build_model("GMN-Li", input_dim=dim))
+        index.add_many(database + [empty])
+        top_k = len(database) + 1
+        queries = [empty, database[1]]
+        responses = index.pipeline(workers=workers).serve(queries, top_k=top_k)
+        for query, response in zip(queries, responses):
+            assert response.ok
+            scores = np.array([result.score for result in response.results])
+            assert scores.shape == (top_k,) and np.all(np.isfinite(scores))
+            flat = index._query_flat(query, top_k)
+            assert [r.index for r in response.results] == [r.index for r in flat]
+            assert scores.tobytes() == np.array([r.score for r in flat]).tobytes()

@@ -1,6 +1,5 @@
 """Integration tests for the cycle-level accelerator simulator."""
 
-import numpy as np
 import pytest
 
 from repro.baselines import pyg_cpu_model, pyg_gpu_model

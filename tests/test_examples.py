@@ -1,7 +1,6 @@
 """Smoke tests: the fast example scripts run end to end."""
 
 import runpy
-import sys
 from pathlib import Path
 
 import pytest

@@ -19,7 +19,7 @@ from repro.emf import (
     elastic_matching_filter,
 )
 from repro.emf import filter as filter_mod
-from repro.graphs import Graph, GraphPair, GraphPairBatch, erdos_renyi_graph
+from repro.graphs import GraphPair, GraphPairBatch, erdos_renyi_graph
 from repro.models import similarity_matrix
 from repro.sim import DRAMModel
 from repro.validate.workloads import feature_matrices

@@ -50,7 +50,6 @@ class TestPairFlopBreakdown:
     def test_paper_example_100_nodes(self):
         """The intro's example: two 100-node/1000-edge graphs incur more
         than 10x the matching computation of intra-graph processing."""
-        edges = [(i, (i + 1) % 100) for i in range(100)]
         # 1000 directed edges each ~ use denser rings
         target = Graph.from_undirected_edges(
             100, [(i, (i + k) % 100) for i in range(100) for k in range(1, 6)]
