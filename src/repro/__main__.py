@@ -161,9 +161,7 @@ def _cmd_simulate(args) -> int:
 def _run_simulate(args, timer) -> int:
     from .perf.timing import time_stage
 
-    if getattr(args, "jobs", None) not in (None, 1) and not (
-        args.detailed or args.config
-    ):
+    if args.jobs not in (None, 1):
         from .core.api import simulate_workload
 
         results = simulate_workload(
@@ -203,9 +201,8 @@ def _run_simulate(args, timer) -> int:
 
         with open(args.config) as handle:
             custom = HardwareConfig.from_dict(json.load(handle))
-        results[custom.name] = AcceleratorSimulator(custom).simulate_batches(
-            traces
-        )
+        simulator_cls = DetailedSimulator if args.detailed else AcceleratorSimulator
+        results[custom.name] = simulator_cls(custom).simulate_batches(traces)
     print(
         f"{args.model} on {args.dataset} "
         f"({args.pairs} pairs, batch {args.batch})"
@@ -844,7 +841,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         "--jobs",
         type=int,
         default=None,
-        help="worker processes for batch-aligned chunked simulation",
+        help="worker processes for batch-aligned chunked simulation "
+        "(analytic engine only: not with --detailed or --config)",
     )
     simulate.add_argument(
         "--quick",
@@ -908,7 +906,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         default="flat",
         help="candidate retrieval: flat scores the whole database per "
         "batch; sketch prunes to an EMF/WL MinHash candidate set first "
-        "and reranks it exactly",
+        "and ranks only those candidates, so it is approximate below "
+        "recall floor 1.0 (serve uses the default floor, 0.5)",
     )
     serve.add_argument(
         "--batch",
@@ -1237,6 +1236,13 @@ def main(argv: Optional[List[str]] = None) -> int:
     configure_logging(-1 if args.quiet else args.verbose)
     if getattr(args, "platforms", None):
         _check_platforms(parser, args.platforms)
+    if args.command == "simulate" and args.jobs not in (None, 1) and (
+        args.detailed or args.config
+    ):
+        simulate.error(
+            "--jobs runs the chunked analytic engine over --platforms "
+            "only; it cannot be combined with --detailed or --config"
+        )
     profile_path = getattr(args, "profile", None)
     if profile_path:
         from .obs.profiling import profiled

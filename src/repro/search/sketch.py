@@ -23,12 +23,21 @@ turns the paper's own duplicate-detection machinery into an index:
 
 :class:`CandidateRetriever` slots between the batch scheduler and the
 :class:`~repro.search.executor.ShardedExecutor`: the executor scores
-only the retrieved candidate union and reranks it *exactly* (same
-per-pair scores, same :class:`~repro.search.results.SearchResult`
-total order). Pruning is lossy in principle; the
-``search.sketch_vs_flat`` differential check gates top-k agreement
-with the flat path on the validate workloads, and the recall floor is
-the knob that buys agreement back if a workload ever diverges.
+only the retrieved candidate union and ranks it with the same per-pair
+scores and the same :class:`~repro.search.results.SearchResult` total
+order as flat retrieval. So the answer is exact *within the candidate
+set*, and equals flat retrieval's only when the candidates hold every
+flat top-k member.
+
+Below ``recall_floor=1.0`` the sketch is approximate: pruning can drop
+a true top-k member, and no lower floor is known to be exact. On the
+perfbench ``unique_ingest`` graphs, the floor each query needed to keep
+its flat top-5 had a median of 0.55 and a maximum of 1.0, and a run at
+0.75 served a wrong top-5 (``perfbench/README.md``). The default floor
+of 0.5 is therefore an approximate setting. Only 1.0, which makes every
+database graph a candidate, is exact. The ``search.sketch_vs_flat``
+differential check gates top-k agreement on the validate workloads
+only; agreement there does not carry over to other workloads.
 """
 
 from __future__ import annotations

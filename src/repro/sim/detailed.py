@@ -35,7 +35,7 @@ import numpy as np
 from ..obs.metrics import get_metrics
 from ..trace.events import PairTrace
 from .config import BYTES_PER_VALUE
-from .engine import AcceleratorSimulator
+from .engine import AcceleratorSimulator, _by_stat
 from .pe import MACArray
 
 __all__ = ["DetailedSimulator"]
@@ -43,6 +43,14 @@ __all__ = ["DetailedSimulator"]
 
 class DetailedSimulator(AcceleratorSimulator):
     """Per-window-step variant of the accelerator simulator.
+
+    It shares the base class's one batch body
+    (:meth:`AcceleratorSimulator._simulate_batch`) and overrides only
+    where the per-pair stats come from on the public path
+    (:meth:`_simulate_layer_batched`) and how a layer folds
+    (:meth:`_add_layer`). Its per-pair reference is its own
+    :meth:`_simulate_pair_layer`, reached the same way through
+    :func:`~repro.sim.engine._simulate_batches_serial`.
 
     ``tile_model=True`` times the per-step matching GEMMs on a tiled
     :class:`MACArray` (shape-aware utilization: small windows strand
@@ -60,162 +68,62 @@ class DetailedSimulator(AcceleratorSimulator):
         rows = 128 if config.mac_units % 128 == 0 else config.mac_units
         self._array = MACArray(rows, max(1, config.mac_units // rows))
 
-    def _simulate_batch_serial(self, batch_trace):
-        """As the base simulator, but per-pair layer stats already embed
-        the memory pipeline, so layers sum compute directly instead of
-        re-overlapping with a batch-level memory term."""
-        config = self.config
-        from .engine import _SRAM_BYTES_PER_MAC, PlatformResult
-
-        result = PlatformResult(config.name, config.frequency_hz)
-        result.num_pairs = batch_trace.batch.batch_size
-        for layer_index in range(batch_trace.num_layers):
-            layer_cycles = 0.0
-            layer_dram = 0.0
-            layer_macs = 0.0
-            emf_overhead_cycles = 0.0
-            batch_working_set = sum(
-                trace.pair.total_nodes for trace in batch_trace.pair_traces
-            )
-            layer_dram_read = 0.0
-            layer_dram_write = 0.0
-            for pair_trace in batch_trace.pair_traces:
-                stats = self._simulate_pair_layer(
-                    pair_trace, layer_index, batch_working_set
+    def _simulate_layer_batched(self, traces, layer_index, batch_working_set):
+        """Batched detailed mode: each pair's window-step walk as array
+        math over its schedule summary (:meth:`_pair_layer_stats_batched`)."""
+        return _by_stat(
+            [
+                self._pair_layer_stats_batched(
+                    trace, layer_index, batch_working_set
                 )
-                layer_cycles += stats["compute_cycles"]
-                result.dram_read_bytes += stats["dram_read"]
-                result.dram_write_bytes += stats["dram_write"]
-                layer_dram_read += stats["dram_read"]
-                layer_dram_write += stats["dram_write"]
-                layer_dram += stats["dram_read"] + stats["dram_write"]
-                result.macs += stats["macs"]
-                layer_macs += stats["macs"]
-                emf_overhead_cycles += stats["emf_cycles"]
-            result.cycles += max(layer_cycles, emf_overhead_cycles)
-            result.layer_stats.append(
-                {
-                    "cycles": max(layer_cycles, emf_overhead_cycles),
-                    "dram_bytes": layer_dram,
-                    "macs": layer_macs,
-                }
-            )
-            registry = get_metrics()
-            if registry is not None:
-                platform = config.name
-                registry.inc(
-                    "sim.dram.read_bytes", layer_dram_read, platform=platform
-                )
-                registry.inc(
-                    "sim.dram.write_bytes", layer_dram_write, platform=platform
-                )
-                registry.inc("sim.macs", layer_macs, platform=platform)
-                registry.inc(
-                    "sim.cycles",
-                    max(layer_cycles, emf_overhead_cycles),
-                    platform=platform,
-                )
-                registry.inc("sim.layers", 1, platform=platform)
-        for pair_trace in batch_trace.pair_traces:
-            readout_macs = pair_trace.readout_flops.total / 2.0
-            result.macs += readout_macs
-            result.cycles += readout_macs / config.mac_units
-        result.sram_bytes = result.macs * _SRAM_BYTES_PER_MAC + result.dram_bytes
-        result.energy_components = self.energy_model.energy_breakdown(
-            result.dram_bytes,
-            result.sram_bytes,
-            result.macs,
-            result.latency_seconds,
+                for trace in traces
+            ]
         )
-        result.energy_joules = sum(result.energy_components.values())
-        registry = get_metrics()
-        if registry is not None:
-            registry.inc("sim.pairs", result.num_pairs, platform=config.name)
-            registry.inc("sim.batches", 1, platform=config.name)
-        return result
 
-    # ------------------------------------------------------------------
-    def _simulate_batch_batched(self, batch_trace):
-        """Batched detailed mode: per-pair step pipelines as array math.
-
-        Each pair's window-step walk becomes vectorized expressions over
-        its schedule-summary arrays (:meth:`_pair_layer_stats_batched`);
-        the batch accumulation below replays the serial loop's exact
-        interleaved ``+=`` order over those per-pair values, so every
-        accumulated float matches :meth:`_simulate_batch_serial` bit for
-        bit.
-        """
-        config = self.config
-        from .engine import _SRAM_BYTES_PER_MAC, PlatformResult
-
-        result = PlatformResult(config.name, config.frequency_hz)
-        result.num_pairs = batch_trace.batch.batch_size
-        traces = batch_trace.pair_traces
-        for layer_index in range(batch_trace.num_layers):
-            layer_cycles = 0.0
-            layer_dram = 0.0
-            layer_macs = 0.0
-            emf_overhead_cycles = 0.0
-            batch_working_set = sum(
-                trace.pair.total_nodes for trace in traces
-            )
-            layer_dram_read = 0.0
-            layer_dram_write = 0.0
-            for pair_trace in traces:
-                stats = self._pair_layer_stats_batched(
-                    pair_trace, layer_index, batch_working_set
-                )
-                layer_cycles += stats["compute_cycles"]
-                result.dram_read_bytes += stats["dram_read"]
-                result.dram_write_bytes += stats["dram_write"]
-                layer_dram_read += stats["dram_read"]
-                layer_dram_write += stats["dram_write"]
-                layer_dram += stats["dram_read"] + stats["dram_write"]
-                result.macs += stats["macs"]
-                layer_macs += stats["macs"]
-                emf_overhead_cycles += stats["emf_cycles"]
-            result.cycles += max(layer_cycles, emf_overhead_cycles)
-            result.layer_stats.append(
-                {
-                    "cycles": max(layer_cycles, emf_overhead_cycles),
-                    "dram_bytes": layer_dram,
-                    "macs": layer_macs,
-                }
-            )
-            registry = get_metrics()
-            if registry is not None:
-                platform = config.name
-                registry.inc(
-                    "sim.dram.read_bytes", layer_dram_read, platform=platform
-                )
-                registry.inc(
-                    "sim.dram.write_bytes", layer_dram_write, platform=platform
-                )
-                registry.inc("sim.macs", layer_macs, platform=platform)
-                registry.inc(
-                    "sim.cycles",
-                    max(layer_cycles, emf_overhead_cycles),
-                    platform=platform,
-                )
-                registry.inc("sim.layers", 1, platform=platform)
-        for pair_trace in traces:
-            readout_macs = pair_trace.readout_flops.total / 2.0
-            result.macs += readout_macs
-            result.cycles += readout_macs / config.mac_units
-        result.sram_bytes = result.macs * _SRAM_BYTES_PER_MAC + result.dram_bytes
-        result.energy_components = self.energy_model.energy_breakdown(
-            result.dram_bytes,
-            result.sram_bytes,
-            result.macs,
-            result.latency_seconds,
+    def _add_layer(self, result, stats, registry) -> None:
+        """As the base fold, but per-pair layer stats already embed the
+        memory pipeline, so layers sum compute directly instead of
+        re-overlapping with a batch-level memory term. The totals take
+        each pair's values as they come (an interleaved ``+=`` per pair),
+        not as per-layer sums."""
+        layer_cycles = 0.0
+        layer_dram = 0.0
+        layer_macs = 0.0
+        emf_overhead_cycles = 0.0
+        layer_dram_read = 0.0
+        layer_dram_write = 0.0
+        for compute, read, write, macs, emf in zip(
+            stats["compute_cycles"],
+            stats["dram_read"],
+            stats["dram_write"],
+            stats["macs"],
+            stats["emf_cycles"],
+        ):
+            layer_cycles += compute
+            result.dram_read_bytes += read
+            result.dram_write_bytes += write
+            layer_dram_read += read
+            layer_dram_write += write
+            layer_dram += read + write
+            result.macs += macs
+            layer_macs += macs
+            emf_overhead_cycles += emf
+        cycles = max(layer_cycles, emf_overhead_cycles)
+        result.cycles += cycles
+        result.layer_stats.append(
+            {"cycles": cycles, "dram_bytes": layer_dram, "macs": layer_macs}
         )
-        result.energy_joules = sum(result.energy_components.values())
-        registry = get_metrics()
         if registry is not None:
-            registry.inc("sim.pairs", result.num_pairs, platform=config.name)
-            registry.inc("sim.batches", 1, platform=config.name)
-            registry.observe("sim.batch.pairs_per_call", len(traces))
-        return result
+            platform = self.config.name
+            registry.inc(
+                "sim.dram.read_bytes", layer_dram_read, platform=platform
+            )
+            registry.inc(
+                "sim.dram.write_bytes", layer_dram_write, platform=platform
+            )
+            registry.inc("sim.macs", layer_macs, platform=platform)
+            registry.inc("sim.cycles", cycles, platform=platform)
+            registry.inc("sim.layers", 1, platform=platform)
 
     def _pair_layer_stats_batched(
         self,

@@ -33,7 +33,12 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..cgc.summary import memoized, schedule_key, schedule_summary_for
+from ..cgc.summary import (
+    ScheduleSummary,
+    memoized,
+    schedule_key,
+    schedule_summary_for,
+)
 from ..cgc.window import (
     coordinated_window_schedule,
     single_window_schedule,
@@ -208,11 +213,10 @@ class PlatformResult:
 
 
 def _left_fold(values) -> float:
-    """Serial-order float accumulation: ``((0.0 + v0) + v1) + ...``.
+    """Pair-order float accumulation: ``((0.0 + v0) + v1) + ...``.
 
-    The batched engine computes per-pair values as one numpy program
-    but must reduce them exactly as the serial loop's ``+=`` does —
-    a left fold, not numpy's pairwise ``sum`` — for bit-identity.
+    A left fold, not numpy's pairwise ``sum``: the simulator's golden
+    digests and ``results/summary.json`` pin this association.
     """
     total = 0.0
     for value in values:
@@ -220,14 +224,29 @@ def _left_fold(values) -> float:
     return total
 
 
+# The per-pair stats every ``layer_stats`` returns, one list each.
+_STAT_KEYS = ("compute_cycles", "dram_read", "dram_write", "macs", "emf_cycles")
+
+
+def _by_stat(per_pair: Sequence[Dict[str, float]]) -> Dict[str, list]:
+    """Per-pair stat dicts as one list per stat, in pair order."""
+    return {key: [stats[key] for stats in per_pair] for key in _STAT_KEYS}
+
+
 class AcceleratorSimulator:
     """Trace-driven cycle simulator parameterized by a HardwareConfig.
 
-    Each batch's pairs are stacked into flat arrays and every layer is
-    evaluated as one numpy program. The original per-pair Python loop
-    (:meth:`_simulate_batch_serial`) is kept only as the reference the
-    ``sim.batched_vs_serial`` check holds this engine bit-identical to;
-    reach it through :func:`_simulate_batches_serial`.
+    One batch body, :meth:`_simulate_batch`, folds every layer with
+    :meth:`_add_layer`; where the per-pair layer stats come from is its
+    ``layer_stats`` argument. The public path passes
+    :meth:`_simulate_layer_batched`, which stacks the batch's pairs into
+    flat arrays and evaluates each layer as one numpy program. The
+    per-pair references (:meth:`_prepare_pair_layer`,
+    :meth:`_simulate_pair_layer`) are kept only as the other
+    ``layer_stats``, :meth:`_serial_layer_stats`, which the
+    ``sim.batched_vs_serial`` check holds the numpy program
+    bit-identical to; reach it through :func:`_simulate_batches_serial`.
+    The fold itself is pinned by ``tests/sim/test_simulator_golden.py``.
     """
 
     def __init__(
@@ -245,185 +264,29 @@ class AcceleratorSimulator:
     # ------------------------------------------------------------------
     def simulate_batch(self, batch_trace: BatchTrace) -> PlatformResult:
         """Simulate one batch of graph pairs end to end."""
-        return self._simulate_batch_batched(batch_trace)
+        return self._simulate_batch(batch_trace, self._simulate_layer_batched)
 
-    def _simulate_batch_serial(self, batch_trace: BatchTrace) -> PlatformResult:
-        """Reference per-pair loop (see :func:`_simulate_batches_serial`)."""
-        config = self.config
-        result = PlatformResult(config.name, config.frequency_hz)
-        result.num_pairs = batch_trace.batch.batch_size
+    def _simulate_batch(self, batch_trace: BatchTrace, layer_stats) -> PlatformResult:
+        """The one batch body, shared by the public path and the reference.
 
-        num_layers = batch_trace.num_layers
-        for layer_index in range(num_layers):
-            layer_compute_cycles = 0.0
-            layer_dram_read = 0.0
-            layer_dram_write = 0.0
-            layer_macs = 0.0
-            emf_overhead_cycles = 0.0
-
-            batch_working_set = sum(
-                trace.pair.total_nodes for trace in batch_trace.pair_traces
-            )
-            for pair_trace in batch_trace.pair_traces:
-                stats = self._simulate_pair_layer(
-                    pair_trace, layer_index, batch_working_set
-                )
-                layer_compute_cycles += stats["compute_cycles"]
-                layer_dram_read += stats["dram_read"]
-                layer_dram_write += stats["dram_write"]
-                layer_macs += stats["macs"]
-                emf_overhead_cycles += stats["emf_cycles"]
-
-            memory_cycles = (
-                layer_dram_read + layer_dram_write
-            ) / config.dram_bandwidth_bytes_per_cycle
-            if config.overlaps_memory:
-                layer_cycles = max(layer_compute_cycles, memory_cycles)
-            else:
-                layer_cycles = layer_compute_cycles + memory_cycles
-            # EMF hashing/filtering is pipelined with the PE (Fig. 11's
-            # producer-consumer design); the paper measures the overhead
-            # as ignorable, so it only surfaces when it exceeds the
-            # layer's own critical path.
-            result.cycles += max(layer_cycles, emf_overhead_cycles)
-            result.dram_read_bytes += layer_dram_read
-            result.dram_write_bytes += layer_dram_write
-            result.macs += layer_macs
-            result.layer_stats.append(
-                {
-                    "cycles": max(layer_cycles, emf_overhead_cycles),
-                    "dram_bytes": layer_dram_read + layer_dram_write,
-                    "macs": layer_macs,
-                }
-            )
-            registry = get_metrics()
-            if registry is not None:
-                platform = config.name
-                registry.inc(
-                    "sim.dram.read_bytes", layer_dram_read, platform=platform
-                )
-                registry.inc(
-                    "sim.dram.write_bytes", layer_dram_write, platform=platform
-                )
-                registry.inc("sim.macs", layer_macs, platform=platform)
-                registry.inc(
-                    "sim.cycles",
-                    max(layer_cycles, emf_overhead_cycles),
-                    platform=platform,
-                )
-                # PE busy = cycles the compute array is doing MACs; the
-                # rest of the layer's critical path is memory stall.
-                busy = min(layer_compute_cycles, layer_cycles)
-                registry.inc("sim.pe.busy_cycles", busy, platform=platform)
-                registry.inc(
-                    "sim.pe.stall_cycles",
-                    max(layer_cycles, emf_overhead_cycles) - busy,
-                    platform=platform,
-                )
-                registry.inc(
-                    "sim.memory_cycles", memory_cycles, platform=platform
-                )
-                registry.inc("sim.layers", 1, platform=platform)
-
-        # Readout / prediction heads (identical across platforms).
-        for pair_trace in batch_trace.pair_traces:
-            readout_macs = pair_trace.readout_flops.total / 2.0
-            result.macs += readout_macs
-            result.cycles += readout_macs / config.mac_units
-
-        result.sram_bytes = (
-            result.macs * _SRAM_BYTES_PER_MAC + result.dram_bytes
-        )
-        result.energy_components = self.energy_model.energy_breakdown(
-            result.dram_bytes,
-            result.sram_bytes,
-            result.macs,
-            result.latency_seconds,
-        )
-        result.energy_joules = sum(result.energy_components.values())
-        registry = get_metrics()
-        if registry is not None:
-            registry.inc(
-                "sim.pairs", result.num_pairs, platform=config.name
-            )
-            registry.inc("sim.batches", 1, platform=config.name)
-        return result
-
-    # ------------------------------------------------------------------
-    def _simulate_batch_batched(self, batch_trace: BatchTrace) -> PlatformResult:
-        """One numpy program over all pairs per layer.
-
-        Per-pair workload preparation still iterates (plans and window
-        summaries are per-pair objects, heavily memoized), but all layer
-        arithmetic — feature loads, DRAM traffic, MAC/cycle accounting —
-        runs elementwise over stacked per-pair arrays, preserving the
-        serial code's exact operation order and association so every
-        float is bit-identical to :meth:`_simulate_batch_serial`.
+        ``layer_stats(traces, layer_index, batch_working_set)`` returns
+        each per-pair stat of a layer as a list in pair order: the
+        batched numpy program (:meth:`_simulate_layer_batched`) on the
+        public path, the per-pair loop (:meth:`_serial_layer_stats`) on
+        the reference. :meth:`_add_layer` folds each layer into the
+        result; the readout, SRAM and energy terms follow.
         """
         config = self.config
         result = PlatformResult(config.name, config.frequency_hz)
         result.num_pairs = batch_trace.batch.batch_size
         traces = batch_trace.pair_traces
         registry = get_metrics()
+        batch_working_set = sum(trace.pair.total_nodes for trace in traces)
+        for layer_index in range(batch_trace.num_layers):
+            stats = layer_stats(traces, layer_index, batch_working_set)
+            self._add_layer(result, stats, registry)
 
-        num_layers = batch_trace.num_layers
-        for layer_index in range(num_layers):
-            batch_working_set = sum(
-                trace.pair.total_nodes for trace in traces
-            )
-            stats = self._simulate_layer_batched(
-                traces, layer_index, batch_working_set
-            )
-            layer_compute_cycles = _left_fold(stats["compute_cycles"])
-            layer_dram_read = _left_fold(stats["dram_read"])
-            layer_dram_write = _left_fold(stats["dram_write"])
-            layer_macs = _left_fold(stats["macs"])
-            emf_overhead_cycles = _left_fold(stats["emf_cycles"])
-
-            memory_cycles = (
-                layer_dram_read + layer_dram_write
-            ) / config.dram_bandwidth_bytes_per_cycle
-            if config.overlaps_memory:
-                layer_cycles = max(layer_compute_cycles, memory_cycles)
-            else:
-                layer_cycles = layer_compute_cycles + memory_cycles
-            result.cycles += max(layer_cycles, emf_overhead_cycles)
-            result.dram_read_bytes += layer_dram_read
-            result.dram_write_bytes += layer_dram_write
-            result.macs += layer_macs
-            result.layer_stats.append(
-                {
-                    "cycles": max(layer_cycles, emf_overhead_cycles),
-                    "dram_bytes": layer_dram_read + layer_dram_write,
-                    "macs": layer_macs,
-                }
-            )
-            if registry is not None:
-                platform = config.name
-                registry.inc(
-                    "sim.dram.read_bytes", layer_dram_read, platform=platform
-                )
-                registry.inc(
-                    "sim.dram.write_bytes", layer_dram_write, platform=platform
-                )
-                registry.inc("sim.macs", layer_macs, platform=platform)
-                registry.inc(
-                    "sim.cycles",
-                    max(layer_cycles, emf_overhead_cycles),
-                    platform=platform,
-                )
-                busy = min(layer_compute_cycles, layer_cycles)
-                registry.inc("sim.pe.busy_cycles", busy, platform=platform)
-                registry.inc(
-                    "sim.pe.stall_cycles",
-                    max(layer_cycles, emf_overhead_cycles) - busy,
-                    platform=platform,
-                )
-                registry.inc(
-                    "sim.memory_cycles", memory_cycles, platform=platform
-                )
-                registry.inc("sim.layers", 1, platform=platform)
-
+        # Readout / prediction heads (identical across platforms).
         for pair_trace in traces:
             readout_macs = pair_trace.readout_flops.total / 2.0
             result.macs += readout_macs
@@ -439,7 +302,6 @@ class AcceleratorSimulator:
             result.latency_seconds,
         )
         result.energy_joules = sum(result.energy_components.values())
-        registry = get_metrics()
         if registry is not None:
             registry.inc(
                 "sim.pairs", result.num_pairs, platform=config.name
@@ -447,6 +309,80 @@ class AcceleratorSimulator:
             registry.inc("sim.batches", 1, platform=config.name)
             registry.observe("sim.batch.pairs_per_call", len(traces))
         return result
+
+    def _add_layer(self, result: PlatformResult, stats, registry) -> None:
+        """Fold one layer's per-pair stats into ``result``.
+
+        Each per-pair list is summed as a left fold in pair order; the
+        layer then overlaps (or serializes) its compute with the
+        batch-level memory term.
+        """
+        config = self.config
+        layer_compute_cycles = _left_fold(stats["compute_cycles"])
+        layer_dram_read = _left_fold(stats["dram_read"])
+        layer_dram_write = _left_fold(stats["dram_write"])
+        layer_macs = _left_fold(stats["macs"])
+        emf_overhead_cycles = _left_fold(stats["emf_cycles"])
+
+        memory_cycles = (
+            layer_dram_read + layer_dram_write
+        ) / config.dram_bandwidth_bytes_per_cycle
+        if config.overlaps_memory:
+            layer_cycles = max(layer_compute_cycles, memory_cycles)
+        else:
+            layer_cycles = layer_compute_cycles + memory_cycles
+        # EMF hashing/filtering is pipelined with the PE (Fig. 11's
+        # producer-consumer design); the paper measures the overhead
+        # as ignorable, so it only surfaces when it exceeds the
+        # layer's own critical path.
+        cycles = max(layer_cycles, emf_overhead_cycles)
+        result.cycles += cycles
+        result.dram_read_bytes += layer_dram_read
+        result.dram_write_bytes += layer_dram_write
+        result.macs += layer_macs
+        result.layer_stats.append(
+            {
+                "cycles": cycles,
+                "dram_bytes": layer_dram_read + layer_dram_write,
+                "macs": layer_macs,
+            }
+        )
+        if registry is not None:
+            platform = config.name
+            registry.inc(
+                "sim.dram.read_bytes", layer_dram_read, platform=platform
+            )
+            registry.inc(
+                "sim.dram.write_bytes", layer_dram_write, platform=platform
+            )
+            registry.inc("sim.macs", layer_macs, platform=platform)
+            registry.inc("sim.cycles", cycles, platform=platform)
+            # PE busy = cycles the compute array is doing MACs; the
+            # rest of the layer's critical path is memory stall.
+            busy = min(layer_compute_cycles, layer_cycles)
+            registry.inc("sim.pe.busy_cycles", busy, platform=platform)
+            registry.inc(
+                "sim.pe.stall_cycles", cycles - busy, platform=platform
+            )
+            registry.inc(
+                "sim.memory_cycles", memory_cycles, platform=platform
+            )
+            registry.inc("sim.layers", 1, platform=platform)
+
+    def _serial_layer_stats(
+        self,
+        traces: Sequence[PairTrace],
+        layer_index: int,
+        batch_working_set: int,
+    ) -> Dict[str, list]:
+        """The reference ``layer_stats``: :meth:`_simulate_pair_layer`
+        per pair (see :func:`_simulate_batches_serial`)."""
+        return _by_stat(
+            [
+                self._simulate_pair_layer(trace, layer_index, batch_working_set)
+                for trace in traces
+            ]
+        )
 
     def _simulate_layer_batched(
         self,
@@ -608,12 +544,15 @@ class AcceleratorSimulator:
     def _record_layer_metrics_summary(
         registry, config, plan, emf_cycles, summary
     ) -> None:
-        """Summary-form twin of :meth:`_record_layer_metrics`.
+        """Per-(pair, layer) EMF and CGC counters, labeled by platform.
 
-        Emits the identical per-key increment sequence from a
-        :class:`~repro.cgc.summary.ScheduleSummary`, so per-key float
-        accumulation in the registry is bit-identical to the serial
-        path's.
+        The EMF counters reproduce the Fig. 18 skip-rate inputs
+        (``unique / total`` over matching layers); the window counters
+        reproduce the miss/revisit accounting behind Figs. 8/12. Both
+        layer preparations record through here: the summary form reads
+        its :class:`~repro.cgc.summary.ScheduleSummary` directly, the
+        per-pair reference converts its full schedule with
+        :meth:`~repro.cgc.summary.ScheduleSummary.from_schedule`.
         """
         platform = config.name
         if plan is not None:
@@ -667,6 +606,8 @@ class AcceleratorSimulator:
         registry.inc(
             "cgc.cleanup.steps", cleanup_steps, platform=platform
         )
+        # Node features re-fetched because their edges were left to the
+        # cleanup sweep — exactly the revisits AOE minimizes.
         registry.inc(
             "cgc.revisits.nodes", revisited, platform=platform
         )
@@ -729,8 +670,12 @@ class AcceleratorSimulator:
         )
         registry = get_metrics()
         if registry is not None:
-            self._record_layer_metrics(
-                registry, config, plan, emf_cycles, schedule
+            self._record_layer_metrics_summary(
+                registry,
+                config,
+                plan,
+                emf_cycles,
+                ScheduleSummary.from_schedule(schedule),
             )
         return {
             "schedule": schedule,
@@ -739,73 +684,6 @@ class AcceleratorSimulator:
             "emf_cycles": emf_cycles,
             "feature_dim": feature_dim,
         }
-
-    @staticmethod
-    def _record_layer_metrics(
-        registry, config, plan, emf_cycles, schedule
-    ) -> None:
-        """Per-(pair, layer) EMF and CGC counters, labeled by platform.
-
-        The EMF counters reproduce the Fig. 18 skip-rate inputs
-        (``unique / total`` over matching layers); the window counters
-        reproduce the miss/revisit accounting behind Figs. 8/12.
-        """
-        platform = config.name
-        if plan is not None:
-            registry.inc(
-                "emf.matchings.total", plan.total_matchings, platform=platform
-            )
-            registry.inc(
-                "emf.matchings.unique",
-                plan.unique_matchings,
-                platform=platform,
-            )
-            registry.inc(
-                "emf.matchings.skipped",
-                plan.redundant_matchings,
-                platform=platform,
-            )
-            target, query = plan.target_filter, plan.query_filter
-            registry.inc(
-                "emf.rows.total", target.num_nodes, platform=platform
-            )
-            registry.inc(
-                "emf.rows.skipped", target.num_duplicates, platform=platform
-            )
-            registry.inc(
-                "emf.cols.total", query.num_nodes, platform=platform
-            )
-            registry.inc(
-                "emf.cols.skipped", query.num_duplicates, platform=platform
-            )
-            registry.inc(
-                "emf.overhead_cycles", emf_cycles, platform=platform
-            )
-        registry.inc(
-            "cgc.window.advances", schedule.num_steps, platform=platform
-        )
-        registry.inc(
-            "cgc.window.misses", schedule.total_misses, platform=platform
-        )
-        cleanup_steps = 0
-        revisited = 0
-        for step in schedule.steps:
-            registry.observe(
-                "cgc.window.occupancy",
-                len(step.input_nodes),
-                platform=platform,
-            )
-            if step.kind == "cleanup":
-                cleanup_steps += 1
-                revisited += step.misses
-        registry.inc(
-            "cgc.cleanup.steps", cleanup_steps, platform=platform
-        )
-        # Node features re-fetched because their edges were left to the
-        # cleanup sweep — exactly the revisits AOE minimizes.
-        registry.inc(
-            "cgc.revisits.nodes", revisited, platform=platform
-        )
 
     def _similarity_traffic(
         self, pair_trace: PairTrace, layer_index: int, unique_matchings: int
@@ -918,11 +796,15 @@ def _simulate_batches_serial(
 ) -> PlatformResult:
     """The per-pair reference run of ``simulator.simulate_batches``.
 
-    Same merge order and ``sim.batch`` spans, with every batch simulated
-    by the pair-at-a-time loop. Validation code only: the
-    ``sim.batched_vs_serial`` check compares the batched engine against
-    it.
+    Same batch body, merge order and ``sim.batch`` spans, with every
+    layer's per-pair stats taken from the pair-at-a-time reference
+    (:meth:`AcceleratorSimulator._serial_layer_stats`). Validation code
+    only: the ``sim.batched_vs_serial`` check compares the batched
+    engine against it.
     """
     return simulator._accumulate(
-        batch_traces, simulator._simulate_batch_serial
+        batch_traces,
+        lambda batch_trace: simulator._simulate_batch(
+            batch_trace, simulator._serial_layer_stats
+        ),
     )

@@ -51,10 +51,21 @@ from .workloads import (
     small_traces,
 )
 
-# Platforms exercised by the simulator-level differential checks: one
-# CEGMA (EMF+CGC on) and one baseline (both off) cover every dataflow
-# branch of _simulate_pair_layer.
-_PLATFORMS = ("CEGMA", "HyGCN")
+
+def _accelerators():
+    """Every registered accelerator (platforms with a HardwareConfig).
+
+    The simulator-level differential checks run all of them: CEGMA and
+    its EMF-only and CGC-only ablations, HyGCN (separate aggregation
+    engine) and AWB-GCN (shared compute, no memory overlap) each take a
+    different branch somewhere in the per-pair layer model or the fold.
+    """
+    from ..platforms import REGISTRY
+
+    return [
+        name for name in REGISTRY.names() if REGISTRY.entry(name).configurable
+    ]
+
 
 # Documented tolerances. Differential pairs that share every formula
 # must agree bit for bit; the analytic/detailed latency models differ by
@@ -527,7 +538,8 @@ def check_engine_vs_detailed(context: CheckContext):
     from ..sim import detailed as detailed_mod
 
     traces = small_traces(num_pairs=4, batch_size=2)
-    for platform in _PLATFORMS:
+    platforms = _accelerators()
+    for platform in platforms:
         engine = REGISTRY.build(platform)
         detailed = detailed_mod.DetailedSimulator(engine.config)
         analytic = engine.simulate_batches(traces)
@@ -551,7 +563,7 @@ def check_engine_vs_detailed(context: CheckContext):
             f"{platform}: detailed/engine cycle ratio {ratio:.3f} outside "
             f"the documented (1/{_LATENCY_FACTOR}, {_LATENCY_FACTOR}) band",
         )
-    return f"{len(_PLATFORMS)} platforms reconciled (dram/macs exact)"
+    return f"{len(platforms)} platforms reconciled (dram/macs exact)"
 
 
 # ----------------------------------------------------------------------
@@ -675,23 +687,15 @@ def check_batched_vs_serial(context: CheckContext):
     may consult cached plan/schedule summaries and vectorized kernels —
     and under an active registry, where every deterministic counter
     stream (``sim.*``, ``emf.*``, ``cgc.*``, ``dram.*``, ``pe.*``) must
-    match key for key. Only the batched-only batch-size histogram
-    (``sim.batch.pairs_per_call``) is excluded from the comparison.
+    match key for key. Both sides run the simulator's one batch body
+    and differ only in where each layer's per-pair stats come from, so
+    this check sees the per-pair models, not the fold (the fold is
+    pinned by ``tests/sim/test_simulator_golden.py``).
     """
     from ..obs.metrics import metrics_enabled
     from ..platforms import REGISTRY
     from ..sim import detailed as detailed_mod
     from ..sim.engine import _simulate_batches_serial
-
-    def scrub(snapshot: dict) -> dict:
-        return {
-            section: {
-                key: value
-                for key, value in entries.items()
-                if not key.startswith("sim.batch.pairs_per_call")
-            }
-            for section, entries in snapshot.items()
-        }
 
     def diff_keys(left: dict, right: dict) -> str:
         keys = sorted(
@@ -727,7 +731,7 @@ def check_batched_vs_serial(context: CheckContext):
         return build().simulate_batches(traces).to_dict()
 
     compared = 0
-    for platform in _PLATFORMS:
+    for platform in _accelerators():
         for label, build in configs(platform):
             serial, batched = run_serial(build), run_batched(build)
             _require(
@@ -737,10 +741,10 @@ def check_batched_vs_serial(context: CheckContext):
             )
             with metrics_enabled() as registry:
                 serial_m = run_serial(build)
-                serial_metrics = scrub(registry.as_dict())
+                serial_metrics = registry.as_dict()
             with metrics_enabled() as registry:
                 batched_m = run_batched(build)
-                batched_metrics = scrub(registry.as_dict())
+                batched_metrics = registry.as_dict()
             _require(
                 serial_m == batched_m,
                 f"{label}: batched engine diverges from serial "

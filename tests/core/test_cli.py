@@ -252,6 +252,70 @@ class TestCustomConfig:
         out = capsys.readouterr().out
         assert "MyChip" in out
 
+    def test_detailed_config_runs_detailed_simulator(self, tmp_path, capsys):
+        """A config file identical to CEGMA reads exactly CEGMA's row
+        under --detailed: the custom platform runs per window step too."""
+        import json
+
+        from repro.sim import cegma_config
+
+        payload = cegma_config().to_dict()
+        payload["name"] = "MyChip"
+        path = tmp_path / "chip.json"
+        path.write_text(json.dumps(payload))
+        argv = [
+            "simulate",
+            "--model",
+            "GMN-Li",
+            "--dataset",
+            "AIDS",
+            "--pairs",
+            "4",
+            "--batch",
+            "2",
+            "--platforms",
+            "CEGMA",
+            "--config",
+            str(path),
+        ]
+
+        def rows(out):
+            return {
+                line.split()[0]: line.split()[1:]
+                for line in out.splitlines()
+                if line.startswith(("CEGMA ", "MyChip "))
+            }
+
+        assert main(argv + ["--detailed"]) == 0
+        detailed = rows(capsys.readouterr().out)
+        assert detailed["MyChip"] == detailed["CEGMA"]
+        assert main(argv) == 0
+        analytic = rows(capsys.readouterr().out)
+        assert analytic["MyChip"] == analytic["CEGMA"]
+        assert detailed["CEGMA"] != analytic["CEGMA"]
+
+    @pytest.mark.parametrize(
+        "extra", [["--detailed"], ["--config", "chip.json"]]
+    )
+    def test_jobs_rejected_with_detailed_or_config(self, extra, capsys):
+        argv = [
+            "simulate",
+            "--model",
+            "SimGNN",
+            "--dataset",
+            "AIDS",
+            "--pairs",
+            "2",
+            "--batch",
+            "2",
+            "--jobs",
+            "2",
+        ]
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv + extra)
+        assert excinfo.value.code == 2
+        assert "--jobs" in capsys.readouterr().err
+
 
 class TestExperimentJsonOutput:
     def test_output_file_written(self, tmp_path, capsys):

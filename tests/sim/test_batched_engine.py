@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from repro.platforms import REGISTRY
+from repro.sim.detailed import DetailedSimulator
 from repro.sim.engine import AcceleratorSimulator, _simulate_batches_serial
 from repro.sim.memory import DRAMModel
 from repro.sim.pe import MACArray
@@ -48,14 +49,16 @@ class TestBackendSelection:
     reachable only through the private reference helper."""
 
     def test_default_is_batched(self, monkeypatch):
-        def refuse(self, batch_trace):
+        def refuse(self, *args, **kwargs):
             raise AssertionError("public path ran the per-pair loop")
 
-        monkeypatch.setattr(
-            AcceleratorSimulator, "_simulate_batch_serial", refuse
-        )
+        for cls in (AcceleratorSimulator, DetailedSimulator):
+            monkeypatch.setattr(cls, "_simulate_pair_layer", refuse)
         traces = small_traces(num_pairs=2, batch_size=2)
-        assert REGISTRY.build("CEGMA").simulate_batches(traces).num_pairs == 2
+        simulator = REGISTRY.build("CEGMA")
+        assert simulator.simulate_batches(traces).num_pairs == 2
+        detailed = DetailedSimulator(simulator.config, tile_model=True)
+        assert detailed.simulate_batches(traces).num_pairs == 2
 
     def test_unknown_backend_rejected(self):
         config = REGISTRY.build("CEGMA").config
