@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test test-all lint bench bench-quick bench-compare bench-trend examples experiments summary clean
+.PHONY: install test test-all lint bench bench-quick bench-compare bench-trend examples experiments summary artifacts clean
 
 install:
 	pip install -e .
@@ -49,9 +49,11 @@ experiments:
 summary:
 	$(PYTHON) -m repro experiments summary
 
+# Committed artifacts are computed by the code, never read from the
+# disk trace cache (whose schedule sidecars may predate a change).
 artifacts:
-	$(PYTHON) -m repro experiments all > results/all_experiments.txt
-	$(PYTHON) -m repro experiments summary --output results/summary.json
+	REPRO_TRACE_CACHE=off $(PYTHON) -m repro experiments all > results/all_experiments.txt
+	REPRO_TRACE_CACHE=off $(PYTHON) -m repro experiments summary --output results/summary.json
 
 clean:
 	find . -type d -name __pycache__ -prune -exec rm -rf {} +

@@ -1,8 +1,6 @@
 """Cross Graph Coordinator: joint sliding windows and AOE (Algorithm 2)."""
 
 from .aoe import SLIDE_COLUMN_WISE, SLIDE_ROW_WISE, approximate_outlier_estimation
-from .batch_schedule import batch_baseline_schedule, batch_coordinated_schedule
-from .hardware import CGCHardwareModel
 from .oracle import aoe_precision, oracle_decisions
 from .render import (
     adjacency_step_matrix,
@@ -35,12 +33,9 @@ __all__ = [
     "SCHEDULERS",
     "aoe_precision",
     "oracle_decisions",
-    "batch_coordinated_schedule",
-    "batch_baseline_schedule",
     "schedule_table",
     "schedule_summary",
     "node_name",
-    "CGCHardwareModel",
     "adjacency_step_matrix",
     "render_step_matrix",
     "oracle_window_schedule",

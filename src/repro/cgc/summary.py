@@ -23,29 +23,11 @@ over it.
 Exactness notes (the serial schedulers are the specification, bit for
 bit, and ``repro validate --only sim.batched_vs_serial`` enforces it):
 
-- The serial ``_EdgeTracker`` iterates ``remaining`` (a set of edge
-  tuples) whose order CPython fixes at construction: deletions leave
-  dummy slots and never reorder survivors, and no edges are ever added
-  after ``set(edges)``. The fast tracker therefore canonicalizes edges
-  as ``list(set(edges))`` once — the iteration order of ``remaining``
-  at *any* later point is this list filtered to still-alive edges.
-- The cleanup seed ``max({u for edge in remaining for u in edge},
-  key=node_remains)`` tie-breaks on int-set iteration order, and that
-  order is load-bearing: breaking ties in ascending node order picks a
-  different seed in about a third of a headline pass's cleanup rounds.
-  When one node alone holds the top remaining degree it is the seed.
-  Otherwise the fast path predicts the set's order from two CPython
-  facts: (a) inserting a key already present never changes the table,
-  so the set of the distinct endpoints in first-occurrence order
-  iterates like the serial one; (b) an insert-only set's table size is
-  fixed by its count of distinct keys (:func:`_set_table_mask`). If no
-  two nodes share a home slot ``node & mask``, every node sits in its
-  home slot and iteration is home-slot order — ascending when no node
-  exceeds the mask. If two share one, probing decides, and the seed is
-  read off a real set of the distinct nodes inserted in
-  first-occurrence order (alive edges in canonical order, ``src``
-  before ``dst``). Either way the first tied node is taken, as ``max``
-  does.
+- Both break every tie by id (see :mod:`repro.cgc.window`), so the
+  cleanup seed, the lowest-id node of top remaining degree, is one
+  ``argmax`` over the remaining degrees. The fast tracker's canonical
+  edge order is ``sorted(set(edges))``, the order in which the serial
+  cleanup scans the remaining edges.
 - A cleanup window grows from its seed along alive edges only, so a
   pending edge outside the seed's alive connected component never
   touches the window and never retires. The grow scan and the retire
@@ -61,11 +43,8 @@ bit, and ``repro validate --only sim.batched_vs_serial`` enforces it):
   raw endpoint list, and retires edges with ``np.bincount`` too
   (integer counts, so it equals per-edge decrements). Without repeated
   edges a node's remaining degree is exactly its count of alive edge
-  ends, so it also tells which nodes the cleanup seed's set holds; a
-  pair with repeated edges keeps that count separately.
-- The coordinated scheme's jump ``min(unmatched, key=manhattan)``
-  iterates a set built by one comprehension and shrunk only by
-  ``discard`` — replicated verbatim, so ties resolve identically.
+  ends, so it also tells which nodes still have an alive edge; a pair
+  with repeated edges keeps that count separately.
 
 AOE decisions go through the real
 :func:`~repro.cgc.aoe.approximate_outlier_estimation`, so its
@@ -74,8 +53,6 @@ AOE decisions go through the real
 
 from __future__ import annotations
 
-import sys
-from functools import lru_cache
 from typing import Callable, Dict, Iterable, List, Optional, Tuple
 from weakref import WeakKeyDictionary
 
@@ -280,19 +257,18 @@ def memoized(pair: GraphPair, kind: str, key: Tuple, build: Callable):
 class _Topology:
     """One pair's edges in canonical order, computed once per pair.
 
-    Canonical order is the iteration order of ``set(edges)`` (see module
-    docstring). ``remains`` holds the initial remaining degrees and
-    ``order`` the canonical indices in ``sorted(edges)`` order;
-    ``incidence`` counts each node's canonical edge ends, and is None
-    when no edge repeats (``remains`` is that count then). Builds copy
-    ``remains`` and ``incidence`` and never write the rest.
+    Canonical order is ``sorted(set(edges))``. ``remains`` holds the
+    initial remaining degrees; ``incidence`` counts each node's
+    canonical edge ends, and is None when no edge repeats (``remains``
+    is that count then). Builds copy ``remains`` and ``incidence`` and
+    never write the rest.
     """
 
-    __slots__ = ("src", "dst", "remains", "incidence", "order")
+    __slots__ = ("src", "dst", "remains", "incidence")
 
     def __init__(self, pair: GraphPair) -> None:
         edges = _pair_edges(pair)
-        canonical = np.array(list(set(edges)), dtype=np.int64).reshape(-1, 2)
+        canonical = np.array(sorted(set(edges)), dtype=np.int64).reshape(-1, 2)
         self.src = canonical[:, 0].copy()
         self.dst = canonical[:, 1].copy()
         num_nodes = pair.total_nodes
@@ -306,7 +282,6 @@ class _Topology:
             self.incidence = np.bincount(
                 np.concatenate((self.src, self.dst)), minlength=num_nodes
             )
-        self.order = np.lexsort((self.dst, self.src))
 
 
 class _ArrayTracker:
@@ -317,13 +292,10 @@ class _ArrayTracker:
     over that list per window instead of per-node set algebra.
     """
 
-    __slots__ = (
-        "topology", "src", "dst", "alive", "remains", "incidence", "_mark", "_gen"
-    )
+    __slots__ = ("src", "dst", "alive", "remains", "incidence", "_mark", "_gen")
 
     def __init__(self, pair: GraphPair) -> None:
         topology = memoized(pair, "topology", (), lambda: _Topology(pair))
-        self.topology = topology
         self.src = topology.src
         self.dst = topology.dst
         self.alive = np.ones(self.src.shape[0], dtype=bool)
@@ -442,98 +414,10 @@ def _component_labels(
         labels = lowered
 
 
-@lru_cache(maxsize=4096)
-def _set_table_mask(count: int) -> int:
-    """Hash-table mask of a CPython set after ``count`` distinct inserts
-    and no deletions: a table resizes when its fill reaches three fifths
-    of the mask, to the first power of two above four times its key
-    count (twice, past 50,000 keys)."""
-    mask = 7
-    while True:
-        fill = (3 * mask + 4) // 5
-        if count < fill:
-            return mask
-        minimum = fill * 2 if fill > 50000 else fill * 4
-        size = 8
-        while size <= minimum:
-            size <<= 1
-        mask = size - 1
-
-
-def _set_layout_predictable() -> bool:
-    """Whether this interpreter sizes int sets as :func:`_set_table_mask`
-    says and iterates them in home-slot order (checked once, at import);
-    if not, every tied cleanup seed is read off a real set."""
-    if sys.implementation.name != "cpython" or list({9, 2}) != [9, 2]:
-        return False
-    empty = sys.getsizeof(set())
-    entry = None
-    for count in (4, 5, 18, 19, 76, 77, 306, 307):
-        grown = sys.getsizeof(set(range(count))) - empty
-        slots = _set_table_mask(count) + 1
-        if slots == 8:
-            if grown:
-                return False
-            continue
-        entry = entry or grown // slots
-        if not entry or grown != entry * slots:
-            return False
-    return True
-
-
-_SET_LAYOUT_PREDICTABLE = _set_layout_predictable()
-
-
-def _homes_distinct(homes: np.ndarray) -> bool:
-    """Whether no two nodes share a home slot ``node & mask``."""
-    return int(np.bincount(homes).max()) <= 1
-
-
-def _cleanup_seed(tracker: _ArrayTracker, first: np.ndarray) -> int:
-    """The serial ``max({u for edge in remaining for u in edge},
-    key=node_remains)``: the first top-degree node in the set's
-    iteration order, predicted from the table layout where no two nodes
-    share a home slot (see module notes) and read off the set where
-    they do. ``first`` holds each node's first alive edge end (see
-    :func:`_first_ends`)."""
-    degree = tracker.alive_degrees()
-    (tied,) = (degree == degree.max()).nonzero()
-    if tied.size == 1:
-        return int(tied[0])
-    (nodes,) = (degree > 0).nonzero()
-    if _SET_LAYOUT_PREDICTABLE:
-        mask = _set_table_mask(nodes.size)
-        if nodes[-1] <= mask:
-            return int(tied[0])
-        if _homes_distinct(nodes & mask):
-            return int(tied[np.argmin(tied & mask)])
-    return _cleanup_seed_by_set(nodes, tied, first)
-
-
-def _cleanup_seed_by_set(
-    nodes: np.ndarray, tied: np.ndarray, first: np.ndarray
-) -> int:
-    """The first of the ``tied`` nodes in the iteration order of a set
-    of the alive edges' ``nodes``, inserted in the order the serial
-    comprehension first meets them (by ``first``). Repeated inserts
-    leave a set's table as it was, so this set iterates as the serial
-    one does."""
-    tied_nodes = set(tied.tolist())
-    ordered = nodes[np.argsort(first[nodes])]
-    return next(node for node in set(ordered.tolist()) if node in tied_nodes)
-
-
-def _first_ends(
-    first: np.ndarray, src: np.ndarray, dst: np.ndarray, edges: np.ndarray
-) -> None:
-    """Set ``first`` at every endpoint of ``edges`` to its first end
-    among them: position ``2 * i`` for the ``src`` of canonical edge
-    ``i`` and ``2 * i + 1`` for its ``dst``, the order in which the
-    serial comprehension meets endpoints. ``edges`` must hold every
-    alive edge at those endpoints."""
-    first[src[edges]] = first[dst[edges]] = np.iinfo(np.int64).max
-    np.minimum.at(first, src[edges], 2 * edges)
-    np.minimum.at(first, dst[edges], 2 * edges + 1)
+def _cleanup_seed(tracker: _ArrayTracker) -> int:
+    """The serial cleanup seed: the lowest-id node of top remaining
+    degree."""
+    return int(np.argmax(tracker.alive_degrees()))
 
 
 def _cleanup_rounds(
@@ -551,12 +435,10 @@ def _cleanup_rounds(
     labels = _component_labels(
         src[alive_index], dst[alive_index], tracker.remains.shape[0]
     )
-    order = tracker.topology.order
-    pending = order[tracker.alive[order]]
-    pending_labels = labels[src[pending]]
-    grouped = np.argsort(pending_labels, kind="stable")
-    by_label = pending[grouped]
-    keys, starts = np.unique(pending_labels[grouped], return_index=True)
+    alive_labels = labels[src[alive_index]]
+    grouped = np.argsort(alive_labels, kind="stable")
+    by_label = alive_index[grouped]
+    keys, starts = np.unique(alive_labels[grouped], return_index=True)
     bounds = starts.tolist()[1:] + [by_label.size]
     edge_pairs = list(zip(src[by_label].tolist(), dst[by_label].tolist()))
     # Per component: its alive edges' indices and (src, dst) pairs, in
@@ -568,11 +450,9 @@ def _cleanup_rounds(
     members = np.bincount(
         labels[tracker.alive_degrees() > 0], minlength=labels.shape[0]
     ).tolist()
-    first = np.empty(labels.shape[0], dtype=np.int64)
-    _first_ends(first, src, dst, alive_index)
     remaining = alive_index.size
     while remaining:
-        seed = _cleanup_seed(tracker, first)
+        seed = _cleanup_seed(tracker)
         label = int(labels[seed])
         component, edges = components[label]
         # Past the component's node count the scan can add no node.
@@ -604,7 +484,6 @@ def _cleanup_rounds(
             members[label] = np.unique(
                 np.concatenate((src[component], dst[component]))
             ).size
-            _first_ends(first, src, dst, component)
         recorder.append(window, 0, processed, cleanup=True)
         remaining -= processed
 
@@ -712,7 +591,8 @@ def summarize_coordinated(
             ti = t_moves[0][1]
         else:
             ti, qi = min(
-                unmatched, key=lambda cell: abs(cell[0] - ti) + abs(cell[1] - qi)
+                unmatched,
+                key=lambda cell: (abs(cell[0] - ti) + abs(cell[1] - qi), cell),
             )
 
     _cleanup_rounds(tracker, recorder, capacity)

@@ -29,6 +29,12 @@ Scheduling semantics (documented model, consistent across schemes):
   previous step's window; the total across steps is the metric of
   Figs. 8/12, and the per-step node reference stream feeds the
   reuse-distance analysis of Figs. 4/20.
+- Ties break by id, never by container iteration order (the paper's
+  Algorithm 2 fixes no tie order): a cleanup window is seeded at the
+  lowest-id node of top remaining degree, and the joint walk's jump
+  goes to the nearest unmatched cell, the lowest (target block, query
+  block) among equally near ones. Cleanup windows grow along the
+  remaining edges in sorted order.
 
 Degenerate inputs (defined behavior, locked by ``repro.validate`` and
 the regression tests):
@@ -228,8 +234,9 @@ class _EdgeTracker:
         # of unprocessed edges instead of re-sorting the whole set.
         pending: List[Tuple[int, int]] = sorted(self.remaining)
         while self.remaining:
+            # Ties go to the lowest node id.
             seed = max(
-                {u for edge in self.remaining for u in edge},
+                sorted({u for edge in self.remaining for u in edge}),
                 key=self.node_remains,
             )
             chosen: Set[int] = {seed}
@@ -417,9 +424,11 @@ class _JointWalk:
             return ti, q_moves[0][1]
         if t_moves:
             return t_moves[0][1], qi
-        # Jump to the nearest unmatched cell (both sides change).
+        # Jump to the nearest unmatched cell (both sides change); ties
+        # go to the lowest (target block, query block).
         return min(
-            self.unmatched, key=lambda cell: abs(cell[0] - ti) + abs(cell[1] - qi)
+            self.unmatched,
+            key=lambda cell: (abs(cell[0] - ti) + abs(cell[1] - qi), cell),
         )
 
     def rollout_misses(self, ti: int, qi: int) -> int:

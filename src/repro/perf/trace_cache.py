@@ -63,8 +63,10 @@ __all__ = ["TraceCache", "default_trace_cache", "DEFAULT_CACHE_DIR"]
 DEFAULT_CACHE_DIR = ".trace_cache"
 _DISABLED_VALUES = ("", "0", "off", "none", "disabled")
 
-# Schema version of the schedule sidecar payload.
-_SIDECAR_VERSION = 1
+# Version of the schedule sidecar payload. Bump it whenever the stored
+# schedules would differ: a new payload layout, or a scheduler change
+# (2: CGC ties break by node id).
+_SIDECAR_VERSION = 2
 
 
 class TraceCache:

@@ -626,23 +626,16 @@ def _mutate_plan_summary_fraction():
     return _patched(filter_mod.MatchingPlan, "summary", skewed)
 
 
-def _mutate_cleanup_seed_ascending():
-    """Break the fast builders' cleanup seed ties in ascending node order
-    instead of the serial scheduler's set iteration order."""
+def _mutate_cleanup_seed_highest_id():
+    """Break the fast builders' cleanup seed ties toward the highest node
+    id instead of the serial scheduler's lowest."""
     from ..cgc import summary as summary_mod
 
-    def ascending(tracker, first):
-        return int(np.argmax(tracker.alive_degrees()))
+    def highest(tracker):
+        degree = tracker.alive_degrees()
+        return int(np.flatnonzero(degree == degree.max())[-1])
 
-    return _patched(summary_mod, "_cleanup_seed", ascending)
-
-
-def _mutate_cleanup_seed_ignores_slot_collisions():
-    """Predict every tied cleanup seed from home-slot order, even when
-    two nodes share a home slot and the set's probing decides."""
-    from ..cgc import summary as summary_mod
-
-    return _patched(summary_mod, "_homes_distinct", lambda homes: True)
+    return _patched(summary_mod, "_cleanup_seed", highest)
 
 
 def _mutate_walk_window_off_by_one():
@@ -672,10 +665,7 @@ def _mutate_walk_window_off_by_one():
         "batched_summary_miscounts_misses": _mutate_batched_summary_misses,
         "gemm_batch_kernel_off_by_one": _mutate_gemm_batch_cycles,
         "plan_summary_halves_match_fraction": _mutate_plan_summary_fraction,
-        "cleanup_seed_breaks_ties_ascending": _mutate_cleanup_seed_ascending,
-        "cleanup_seed_ignores_slot_collisions": (
-            _mutate_cleanup_seed_ignores_slot_collisions
-        ),
+        "cleanup_seed_breaks_ties_highest_id": _mutate_cleanup_seed_highest_id,
         "walk_window_drops_last_query": _mutate_walk_window_off_by_one,
     },
 )
@@ -718,8 +708,7 @@ def check_batched_vs_serial(context: CheckContext):
 
     # Fresh traces per run: new pair objects, so no summary memoized by
     # an earlier (possibly unmutated) invocation can mask a divergence.
-    # The RD-B pairs are large enough for cleanup seed ties to break
-    # differently in set order than in ascending node order.
+    # The RD-B pairs are large enough for cleanup seeds to tie.
     traces = small_traces(num_pairs=4, batch_size=2) + small_traces(
         dataset="RD-B", num_pairs=2, batch_size=2
     )

@@ -30,11 +30,11 @@ CAPACITIES = (2, 3, 4, 5, 8, 16, 32, 64)
 SCHEMES = ("joint", "coordinated", "oracle")
 
 GOLDEN = {
-    "joint": "538a79e99eaac2d6ec524c904e042c6d240144bd40b5daedc2a3b71ff5b833e6",
-    "coordinated": "4023acde3223f81ed699177ebc9b2f1d479cf8a5ab51a318e8be4734e8745d4f",
-    "oracle": "9069c4922f889df60449957bdf70385664f1868904a71719b783346220221e80",
+    "joint": "3fd974a2edc6bee482603ac8cf27383c2bca4a228b22abc553fec7e9315152ab",
+    "coordinated": "154c50d48099b02e8ad30cb0bf89098bc89091c1bdad4dbf385f564eabd8a5af",
+    "oracle": "5e3966072e0f0035ffc43af575c30f633d54f2c98259d1edced166aac01f40de",
     "oracle_decisions": "e668ec409da5e7cc644e05c3280d099df76dc7a1bcf73ea3fdc6bedb5d2fcb07",
-    "metrics": "06dcee188f6a0ef9f456224ad9a18c6846205b3b70072ca2aaaf249d8de63e34",
+    "metrics": "3a8b4a45073f393e9ee627c6d4be7cc88c5525db8e469c911bd2fdeae4330f66",
 }
 
 

@@ -1,9 +1,12 @@
 """Tests for the persistent on-disk workload-trace cache."""
 
+import json
+
 import numpy as np
 import pytest
 
 from repro.experiments.common import clear_workload_caches, workload_traces
+from repro.perf import trace_cache as trace_cache_mod
 from repro.perf.trace_cache import TraceCache, default_trace_cache
 from repro.platforms import RunSpec
 from repro.trace import io as trace_io
@@ -218,6 +221,27 @@ class TestScheduleSidecar:
         warm = self._results()
         for platform in self.PLATFORMS:
             assert cold[platform].to_dict() == warm[platform].to_dict()
+
+    def test_sidecar_of_another_version_is_not_attached(
+        self, tmp_path, monkeypatch
+    ):
+        monkeypatch.setenv("REPRO_TRACE_CACHE", str(tmp_path))
+        self._results()
+        cache = default_trace_cache()
+        path = cache.sidecar_path(SPEC)
+
+        def attached() -> bool:
+            traces = trace_io.load_traces(cache.key_path(SPEC))
+            return cache.load_schedules(SPEC, traces)
+
+        assert attached()
+        with np.load(path) as data:
+            arrays = {name: data[name] for name in data.files}
+        manifest = json.loads(str(arrays["manifest"]))
+        manifest["version"] = trace_cache_mod._SIDECAR_VERSION - 1
+        arrays["manifest"] = np.array(json.dumps(manifest))
+        np.savez(path, **arrays)
+        assert not attached()
 
     def test_clear_removes_sidecars(self, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_TRACE_CACHE", str(tmp_path))

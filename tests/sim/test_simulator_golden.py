@@ -47,12 +47,12 @@ _WORKLOADS = (("AIDS", 4, 2), ("RD-B", 2, 2), ("AIDS", 9, 3))
 _MODES = ("engine", "detailed", "detailed_tile")
 
 GOLDEN = {
-    "engine.results": "273392a6d9dedcf098bf2dc27ec296e036bcbf8c170f893b0e9eaeeffb19a130",
-    "engine.metrics": "27f252d8360a1498c46d58aa290b68a3310c4847e102ff07b8f6c1a666d4392d",
-    "detailed.results": "2e9e735c29b41114490cd1741c496bdb3002020c5412019f5c047251d2ca2f20",
-    "detailed.metrics": "e7b3b5f64545fc46144af1c767cd64b27bea8abe25bd0cf59cdd7d349ee73675",
-    "detailed_tile.results": "2d8de64dc110bbb77def6ae4d3510c4d1730f1a4737760da95d966ac102e239d",
-    "detailed_tile.metrics": "68e768e5fe7b888114b4a8138953b7b5b52e5785ef4c714eb1f5b0adec5e2cfa",
+    "engine.results": "edc863ec7394efe575fb6322094f7c98884182d116396e0cb9b81bb6521c2e6f",
+    "engine.metrics": "36ab71092acee2b2184f1304da75aaa8c864d9614d2e825b3e7762476f7371d1",
+    "detailed.results": "d5a514c369771e17cc5d883e221b665425ee0b37d7a170356fbee724c5bc0482",
+    "detailed.metrics": "c5f5744eaf82dafd8a53f879d1242b7857034a6a13c915d2319e18ab31ce891b",
+    "detailed_tile.results": "9e7d705e18aae58334754b572dadd47a39b7ede91f50aeb0795afec1f9d200dd",
+    "detailed_tile.metrics": "6a02e4e4db088382cd1766f75b9694d2c51d758faa1a53bf19c9042a8487e47d",
 }
 
 

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from repro.cgc import SCHEDULERS, batch_coordinated_schedule
+from repro.cgc import SCHEDULERS
 from repro.counters import FlopCounter
 from repro.emf import (
     MatchingPlan,
@@ -19,7 +19,7 @@ from repro.emf import (
     elastic_matching_filter,
 )
 from repro.emf import filter as filter_mod
-from repro.graphs import GraphPair, GraphPairBatch, erdos_renyi_graph
+from repro.graphs import GraphPair, erdos_renyi_graph
 from repro.models import similarity_matrix
 from repro.sim import DRAMModel
 from repro.validate.workloads import feature_matrices
@@ -185,15 +185,6 @@ class TestSchedulerProperties:
         small = SCHEDULERS["coordinated"](pair, 4).total_misses
         large = SCHEDULERS["coordinated"](pair, 16).total_misses
         assert large <= small
-
-    @given(seed=st.integers(0, 40), batch_size=st.integers(1, 4))
-    @settings(max_examples=15, deadline=None)
-    def test_batch_schedule_equals_sum_of_pairs(self, seed, batch_size):
-        pairs = [_pair(seed * 10 + i) for i in range(batch_size)]
-        batch = GraphPairBatch(pairs)
-        schedule = batch_coordinated_schedule(batch, capacity=6)
-        assert schedule.total_matchings == batch.num_matching_pairs
-        assert schedule.total_edges == batch.num_intra_edges
 
 
 class TestCounterProperties:
