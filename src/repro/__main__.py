@@ -15,18 +15,16 @@ Subcommands::
         --policy deadline --timeout 2.0
     python -m repro serve --quick --request-trace \
         --window-seconds 0.25 --expo serve.prom --window-log windows.jsonl
-    python -m repro obs tail windows.jsonl --prefix search.serve.
+    python -m repro obs show windows.jsonl --prefix search.serve.
     python -m repro experiments fig16 [--full] [--jobs N]
     python -m repro bench [--quick] [--repeats N] [--store DIR]
     python -m repro simulate --quick --model GMN-Li --dataset AIDS \
         --metrics --trace trace.json
     python -m repro obs show results/obs/..._report.json
-    python -m repro obs diff old_report.json new_report.json
     python -m repro obs record results/obs/..._report.json [--store DIR]
     python -m repro obs compare [results/obs/..._report.json] [--json-out FILE]
     python -m repro obs trend [--json-out FILE]
-    python -m repro obs provenance results/experiments.json
-    python -m repro obs dashboard --output dashboard.html
+    python -m repro obs show results/experiments.json
     python -m repro validate [--quick] [--only NAME] [--list] [--smoke]
 
 ``profile`` + ``replay`` implement the paper's trace-file methodology:
@@ -37,18 +35,21 @@ optional ``@key=value`` overrides (``repro platforms`` lists both).
 ``--metrics`` / ``--trace`` turn on the :mod:`repro.obs` layer for one
 run: counters and spans recorded by the simulator, EMF, and CGC are
 written as a schema-versioned RunReport under ``results/obs/`` and a
-Perfetto-loadable Chrome trace. ``repro obs`` pretty-prints, validates,
-and diffs those reports. RunReports and ``repro bench`` runs share one
-append-only run store (``results/obs/runs/``): ``obs record`` appends,
-``obs compare`` gates (exact values exactly, timings statistically),
-``obs trend`` renders changepoint-annotated trends, and ``obs
-dashboard`` renders them as static HTML. ``obs provenance`` validates
-artifact stamps. ``serve --request-trace`` joins every
-response to a per-stage span tree with SLO budget attribution and tail
-exemplars; ``--window-seconds`` adds windowed rates/quantiles that
-``obs tail`` replays from a RunReport or ``--window-log`` JSONL file,
-and ``--expo`` writes a Prometheus-style text exposition. ``--profile``
-(on ``simulate`` and
+Perfetto-loadable Chrome trace. ``repro obs`` has one verb per
+question. ``obs show PATH`` says what happened inside one run: it
+schema-checks and renders a RunReport (stage means, windows, exemplar
+span trees), replays a window log, or validates the provenance stamp of
+an artifact or of every run in a store directory. RunReports and
+``repro bench`` runs share one append-only run store
+(``results/obs/runs/``): ``obs record`` appends, ``obs compare`` gates
+(exact values exactly, timings statistically) and ``obs trend`` renders
+changepoint-annotated trends. To compare two reports, record the old
+one into a scratch store and ``obs compare`` the new one against it.
+``serve --request-trace`` joins every response to a per-stage span tree
+with SLO budget attribution and tail exemplars; ``--window-seconds``
+adds windowed rates/quantiles that ``obs show`` replays from a
+RunReport or ``--window-log`` JSONL file, and ``--expo`` writes a
+Prometheus-style text exposition. ``--profile`` (on ``simulate`` and
 ``experiments``) cProfiles the run into collapsed stacks loadable in
 speedscope or flamegraph tooling.
 """
@@ -350,112 +351,143 @@ def _cmd_platforms(args) -> int:
     return 0
 
 
-def _cmd_obs(args) -> int:
-    """Inspect RunReport artifacts: show, validate, or diff."""
-    import json
-
-    from .obs import RunReport, diff_reports, validate_report
-
-    if args.obs_command == "show":
-        print(RunReport.load(args.report).render())
-        return 0
-    if args.obs_command == "validate":
-        with open(args.report) as handle:
-            payload = json.load(handle)
-        problems = validate_report(payload)
-        if problems:
-            for problem in problems:
-                print(f"INVALID: {problem}")
-            return 1
-        print(
-            f"{args.report}: valid RunReport "
-            f"(schema v{payload['schema_version']})"
-        )
-        return 0
-    print(diff_reports(RunReport.load(args.old), RunReport.load(args.new)))
-    return 0
+#: Keys of a window snapshot: a one-line window log parses as one object.
+_WINDOW_KEYS = {"index", "start", "end"}
 
 
-def _cmd_obs_provenance(args) -> int:
-    """Validate the provenance stamp of an artifact, or of every run in
-    a run store directory."""
+def _cmd_obs_show(args) -> int:
+    """What happened inside one run: render one artifact and check it.
+
+    PATH is read as the first of these that fits:
+
+    - a directory: a run store, every run's provenance stamp checked;
+    - a RunReport: schema-checked, then rendered with its serving
+      stage means, newest windows and exemplar span trees;
+    - any other JSON object: its provenance stamp checked and rendered;
+    - otherwise a window log (JSONL or a JSON list of snapshots).
+
+    Exit 1 when PATH cannot be read or fails its check.
+    """
     import json
     from pathlib import Path
 
-    from .obs import RunStore, read_stamp, validate_stamp
-    from .obs.provenance import render_stamp
+    from .obs import read_windows
+    from .obs.report import REPORT_KIND
 
-    if Path(args.artifact).is_dir():
-        store = RunStore(args.artifact)
-        runs = [run for name in store.series() for run in store.read(name)]
-        problems = [
-            f"{run.series}/{run.entry_id}: {problem}"
-            for run in runs
-            for problem in validate_stamp(run.provenance)
-        ]
-        for problem in problems:
-            print(f"INVALID: {problem}")
-        if problems or not runs:
-            print(f"{len(runs)} recorded run(s) under {store.root}")
-            return 1
-        print(f"{args.artifact}: all {len(runs)} recorded run(s) carry a valid stamp")
-        return 0
-    with open(args.artifact) as handle:
-        payload = json.load(handle)
-    stamp = read_stamp(payload)
-    if stamp is None:
-        print(f"INVALID: {args.artifact} carries no provenance stamp")
-        return 1
-    problems = validate_stamp(stamp)
-    if problems:
-        for problem in problems:
-            print(f"INVALID: {problem}")
-        return 1
-    print(f"{args.artifact}: valid provenance")
-    print(render_stamp(stamp))
-    return 0
-
-
-def _cmd_obs_dashboard(args) -> int:
-    """Render the static HTML dashboard over the run store."""
-    from .obs import RunStore, write_dashboard
-
-    store = RunStore(args.store)
-    path = write_dashboard(store, args.output, max_points=args.max_points)
-    print(f"wrote dashboard ({len(store.series())} series) to {path}")
-    return 0
-
-
-def _cmd_obs_tail(args) -> int:
-    """Render windowed serving telemetry from a file.
-
-    Accepts a RunReport v3 (``--metrics`` + ``--window-seconds``), a
-    ``--window-log`` JSONL file, or a JSON list of window snapshots.
-    """
-    from .obs import read_windows, render_window
-
+    path = Path(args.path)
     try:
-        windows = read_windows(args.source)
-    except (OSError, ValueError) as exc:
-        print(f"cannot read windows from {args.source}: {exc}")
+        if path.is_dir():
+            return _show_store(path)
+        try:
+            payload = json.loads(path.read_text())
+        except json.JSONDecodeError:
+            payload = None  # a JSONL window log, or not JSON at all
+        if isinstance(payload, dict) and payload.get("kind") == REPORT_KIND:
+            return _show_report(args, payload)
+        if isinstance(payload, dict) and not _WINDOW_KEYS <= payload.keys():
+            return _show_stamp(args.path, payload)
+        windows = read_windows(path)
+    except (OSError, ValueError, KeyError, TypeError) as exc:
+        print(f"cannot read {args.path}: {exc}")
         return 1
     if not windows:
         # An empty (or zero-window) log is a normal outcome of a short
         # run — e.g. `serve --window-seconds` larger than the run — not
         # an error.
         print(
-            f"no windows recorded in {args.source} "
+            f"no windows recorded in {args.path} "
             "(run serve with --window-seconds shorter than the stream?)"
         )
         return 0
+    _print_windows(windows, args)
+    return 0
+
+
+def _show_store(root) -> int:
+    """Check the provenance stamp of every run in a run store."""
+    from .obs import RunStore, validate_stamp
+
+    store = RunStore(root)
+    runs = [run for name in store.series() for run in store.read(name)]
+    problems = [
+        f"{run.series}/{run.entry_id}: {problem}"
+        for run in runs
+        for problem in validate_stamp(run.provenance)
+    ]
+    for problem in problems:
+        print(f"INVALID: {problem}")
+    if problems or not runs:
+        print(f"{len(runs)} recorded run(s) under {store.root}")
+        return 1
+    print(f"{root}: all {len(runs)} recorded run(s) carry a valid stamp")
+    return 0
+
+
+def _show_stamp(path: str, payload: dict) -> int:
+    """Check and render the provenance stamp of one JSON artifact."""
+    from .obs import read_stamp, validate_stamp
+    from .obs.provenance import render_stamp
+
+    stamp = read_stamp(payload)
+    if stamp is None:
+        print(f"INVALID: {path} carries no provenance stamp")
+        return 1
+    problems = validate_stamp(stamp)
+    for problem in problems:
+        print(f"INVALID: {problem}")
+    if problems:
+        return 1
+    print(f"{path}: valid provenance")
+    print(render_stamp(stamp))
+    return 0
+
+
+def _show_report(args, payload: dict) -> int:
+    """Schema-check a RunReport, then say which stage, which window and
+    which request: stage means, newest windows, exemplar span trees."""
+    from .obs import RunReport, render_tree, validate_report
+    from .obs.analytics import stage_budget_means
+    from .obs.timeseries import Window
+
+    problems = validate_report(payload)
+    for problem in problems:
+        print(f"INVALID: {problem}")
+    if problems:
+        return 1
+    report = RunReport.from_dict(payload)
+    print(f"{args.path}: valid RunReport (schema v{payload['schema_version']})")
+    print(report.render())
+    means = stage_budget_means(report)
+    if means:
+        print("-- serving stages (mean seconds per request) --")
+        for stage in sorted(means, key=means.get, reverse=True):
+            print(f"{stage}: {means[stage]:.6f}s")
+    if report.windows:
+        print("-- windows --")
+        _print_windows([Window.from_dict(w) for w in report.windows], args)
+    if report.exemplars:
+        print("-- exemplars (slowest first, then deadline-expired) --")
+    for exemplar in report.exemplars:
+        latency_ms = 1e3 * float(exemplar["latency_seconds"])
+        print(f"{exemplar['status']} in {latency_ms:.3f} ms:")
+        tree = exemplar.get("tree")
+        if tree:
+            print(render_tree(tree))
+        else:
+            print(f"request {exemplar['request_id']}\n  (no span tree recorded)")
+    return 0
+
+
+def _print_windows(windows, args) -> None:
+    """The newest ``args.windows`` windows (0 = all), filtered by prefix."""
+    from .obs import render_window
+
     shown = windows if args.windows <= 0 else windows[-args.windows :]
     skipped = len(windows) - len(shown)
     if skipped:
         print(f"... {skipped} older window(s) not shown ...")
-    prefix = args.prefix or ""
     for window in shown:
-        print(render_window(window, prefix=prefix))
-    return 0
+        print(render_window(window, prefix=args.prefix or ""))
 
 
 def _cmd_bench(args) -> int:
@@ -967,7 +999,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         default=None,
         metavar="SEC",
         help="record windowed counter rates and latency quantiles on "
-        "this interval (see: repro obs tail)",
+        "this interval (see: repro obs show)",
     )
     serve.add_argument(
         "--window-log",
@@ -1084,26 +1116,31 @@ def main(argv: Optional[List[str]] = None) -> int:
     bench.set_defaults(handler=_cmd_bench)
 
     obs = subparsers.add_parser(
-        "obs", help="inspect RunReports; record, gate and chart runs"
+        "obs", help="show one run; record, gate and chart runs"
     )
     obs_sub = obs.add_subparsers(dest="obs_command", required=True)
     obs_show = obs_sub.add_parser(
-        "show", help="pretty-print one RunReport JSON file"
+        "show",
+        help="what happened inside one run: render and check a RunReport, "
+        "a window log, an artifact's provenance stamp, or every run of "
+        "a store directory (exit 1 on problems)",
     )
-    obs_show.add_argument("report")
-    obs_show.set_defaults(handler=_cmd_obs)
-    obs_validate = obs_sub.add_parser(
-        "validate",
-        help="schema-check a RunReport (exit 1 on problems; CI smoke)",
+    obs_show.add_argument("path", metavar="PATH")
+    obs_show.add_argument(
+        "--windows",
+        type=int,
+        default=5,
+        metavar="N",
+        help="newest windows shown (default 5; 0 = all)",
     )
-    obs_validate.add_argument("report")
-    obs_validate.set_defaults(handler=_cmd_obs)
-    obs_diff = obs_sub.add_parser(
-        "diff", help="field-by-field diff of two RunReports"
+    obs_show.add_argument(
+        "--prefix",
+        default=None,
+        metavar="P",
+        help="only window metrics whose name starts with P "
+        "(e.g. search.serve.)",
     )
-    obs_diff.add_argument("old")
-    obs_diff.add_argument("new")
-    obs_diff.set_defaults(handler=_cmd_obs)
+    obs_show.set_defaults(handler=_cmd_obs_show)
 
     obs_record = obs_sub.add_parser(
         "record",
@@ -1141,55 +1178,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         help="also write the trend report as JSON",
     )
     obs_trend.set_defaults(handler=_cmd_obs_trend)
-
-    obs_prov = obs_sub.add_parser(
-        "provenance",
-        help="inspect/validate the provenance stamp of a JSON artifact, "
-        "or of every run in a store directory",
-    )
-    obs_prov.add_argument("artifact")
-    obs_prov.set_defaults(handler=_cmd_obs_provenance)
-
-    obs_dash = obs_sub.add_parser(
-        "dashboard",
-        help="render a static HTML dashboard of the run store",
-    )
-    _add_store_argument(obs_dash)
-    obs_dash.add_argument(
-        "--output",
-        default=None,
-        metavar="FILE",
-        help="output path (default: results/obs/dashboard.html)",
-    )
-    obs_dash.add_argument(
-        "--max-points",
-        type=int,
-        default=30,
-        help="newest runs per series shown in trend lines",
-    )
-    obs_dash.set_defaults(handler=_cmd_obs_dashboard)
-
-    obs_tail = obs_sub.add_parser(
-        "tail",
-        help="render windowed serving telemetry (RunReport v3, a "
-        "--window-log JSONL file, or a JSON window list)",
-    )
-    obs_tail.add_argument("source", help="file holding window snapshots")
-    obs_tail.add_argument(
-        "--windows",
-        type=int,
-        default=5,
-        metavar="N",
-        help="newest windows shown (default 5; 0 = all)",
-    )
-    obs_tail.add_argument(
-        "--prefix",
-        default=None,
-        metavar="P",
-        help="only metrics whose name starts with P "
-        "(e.g. search.serve.)",
-    )
-    obs_tail.set_defaults(handler=_cmd_obs_tail)
 
     validate = subparsers.add_parser(
         "validate",

@@ -9,7 +9,6 @@ from .approximate import (
 from .batch import batch_matching_counts, cross_pair_headroom
 from .filter import FilterResult, MatchingPlan, elastic_matching_filter
 from .hardware import EMFCycleReport, EMFHardwareModel
-from .pipeline import EMFPipelineSimulator, PipelineStats
 from .signatures import node_feature_tags
 from .xxhash import (
     FEATURE_QUANTIZATION_DECIMALS,
@@ -34,8 +33,6 @@ __all__ = [
     "EMFCycleReport",
     "batch_matching_counts",
     "cross_pair_headroom",
-    "EMFPipelineSimulator",
-    "PipelineStats",
     "node_feature_tags",
     "approximate_matching_filter",
     "simhash_signatures",

@@ -332,7 +332,7 @@ def write_experiment_data(
     (description + data); this is the single choke point through which
     every figure artifact leaves ``repro/experiments/``, so each one
     carries the git SHA, timestamp, and metrics-snapshot digest that
-    ``repro obs provenance`` validates. Figures regenerated from a dirty
+    ``repro obs show`` validates. Figures regenerated from a dirty
     or unknown tree are then detectable by inspection.
     """
     import json

@@ -28,13 +28,11 @@ is only useful if something notices when it changes:
 - :mod:`repro.obs.analytics` — the gate over that store
   (``repro obs compare``: exact values must match, timings get a
   median ± k·MAD decision), changepoint-annotated trends
-  (``repro obs trend``), and per-stage slowdown attribution.
-- :mod:`repro.obs.dashboard` — a zero-dependency static HTML view of
-  the store: bench trajectories, RunReport metric trends, serving
-  windows and tail exemplars.
+  (``repro obs trend``), and the per-stage serving means that
+  ``repro obs show`` prints.
 - :mod:`repro.obs.provenance` — stamps every written artifact with
   RunSpec + git SHA + timestamp + metrics digest
-  (``repro obs provenance FILE`` inspects it).
+  (``repro obs show FILE`` checks it).
 - :mod:`repro.obs.profiling` — cProfile harness stages into collapsed
   stacks for speedscope/flamegraph tools.
 
@@ -50,7 +48,7 @@ where run-scoped aggregates are blind:
 - :mod:`repro.obs.exemplars` — :class:`ExemplarBuffer` retaining the
   span trees of the K slowest and all deadline-expired requests.
 - :mod:`repro.obs.export` — Prometheus-style text exposition and the
-  ``repro obs tail`` window renderer.
+  window renderer behind ``repro obs show``.
 
 Plus :func:`~repro.obs.logging.configure_logging` for the ``repro.*``
 stdlib-logging hierarchy used by the library in place of ``print``.
@@ -58,11 +56,10 @@ stdlib-logging hierarchy used by the library in place of ``print``.
 
 from .analytics import compare, render_trend, trend_report
 from .context import render_tree
-from .dashboard import write_dashboard
 from .export import read_windows, render_window, write_exposition
 from .metrics import LATENCY_BUCKETS, get_metrics, metrics_enabled
 from .provenance import read_stamp, validate_stamp
-from .report import RunReport, diff_reports, validate_report
+from .report import RunReport, validate_report
 from .store import RunStore, ingest
 from .tracing import span, tracing_enabled
 
@@ -71,7 +68,6 @@ __all__ = [
     "RunReport",
     "RunStore",
     "compare",
-    "diff_reports",
     "get_metrics",
     "ingest",
     "metrics_enabled",
@@ -85,6 +81,5 @@ __all__ = [
     "trend_report",
     "validate_report",
     "validate_stamp",
-    "write_dashboard",
     "write_exposition",
 ]

@@ -1,4 +1,4 @@
-"""The gate over the run store: one comparison, trends, attribution.
+"""The gate over the run store: one comparison, trends, stage means.
 
 - :func:`compare` — the regression gate behind ``repro obs compare``.
   A run's exact values (deterministic counters, gauges and histogram
@@ -15,9 +15,9 @@
 - :func:`trend_report` — one series point per run (timings as sample
   medians) with a sliding z-score :func:`detect_changepoints` pass that
   flags the run — and therefore the commit — where a metric shifted.
-- :func:`attribute_stages` — joins a slowdown to the per-stage
-  ``search.serve.budget_seconds{stage=...}`` histograms of two serving
-  RunReports, so "search got slower" becomes "execute got slower".
+- :func:`stage_budget_means` — the mean seconds per serving stage from
+  a RunReport's ``search.serve.budget_seconds{stage=...}`` histograms,
+  which ``repro obs show`` prints so "search got slow" names a stage.
 
 Everything is plain stdlib math over plain dicts: no numpy in the
 decision path, so the gate runs identically everywhere.
@@ -46,8 +46,6 @@ __all__ = [
     "trend_report",
     "render_trend",
     "stage_budget_means",
-    "attribute_stages",
-    "render_attribution",
 ]
 
 COMPARISON_SCHEMA_VERSION = 1
@@ -556,7 +554,7 @@ def render_trend(report: Dict[str, object]) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Stage-level slowdown attribution
+# Per-stage serving budget
 
 
 def stage_budget_means(report) -> Dict[str, float]:
@@ -577,55 +575,3 @@ def stage_budget_means(report) -> Dict[str, float]:
         if count:
             means[labels["stage"]] = histogram.total / count
     return means
-
-
-def attribute_stages(baseline_report, current_report) -> List[Dict[str, object]]:
-    """Per-stage latency deltas between two serving RunReports.
-
-    The answer to "serving got slower — *which stage*": each
-    row names a stage (admission / schedule / execute / rank / ...),
-    its mean per-request seconds in both reports, the delta, and the
-    delta's share of the total slowdown. Rows are sorted most-guilty
-    first. Empty when either report lacks budget histograms.
-    """
-    base = stage_budget_means(baseline_report)
-    current = stage_budget_means(current_report)
-    if not base or not current:
-        return []
-    rows = []
-    total_delta = sum(
-        current.get(stage, 0.0) - base.get(stage, 0.0)
-        for stage in set(base) | set(current)
-    )
-    for stage in sorted(set(base) | set(current)):
-        base_mean = base.get(stage, 0.0)
-        cur_mean = current.get(stage, 0.0)
-        delta = cur_mean - base_mean
-        rows.append(
-            {
-                "stage": stage,
-                "baseline_mean_seconds": base_mean,
-                "current_mean_seconds": cur_mean,
-                "delta_seconds": delta,
-                "share_of_total_delta": (
-                    delta / total_delta if total_delta else 0.0
-                ),
-            }
-        )
-    rows.sort(key=lambda row: row["delta_seconds"], reverse=True)
-    return rows
-
-
-def render_attribution(rows: Sequence[Dict[str, object]]) -> str:
-    if not rows:
-        return "(no per-stage budget histograms to attribute against)"
-    lines = ["stage attribution (mean seconds/request, most-guilty first):"]
-    for row in rows:
-        lines.append(
-            f"  {row['stage']:<12s} "
-            f"{row['baseline_mean_seconds']:.6f}s -> "
-            f"{row['current_mean_seconds']:.6f}s "
-            f"(delta {row['delta_seconds']:+.6f}s, "
-            f"{row['share_of_total_delta']:+.0%} of total)"
-        )
-    return "\n".join(lines)

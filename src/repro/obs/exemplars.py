@@ -11,9 +11,9 @@ The :class:`ExemplarBuffer` keeps exactly the interesting evidence:
   away silently; overflow is counted, not dropped quietly).
 
 Each exemplar carries the request's full span tree from the
-:class:`~repro.obs.context.RequestTracker`, so the dashboard's exemplar
-panel and RunReport schema v3 can show per-stage budget attribution for
-the exact requests that missed (or nearly missed) their deadlines.
+:class:`~repro.obs.context.RequestTracker`, so RunReport schema v3 (and
+``repro obs show``) can show per-stage budget attribution for the exact
+requests that missed (or nearly missed) their deadlines.
 """
 
 from __future__ import annotations

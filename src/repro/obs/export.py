@@ -1,4 +1,4 @@
-"""Prometheus-style text exposition and the ``obs tail`` renderer.
+"""Prometheus-style text exposition and the ``obs show`` window renderer.
 
 The registry's native ``render()`` is a human-readable dump; a
 long-running ``repro serve`` additionally wants a scrape-able surface.
@@ -13,7 +13,7 @@ gauges, so a scraper sees current-traffic p50/p99 rather than lifetime
 aggregates.
 
 :func:`render_window` is the companion terminal view: ``repro obs
-tail`` reads windows from a ``--window-log`` JSONL stream or a
+show`` reads windows from a ``--window-log`` JSONL stream or a
 RunReport v3 artifact (:func:`read_windows` handles both shapes) and
 pretty-prints the most recent ones.
 """
@@ -182,7 +182,7 @@ def write_exposition(
 
 
 def render_window(window: Window, prefix: str = "") -> str:
-    """One window as readable terminal text (``repro obs tail``)."""
+    """One window as readable terminal text (``repro obs show``)."""
     lines = [
         f"window #{window.index}  "
         f"[{window.start:.3f}s -> {window.end:.3f}s]  "

@@ -7,7 +7,7 @@ stamped with a ``provenance`` object carrying the producing
 commit, a wall-clock timestamp, and a digest of the metrics snapshot
 that was live at write time. A figure regenerated from stale inputs or
 an unknown working tree is then detectable by inspection
-(``python -m repro obs provenance FILE``) instead of by archaeology.
+(``python -m repro obs show FILE``) instead of by archaeology.
 
 Both identity sources go through env seams so tests stay deterministic:
 

@@ -4,9 +4,9 @@ One :class:`RunReport` captures everything a run observed — the metrics
 registry snapshot, the span events, and the wall-clock
 :class:`~repro.perf.timing.StageTimer` stages — keyed by the run's
 :class:`~repro.platforms.runspec.RunSpec`. Reports are written as JSON
-under ``results/obs/`` so regressions show up as a diff between two
-files (``python -m repro obs diff a.json b.json``) instead of requiring
-a figure-script rerun.
+under ``results/obs/``; ``python -m repro obs show`` checks and renders
+one, and ``obs record`` + ``obs compare`` gate one run against another
+without a figure-script rerun.
 
 The schema is versioned independently of the other artifact formats:
 bump :data:`RUN_REPORT_SCHEMA_VERSION` on any layout change so old
@@ -32,7 +32,6 @@ __all__ = [
     "RUN_REPORT_SCHEMA_VERSION",
     "REPORT_KIND",
     "default_report_path",
-    "diff_reports",
     "validate_report",
 ]
 
@@ -208,8 +207,8 @@ def default_report_path(spec: Optional[RunSpec]) -> Path:
 def validate_report(payload: object) -> List[str]:
     """Schema problems with a report payload; empty list means valid.
 
-    Used by :meth:`RunReport.from_dict` and the ``repro obs validate``
-    CLI / CI smoke step.
+    Used by :meth:`RunReport.from_dict` and ``repro obs show`` (the CI
+    smoke step).
     """
     problems: List[str] = []
     if not isinstance(payload, dict):
@@ -250,67 +249,3 @@ def validate_report(payload: object) -> List[str]:
     if not isinstance(payload["timings"], dict):
         problems.append("timings must be a StageTimer mapping")
     return problems
-
-
-def _diff_section(
-    label: str,
-    old: Dict[str, float],
-    new: Dict[str, float],
-    lines: List[str],
-) -> None:
-    """One section of the diff: changed keys, then the disjoint sets.
-
-    Keys present on only one side — the whole metric universe may be
-    disjoint when reports come from different instrumentation eras — get
-    their own "only in old/new" subsections instead of being interleaved
-    with value changes.
-    """
-    changed = [
-        key
-        for key in sorted(set(old) & set(new))
-        if old[key] != new[key]
-    ]
-    only_old = sorted(set(old) - set(new))
-    only_new = sorted(set(new) - set(old))
-    if not (changed or only_old or only_new):
-        return
-    if changed:
-        lines.append(f"-- {label} --")
-        for key in changed:
-            a, b = old[key], new[key]
-            ratio = f" ({b / a:+.2%} of old)" if a else ""
-            lines.append(f"~ {key}: {a:g} -> {b:g}{ratio}")
-    if only_old:
-        lines.append(f"-- {label} (only in old) --")
-        for key in only_old:
-            lines.append(f"- {key} = {old[key]:g}")
-    if only_new:
-        lines.append(f"-- {label} (only in new) --")
-        for key in only_new:
-            lines.append(f"+ {key} = {new[key]:g}")
-
-
-def diff_reports(old: RunReport, new: RunReport) -> str:
-    """Readable field-by-field diff of two reports.
-
-    Counters, gauges, and per-stage seconds are compared by key; equal
-    values are omitted, so the output is empty-ish for identical runs.
-    Disjoint metric sets render as clean "only in old/new" sections.
-    """
-    lines: List[str] = []
-    old_stem = old.spec.stem if old.spec else "unkeyed"
-    new_stem = new.spec.stem if new.spec else "unkeyed"
-    lines.append(f"diff: {old_stem} -> {new_stem}")
-    if old.git_sha != new.git_sha and (old.git_sha or new.git_sha):
-        lines.append(f"commit: {old.git_sha or '?'} -> {new.git_sha or '?'}")
-    _diff_section("counters", old.metrics.counters, new.metrics.counters, lines)
-    _diff_section("gauges", old.metrics.gauges, new.metrics.gauges, lines)
-    _diff_section(
-        "stage seconds",
-        {k: v.get("seconds", 0.0) for k, v in old.timings.items()},
-        {k: v.get("seconds", 0.0) for k, v in new.timings.items()},
-        lines,
-    )
-    if len(lines) <= 2 and not any(line.startswith("--") for line in lines):
-        lines.append("(no differences in counters, gauges, or timings)")
-    return "\n".join(lines)

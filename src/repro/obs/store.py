@@ -14,9 +14,9 @@ artifact that carries either kind of number is "a run":
   config for the gate.
 
 Each series is one JSONL file, ``results/obs/runs/<series>.jsonl``.
-Lines carry the source artifact verbatim, so consumers (the dashboard,
-stage attribution) read serving histograms, windows and exemplars back
-from the store. :func:`ingest` classifies an artifact once: exact
+Lines carry the source artifact verbatim, so :meth:`Run.report` reads
+a RunReport back whole, serving histograms, windows and exemplars
+included. :func:`ingest` classifies an artifact once: exact
 values (deterministic-prefixed counters, gauges and histogram
 fingerprints; scalar bench checks not named as throughput or latency),
 environmental values (info only: everything else, such as perfbench's

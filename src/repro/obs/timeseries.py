@@ -18,9 +18,8 @@ state into per-window deltas:
 Windows are plain dicts end to end (:meth:`Window.to_dict` /
 :meth:`Window.from_dict`), so they serialize into RunReport schema v3,
 stream as JSONL through ``repro serve --window-log``, and render via
-``repro obs tail`` without any extra machinery. A bounded deque keeps
-the last ``max_windows`` in memory for the rolling-quantile dashboard
-panel.
+``repro obs show`` without any extra machinery. A bounded deque keeps
+the last ``max_windows`` in memory.
 """
 
 from __future__ import annotations
@@ -243,15 +242,3 @@ class TimeseriesRecorder:
     def window_dicts(self) -> List[Dict[str, object]]:
         """All retained windows as plain dicts (RunReport v3 payload)."""
         return [window.to_dict() for window in self.windows]
-
-    def quantile_series(
-        self, name: str, field: str = "p50"
-    ) -> List[Optional[float]]:
-        """One histogram field across the retained windows (rolling
-        p50/p99 for the dashboard sparkline); ``None`` marks windows
-        where the histogram saw no traffic."""
-        series: List[Optional[float]] = []
-        for window in self.windows:
-            entry = window.histograms.get(name)
-            series.append(None if entry is None else entry.get(field))
-        return series

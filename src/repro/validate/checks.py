@@ -1,6 +1,6 @@
 """The built-in correctness checks.
 
-Twelve differential pairs and three invariant families, mirroring the
+Eleven differential pairs and three invariant families, mirroring the
 redundant implementations the repo maintains on purpose:
 
 ====================================  =========================================
@@ -10,7 +10,6 @@ check                                 redundant pair / invariant
 ``emf.filter.backends``               Algorithm 1 XXH32 loop vs. batch digest
 ``emf.filter.methods``                byte-keyed digest vs. XXH32 tagging
 ``emf.filter.bytes_key``              hashed array row key vs. dict loop
-``emf.pipeline.event_vs_cycle``       event-driven fast path vs. cycle loop
 ``sim.engine_vs_detailed``            analytic engine vs. per-step simulator
 ``sim.batched_vs_serial``             batched numpy engine vs. per-pair loop
 ``harness.serial_vs_parallel``        serial run vs. chunked process pool
@@ -408,103 +407,6 @@ def check_bytes_key(context: CheckContext):
                 f"{quantized.shape} matrix under forced collisions",
             )
     return f"{len(matrices)} matrices x 2 hashes, identical groupings"
-
-
-# ----------------------------------------------------------------------
-# Pair 2: event-driven EMF pipeline vs. cycle-accurate reference
-# ----------------------------------------------------------------------
-def _pipeline_stats_tuple(stats):
-    return (
-        stats.total_cycles,
-        stats.producer_stall_cycles,
-        stats.consumer_idle_cycles,
-        stats.max_occupancy,
-    )
-
-
-def _mutate_pipeline_drain():
-    from ..emf import pipeline as pipeline_mod
-
-    original = pipeline_mod.EMFPipelineSimulator.__dict__["_drain"]
-
-    def drain_without_idle(occupancy, cycles, rate):
-        new_occupancy, consumed, _idle = original.__func__(
-            occupancy, cycles, rate
-        )
-        return new_occupancy, consumed, 0
-
-    return _patched(
-        pipeline_mod.EMFPipelineSimulator,
-        "_drain",
-        staticmethod(drain_without_idle),
-    )
-
-
-@register_check(
-    "emf.pipeline.event_vs_cycle",
-    kind="differential",
-    pair=(
-        "EMFPipelineSimulator.run(method='event')",
-        "EMFPipelineSimulator.run(method='cycle')",
-    ),
-    mutators={"event_drain_drops_idle_cycles": _mutate_pipeline_drain},
-)
-def check_pipeline_event_vs_cycle(context: CheckContext):
-    """Event-driven pipeline stats are bit-identical to the cycle loop."""
-    from ..emf import pipeline as pipeline_mod
-
-    def run_one(simulator, num_nodes, method):
-        # A burst that can never fit the buffer livelocks the producer;
-        # both methods must then raise the same guard error.
-        try:
-            return _pipeline_stats_tuple(simulator.run(num_nodes, method))
-        except RuntimeError:
-            return "failed to drain"
-
-    def compare(hash_parallelism, wave, rate, capacity, num_nodes):
-        simulator = pipeline_mod.EMFPipelineSimulator(
-            hash_parallelism, wave, rate, capacity
-        )
-        event = run_one(simulator, num_nodes, "event")
-        cycle = run_one(simulator, num_nodes, "cycle")
-        _require(
-            event == cycle,
-            "pipeline methods diverge for "
-            f"(parallelism={hash_parallelism}, wave={wave}, rate={rate}, "
-            f"buffer={capacity}, nodes={num_nodes}): "
-            f"event={event} cycle={cycle} "
-            "(cycles, stalls, idle, max_occupancy)",
-        )
-
-    configs = 0
-    for hash_parallelism in (1, 3, 128):
-        for wave in (1, 3, 64):
-            for rate in (1, 3):
-                for capacity in (1, 4, 256):
-                    for num_nodes in (0, 1, 5, 17, 257):
-                        compare(
-                            hash_parallelism, wave, rate, capacity, num_nodes
-                        )
-                        configs += 1
-    if not context.quick and _hypothesis_available():
-        from hypothesis import given
-        from hypothesis import strategies as st
-
-        @_deep_settings(60)
-        @given(
-            hash_parallelism=st.integers(1, 64),
-            wave=st.integers(1, 32),
-            rate=st.integers(1, 8),
-            capacity=st.integers(1, 128),
-            num_nodes=st.integers(0, 400),
-        )
-        def property_methods_match(
-            hash_parallelism, wave, rate, capacity, num_nodes
-        ):
-            compare(hash_parallelism, wave, rate, capacity, num_nodes)
-
-        property_methods_match()
-    return f"{configs} pipeline configurations, bit-identical stats"
 
 
 # ----------------------------------------------------------------------

@@ -476,6 +476,8 @@ class TestServe:
         assert validate_stamp(stamp) == []
         assert stamp["generator"] == "repro serve"
         assert stamp["spec"] is not None
+        # `obs show` checks a serve payload by its stamp.
+        assert main(["obs", "show", str(out_path)]) == 0
 
 
 class TestServeTelemetry:
@@ -511,8 +513,8 @@ class TestServeTelemetry:
             )
             == 0
         )
-        # The window log replays through obs tail.
-        assert main(["obs", "tail", "windows.jsonl"]) == 0
+        # The window log replays through obs show.
+        assert main(["obs", "show", "windows.jsonl"]) == 0
         out = capsys.readouterr().out
         assert "window #" in out
         assert "search.serve.admitted" in out
@@ -526,8 +528,12 @@ class TestServeTelemetry:
         assert payload["schema_version"] == 3
         assert payload["windows"]
         assert payload["exemplars"]
-        assert main(["obs", "validate", str(report_path)]) == 0
-        assert main(["obs", "tail", str(report_path)]) == 0
+        capsys.readouterr()
+        assert main(["obs", "show", str(report_path)]) == 0
+        out = capsys.readouterr().out
+        assert "valid RunReport" in out and "window #" in out
+        assert "-- serving stages (mean seconds per request) --" in out
+        assert "- execute:" in out
 
     def test_tail_prefix_filter_and_window_bound(self, tmp_path, capsys):
         import json
@@ -552,7 +558,7 @@ class TestServeTelemetry:
             main(
                 [
                     "obs",
-                    "tail",
+                    "show",
                     str(log),
                     "--windows",
                     "2",
@@ -567,15 +573,19 @@ class TestServeTelemetry:
         assert "window #2" in out and "window #3" in out
         assert "window #1" not in out
         assert "sim.macs" not in out
+        # A one-window log is one JSON object, still read as a log.
+        log.write_text(json.dumps(entries[0]) + "\n")
+        assert main(["obs", "show", str(log)]) == 0
+        assert "window #0" in capsys.readouterr().out
 
     def test_tail_missing_source_fails_but_empty_log_is_ok(
         self, tmp_path, capsys
     ):
         # An unreadable source is an error; an empty (zero-window) log
         # is a normal outcome of a short run and exits cleanly.
-        assert main(["obs", "tail", str(tmp_path / "nope.jsonl")]) == 1
+        assert main(["obs", "show", str(tmp_path / "nope.jsonl")]) == 1
         empty = tmp_path / "empty.jsonl"
         empty.write_text("")
-        assert main(["obs", "tail", str(empty)]) == 0
+        assert main(["obs", "show", str(empty)]) == 0
         out = capsys.readouterr().out
         assert "no windows recorded" in out

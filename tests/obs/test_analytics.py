@@ -1,4 +1,4 @@
-"""Tests for the noise-aware bench analytics: gates, trends, attribution."""
+"""Tests for the noise-aware bench analytics: gates, trends, stage means."""
 
 import random
 
@@ -7,13 +7,11 @@ import pytest
 from repro.obs import analytics
 from repro.obs.analytics import (
     Comparison,
-    attribute_stages,
     compare,
     detect_changepoints,
     mad,
     median,
     metric_series,
-    render_attribution,
     render_trend,
     stage_budget_means,
     timing_decision,
@@ -298,20 +296,6 @@ class TestStageAttribution:
 
     def test_report_without_budget_histograms_is_empty(self):
         assert stage_budget_means(RunReport(metrics=MetricsRegistry())) == {}
-        assert (
-            attribute_stages(
-                RunReport(metrics=MetricsRegistry()), _serving_report(0.01)
-            )
-            == []
-        )
-
-    def test_slowdown_names_the_guilty_stage(self):
-        rows = attribute_stages(_serving_report(0.01), _serving_report(0.03))
-        assert rows[0]["stage"] == "execute"
-        assert rows[0]["delta_seconds"] == pytest.approx(0.02)
-        assert rows[0]["share_of_total_delta"] == pytest.approx(1.0)
-        text = render_attribution(rows)
-        assert "execute" in text
 
     def test_policy_knobs_are_carried_by_regression_policy(self):
         assert analytics.MIN_SAMPLES >= 2

@@ -1,12 +1,16 @@
 """End-to-end tests for the observability CLI surface."""
 
 import json
+import shutil
+from pathlib import Path
 
 import pytest
 
 from repro.__main__ import main
-from repro.obs.report import REQUIRED_KEYS
+from repro.obs.report import REPORT_KIND, REQUIRED_KEYS
 from repro.platforms.runspec import QUICK_BATCH, QUICK_PAIRS
+
+COMMITTED_STORE = Path(__file__).resolve().parents[2] / "results" / "obs" / "runs"
 
 
 @pytest.fixture(autouse=True)
@@ -86,14 +90,85 @@ class TestSimulateObs:
 class TestObsSubcommand:
     def test_validate_accepts_fresh_report(self, tmp_path, capsys):
         _, report_path = _simulate_with_obs(tmp_path)
-        assert main(["obs", "validate", str(report_path)]) == 0
+        assert main(["obs", "show", str(report_path)]) == 0
         assert "valid RunReport" in capsys.readouterr().out
 
     def test_validate_rejects_garbage(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
-        bad.write_text(json.dumps({"schema_version": 1}))
-        assert main(["obs", "validate", str(bad)]) == 1
-        assert "INVALID" in capsys.readouterr().out
+        bad.write_text(json.dumps({"schema_version": 1, "kind": REPORT_KIND}))
+        assert main(["obs", "show", str(bad)]) == 1
+        out = capsys.readouterr().out
+        assert "INVALID: missing key 'spec'" in out
+        assert "== RunReport" not in out
+
+    def test_show_non_json_file_exits_1(self, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_text("not json\n")
+        assert main(["obs", "show", str(bad)]) == 1
+        out = capsys.readouterr().out
+        assert out.startswith(f"cannot read {bad}: ")
+        assert len(out.splitlines()) == 1
+
+    def test_show_missing_file_exits_1(self, tmp_path, capsys):
+        missing = tmp_path / "missing.json"
+        assert main(["obs", "show", str(missing)]) == 1
+        assert capsys.readouterr().out.startswith(f"cannot read {missing}: ")
+
+    def test_show_names_stage_window_and_request(self, tmp_path, capsys):
+        # A serving RunReport answers "which stage" (budget means, the
+        # costliest first), "when" (the newest windows) and "which
+        # request" (exemplar span trees, a missing tree included).
+        from repro.obs import RunReport
+        from repro.obs.metrics import MetricsRegistry
+
+        registry = MetricsRegistry()
+        for stage, seconds in (("rank", 0.001), ("execute", 0.02)):
+            registry.observe("search.serve.budget_seconds", seconds, stage=stage)
+        windows = [
+            {
+                "index": i,
+                "start": float(i),
+                "end": float(i + 1),
+                "counters": {"search.serve.admitted": 2.0, "sim.macs": 9.0},
+                "rates": {"search.serve.admitted": 2.0, "sim.macs": 9.0},
+            }
+            for i in range(3)
+        ]
+        tree = {
+            "request_id": 7,
+            "annotations": {"status": "ok"},
+            "spans": [
+                {
+                    "stage": "execute",
+                    "duration_seconds": 0.02,
+                    "attrs": {"pairs": "4"},
+                    "children": [],
+                }
+            ],
+        }
+        exemplars = [
+            {"request_id": 7, "latency_seconds": 0.021, "status": "ok", "tree": tree},
+            {
+                "request_id": 9,
+                "latency_seconds": 0.5,
+                "status": "expired",
+                "tree": None,
+            },
+        ]
+        path = tmp_path / "serve_report.json"
+        RunReport(metrics=registry, windows=windows, exemplars=exemplars).write(path)
+        capsys.readouterr()
+        args = ["obs", "show", str(path), "--windows", "2"]
+        assert main(args + ["--prefix", "search.serve."]) == 0
+        out = capsys.readouterr().out
+        stages = out.split("-- serving stages (mean seconds per request) --")[1]
+        assert stages.index("execute: 0.020000s") < stages.index("rank: 0.001000s")
+        assert "1 older window(s) not shown" in out
+        assert "window #1" in out and "window #2" in out
+        assert "window #0" not in out and "sim.macs" not in out
+        assert "request 7" in out and "- execute: 20.000 ms {pairs=4}" in out
+        assert "expired in 500.000 ms:" in out
+        assert "request 9\n  (no span tree recorded)" in out
 
     def test_show_renders_report(self, tmp_path, capsys):
         _, report_path = _simulate_with_obs(tmp_path)
@@ -103,22 +178,6 @@ class TestObsSubcommand:
         assert "== RunReport:" in output
         assert "-- metrics --" in output
 
-    def test_diff_of_identical_reports_is_clean(self, tmp_path, capsys):
-        _, report_path = _simulate_with_obs(tmp_path)
-        capsys.readouterr()
-        assert main(["obs", "diff", str(report_path), str(report_path)]) == 0
-        assert "(no differences" in capsys.readouterr().out
-
-    def test_diff_flags_counter_changes(self, tmp_path, capsys):
-        _, report_path = _simulate_with_obs(tmp_path)
-        payload = json.loads(report_path.read_text())
-        key = "sim.pairs{platform=CEGMA}"
-        payload["metrics"]["counters"][key] += 4
-        other = tmp_path / "other.json"
-        other.write_text(json.dumps(payload))
-        capsys.readouterr()
-        assert main(["obs", "diff", str(report_path), str(other)]) == 0
-        assert key in capsys.readouterr().out
 
 
 class TestObsCheck:
@@ -180,7 +239,7 @@ class TestObsProvenance:
         payload = json.loads(data_path.read_text())
         assert "provenance" in payload
         capsys.readouterr()
-        assert main(["obs", "provenance", str(data_path)]) == 0
+        assert main(["obs", "show", str(data_path)]) == 0
         output = capsys.readouterr().out
         assert "valid provenance" in output
         assert "table3" in output
@@ -188,14 +247,30 @@ class TestObsProvenance:
     def test_unstamped_artifact_exits_1(self, tmp_path, capsys):
         bare = tmp_path / "bare.json"
         bare.write_text(json.dumps({"data": [1, 2, 3]}))
-        assert main(["obs", "provenance", str(bare)]) == 1
+        assert main(["obs", "show", str(bare)]) == 1
         assert "no provenance stamp" in capsys.readouterr().out
 
     def test_store_directory_checks_every_run(self, tmp_path, capsys):
+        # The committed store passes; a copy with one corrupted stamp
+        # fails and names the run.
+        assert main(["obs", "show", str(COMMITTED_STORE)]) == 0
+        assert "recorded run(s) carry a valid stamp" in capsys.readouterr().out
+        corrupted = tmp_path / "corrupted_runs"
+        shutil.copytree(COMMITTED_STORE, corrupted)
+        series = corrupted / "perfbench-paper_sim.jsonl"
+        lines = series.read_text().splitlines()
+        entry = json.loads(lines[-1])
+        entry["artifact"]["provenance"]["git_sha"] = ""
+        series.write_text("\n".join(lines[:-1] + [json.dumps(entry)]) + "\n")
+        assert main(["obs", "show", str(corrupted)]) == 1
+        out = capsys.readouterr().out
+        assert "INVALID: perfbench-paper_sim/" in out
+        assert "'git_sha' must be a non-empty string" in out
+
         stamped = _bench_file(tmp_path)
         assert main(["obs", "record", str(stamped)]) == 0
         capsys.readouterr()
-        assert main(["obs", "provenance", "results/obs/runs"]) == 0
+        assert main(["obs", "show", "results/obs/runs"]) == 0
         assert "all 1 recorded run(s)" in capsys.readouterr().out
         payload = json.loads(stamped.read_text())
         payload["name"] = "unstamped"
@@ -204,22 +279,11 @@ class TestObsProvenance:
         unstamped.write_text(json.dumps(payload))
         assert main(["obs", "record", str(unstamped)]) == 0
         capsys.readouterr()
-        assert main(["obs", "provenance", "results/obs/runs"]) == 1
+        assert main(["obs", "show", "results/obs/runs"]) == 1
         assert "INVALID: unstamped/" in capsys.readouterr().out
 
 
 class TestObsDashboardAndBaselines:
-    def test_dashboard_renders_archived_workloads(self, tmp_path, capsys):
-        _, report_path = _simulate_with_obs(tmp_path)
-        assert main(["obs", "record", str(report_path)]) == 0
-        out_path = tmp_path / "dash.html"
-        capsys.readouterr()
-        assert main(["obs", "dashboard", "--output", str(out_path)]) == 0
-        assert "wrote dashboard (1 series)" in capsys.readouterr().out
-        page = out_path.read_text()
-        stem = f"GMN-Li_AIDS_p{QUICK_PAIRS}_b{QUICK_BATCH}_s0_quick"
-        assert stem in page
-
     def test_baselines_lists_store_contents(self, tmp_path, capsys):
         _, report_path = _simulate_with_obs(tmp_path)
         assert main(["obs", "record", str(report_path)]) == 0
@@ -230,10 +294,12 @@ class TestObsDashboardAndBaselines:
         assert "timing:profile" in output
 
     def test_baselines_empty_store(self, tmp_path, capsys):
-        out_path = tmp_path / "dash.html"
-        assert main(["obs", "dashboard", "--output", str(out_path)]) == 0
-        assert "wrote dashboard (0 series)" in capsys.readouterr().out
-        assert "No RunReports recorded yet" in out_path.read_text()
+        # A store directory that holds no runs fails `show`: there is
+        # nothing whose provenance could be vouched for.
+        empty = tmp_path / "empty_runs"
+        empty.mkdir()
+        assert main(["obs", "show", str(empty)]) == 1
+        assert "0 recorded run(s)" in capsys.readouterr().out
 
 
 class TestProfileFlag:
@@ -375,11 +441,12 @@ class TestObsTailEmptyLog:
     def test_empty_window_log_exits_0(self, tmp_path, capsys):
         log = tmp_path / "windows.jsonl"
         log.write_text("")
-        assert main(["obs", "tail", str(log)]) == 0
+        assert main(["obs", "show", str(log)]) == 0
         assert "no windows recorded" in capsys.readouterr().out
 
     def test_unreadable_source_still_exits_1(self, tmp_path, capsys):
-        assert main(["obs", "tail", str(tmp_path / "missing.jsonl")]) == 1
+        assert main(["obs", "show", str(tmp_path / "missing.jsonl")]) == 1
+        assert "cannot read" in capsys.readouterr().out
 
 
 class TestBenchForwarding:

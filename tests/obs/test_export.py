@@ -1,4 +1,4 @@
-"""Tests for Prometheus exposition and the obs tail renderer."""
+"""Tests for Prometheus exposition and the obs show window renderer."""
 
 import json
 

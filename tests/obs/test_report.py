@@ -10,7 +10,6 @@ from repro.obs.report import (
     RUN_REPORT_SCHEMA_VERSION,
     RunReport,
     default_report_path,
-    diff_reports,
     validate_report,
 )
 from repro.obs.tracing import Tracer
@@ -214,57 +213,3 @@ class TestServingTelemetrySections:
         rendered = report.render()
         assert "1 window(s)" in rendered
         assert "1 exemplar(s)" in rendered
-
-
-class TestDiff:
-    def test_identical_reports_have_no_diff(self):
-        text = diff_reports(_report(), _report())
-        assert "(no differences" in text
-
-    def test_changed_counter_is_reported(self):
-        old = _report()
-        new = _report()
-        new.metrics.inc("sim.cycles", 50, platform="CEGMA")
-        text = diff_reports(old, new)
-        assert "sim.cycles{platform=CEGMA}: 100 -> 150" in text
-
-    def test_added_and_removed_keys(self):
-        old = _report()
-        new = _report()
-        new.metrics.inc("emf.hits", 7)
-        old.metrics.inc("old.only", 1)
-        text = diff_reports(old, new)
-        assert "+ emf.hits = 7" in text
-        assert "- old.only = 1" in text
-
-    def test_timing_changes_reported(self):
-        old = _report()
-        new = _report()
-        new.timings["profile"]["seconds"] = 3.0
-        assert "profile: 1.5 -> 3" in diff_reports(old, new)
-
-    def test_disjoint_metric_sets_get_clean_sections(self):
-        old = RunReport(spec=SPEC)
-        new = RunReport(spec=SPEC)
-        old.metrics.inc("era1.counter", 5)
-        new.metrics.inc("era2.counter", 9)
-        text = diff_reports(old, new)
-        assert "-- counters (only in old) --" in text
-        assert "- era1.counter = 5" in text
-        assert "-- counters (only in new) --" in text
-        assert "+ era2.counter = 9" in text
-        # Disjoint keys are not value changes.
-        assert "~" not in text
-
-    def test_commit_line_when_shas_differ(self):
-        old = _report()
-        new = _report()
-        old.git_sha = "aaa111"
-        new.git_sha = "bbb222"
-        assert "commit: aaa111 -> bbb222" in diff_reports(old, new)
-
-    def test_no_commit_line_for_same_sha(self):
-        old = _report()
-        new = _report()
-        old.git_sha = new.git_sha = "aaa111"
-        assert "commit:" not in diff_reports(old, new)

@@ -159,20 +159,6 @@ class TestRecorder:
         recorder.maybe_snapshot()
         assert len(seen) == 1 and seen[0] is recorder.latest()
 
-    def test_quantile_series_marks_quiet_windows(self):
-        clock = FakeClock()
-        registry = MetricsRegistry()
-        recorder = TimeseriesRecorder(
-            registry=registry, interval_seconds=1.0, clock=clock
-        )
-        registry.observe("lat", 0.004, bounds=LATENCY_BUCKETS)
-        clock.advance(1.0)
-        recorder.maybe_snapshot()
-        clock.advance(1.0)
-        recorder.maybe_snapshot()
-        series = recorder.quantile_series("lat", field="p50")
-        assert series[0] is not None and series[1] is None
-
     def test_constructor_validation(self):
         with pytest.raises(ValueError):
             TimeseriesRecorder(interval_seconds=0.0)

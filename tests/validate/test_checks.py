@@ -35,7 +35,6 @@ class TestRoster:
         )
         assert "xxh32_batch" in guarded
         assert "_filter_vectorized" in guarded
-        assert "method='cycle'" in guarded
         assert "DetailedSimulator" in guarded
         assert "parallel_simulate_workload" in guarded
         assert "TraceCache" in guarded
