@@ -49,12 +49,10 @@ experiments:
 summary:
 	$(PYTHON) -m repro experiments summary
 
-# Committed artifacts are computed by the code, never read from the
-# disk trace cache (whose schedule sidecars may predate a change).
 artifacts:
-	REPRO_TRACE_CACHE=off $(PYTHON) -m repro experiments all > results/all_experiments.txt
-	REPRO_TRACE_CACHE=off $(PYTHON) -m repro experiments summary --output results/summary.json
+	$(PYTHON) -m repro experiments all > results/all_experiments.txt
+	$(PYTHON) -m repro experiments summary --output results/summary.json
 
 clean:
 	find . -type d -name __pycache__ -prune -exec rm -rf {} +
-	rm -rf .pytest_cache .hypothesis *.egg-info src/*.egg-info
+	rm -rf .pytest_cache .hypothesis *.egg-info src/*.egg-info .trace_cache

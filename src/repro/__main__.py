@@ -63,11 +63,10 @@ from typing import List, Optional
 from .analysis.metrics import ResultTable
 from .core.api import simulate_traces
 from .graphs.datasets import DATASET_NAMES, load_dataset
-from .models import MODEL_NAMES, build_model
+from .models import MODEL_NAMES
 from .platforms import DEFAULT_PLATFORMS, REGISTRY
 from .sim.detailed import DetailedSimulator
 from .trace.io import load_traces, save_traces
-from .trace.profiler import profile_batches
 
 __all__ = ["main"]
 
@@ -110,11 +109,12 @@ def _add_workload_arguments(parser: argparse.ArgumentParser) -> None:
 
 
 def _profile(args) -> List:
-    pairs = load_dataset(args.dataset, seed=args.seed, num_pairs=args.pairs)
-    model = build_model(
-        args.model, input_dim=pairs[0].target.feature_dim, seed=args.seed
+    from .core.api import _profile_spec
+    from .platforms import RunSpec
+
+    return _profile_spec(
+        RunSpec.make(args.model, args.dataset, args.pairs, args.batch, args.seed)
     )
-    return profile_batches(model, pairs, batch_size=args.batch)
 
 
 def _cmd_simulate(args) -> int:
@@ -287,7 +287,7 @@ def _cmd_experiments(args) -> int:
     names = sorted(EXPERIMENTS) if args.experiment == "all" else [args.experiment]
     if getattr(args, "jobs", None) not in (None, 1):
         # Pre-warm the shared (model, dataset) workloads across worker
-        # processes; the experiment runners then hit the memo/disk cache.
+        # processes; the experiment runners then hit the in-process memo.
         from .experiments.common import (
             DATASET_ORDER,
             MODEL_ORDER,
@@ -787,8 +787,13 @@ def _cmd_serve(args) -> int:
         write_exposition(registry, args.expo, window=window)
         print(f"wrote Prometheus exposition to {args.expo}")
     report_path = None
-    spec = RunSpec.make(
-        args.model, args.dataset, args.queries, args.batch, args.seed
+    spec = RunSpec(
+        model=args.model,
+        dataset=args.dataset,
+        num_pairs=args.queries,
+        batch_size=args.batch,
+        seed=args.seed,
+        fidelity="quick" if args.quick else "full",
     )
     if args.metrics:
         report = RunReport(

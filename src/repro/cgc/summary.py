@@ -3,8 +3,7 @@
 The cycle simulators never look at *which* nodes a window holds — only
 at per-step occupancy, miss, matching, and edge counts plus a few
 totals. :class:`ScheduleSummary` captures exactly that as flat int64
-arrays, which is what the batched engine stacks across pairs and what
-the trace-cache sidecar persists so warm runs skip scheduling entirely.
+arrays, which is what the batched engine stacks across pairs.
 
 Two ways to obtain one:
 
@@ -53,7 +52,7 @@ AOE decisions go through the real
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterable, List, Optional, Tuple
+from typing import Callable, Iterable, List, Optional, Tuple
 from weakref import WeakKeyDictionary
 
 import numpy as np
@@ -71,10 +70,8 @@ from .window import (
 __all__ = [
     "ScheduleSummary",
     "schedule_summary_for",
-    "summary_key",
     "summarize_single",
     "summarize_coordinated",
-    "memoized_summaries",
     "memoized",
     "schedule_key",
 ]
@@ -157,24 +154,6 @@ class ScheduleSummary:
     def cleanup_misses(self) -> int:
         """Nodes re-fetched by cleanup windows (``cgc.revisits.nodes``)."""
         return int(self.misses[self.is_cleanup != 0].sum())
-
-    # ------------------------------------------------------------------
-    def to_array(self) -> np.ndarray:
-        """One ``(5, num_steps)`` int64 array (sidecar serialization)."""
-        return np.stack(
-            [self.occupancy, self.misses, self.matchings, self.edges, self.is_cleanup]
-        )
-
-    @classmethod
-    def from_array(
-        cls, scheme: str, capacity: int, packed: np.ndarray
-    ) -> "ScheduleSummary":
-        packed = np.ascontiguousarray(packed, dtype=np.int64)
-        if packed.ndim != 2 or packed.shape[0] != 5:
-            raise ValueError(
-                f"expected a (5, steps) summary array, got {packed.shape}"
-            )
-        return cls(scheme, capacity, *[packed[i] for i in range(5)])
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ScheduleSummary):
@@ -604,30 +583,6 @@ _BUILDERS = {
     "coordinated": summarize_coordinated,
 }
 
-def summary_key(
-    scheme: str,
-    capacity: int,
-    active_targets: Optional[Iterable[int]],
-    active_queries: Optional[Iterable[int]],
-) -> str:
-    """Stable string key for one schedule (sidecar manifest key)."""
-
-    def side(values: Optional[Iterable[int]]) -> str:
-        if values is None:
-            return "*"
-        return ",".join(str(v) for v in values)
-
-    return f"{scheme}|{capacity}|{side(active_targets)}|{side(active_queries)}"
-
-
-def memoized_summaries(pair: GraphPair) -> Dict[Tuple, ScheduleSummary]:
-    """Snapshot of one pair's summary memo, keyed by :func:`schedule_key`.
-
-    The trace-cache sidecar reads it to persist the schedules a
-    simulation requested.
-    """
-    return dict(_MEMO.get(pair, {}).get("summary", {}))
-
 
 def schedule_summary_for(
     pair: GraphPair,
@@ -635,26 +590,21 @@ def schedule_summary_for(
     capacity: int,
     active_targets: Optional[Iterable[int]] = None,
     active_queries: Optional[Iterable[int]] = None,
-    store: Optional[Dict[str, ScheduleSummary]] = None,
 ) -> ScheduleSummary:
     """Memoized schedule summary for one (pair, layer) workload.
 
-    Lookup order: per-pair memo, then the optional ``store`` (the
-    trace-cache sidecar, keyed by :func:`summary_key`), then a fresh
-    fast build. The caller decides whether to pass a store — metric
-    runs must not, so schedule-construction counters (``cgc.aoe.*``)
-    are emitted exactly as the serial path would.
+    A per-pair memo hit returns the summary already built; a miss runs
+    the fast builder, which emits the schedule-construction counters
+    (``cgc.aoe.*``) exactly as the serial path would.
     """
     if scheme not in _BUILDERS:
         raise KeyError(
             f"unknown batched scheme {scheme!r}; known: {sorted(_BUILDERS)}"
         )
     key = schedule_key(scheme, capacity, active_targets, active_queries)
-
-    def build() -> ScheduleSummary:
-        stored = None if store is None else store.get(summary_key(*key))
-        if stored is not None:
-            return stored
-        return _BUILDERS[scheme](pair, capacity, key[2], key[3])
-
-    return memoized(pair, "summary", key, build)
+    return memoized(
+        pair,
+        "summary",
+        key,
+        lambda: _BUILDERS[scheme](pair, capacity, key[2], key[3]),
+    )

@@ -425,8 +425,8 @@ class MatchingPlan:
 
         Exactly the fields the cycle simulators consume — active index
         tuples, remaining fraction, unique count — with the inverse and
-        tag arrays dropped, so it is cheap to persist in the
-        trace-cache sidecar and to ship across process boundaries.
+        tag arrays dropped, so it is cheap to keep on the trace and
+        share across every platform simulated from it.
         """
         return PlanSummary(
             tuple(self.target_filter.unique_indices),

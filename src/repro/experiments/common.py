@@ -6,14 +6,14 @@ workload so the whole harness completes in minutes; full mode uses the
 per-dataset Table II test-set sizes (hours of pure-Python simulation) —
 :func:`workload_size` reads them straight from the dataset registry.
 
-Workload memoization happens at two levels, both keyed by the canonical
+Workloads are memoized in-process, keyed by the canonical
 :class:`~repro.platforms.runspec.RunSpec` (model, dataset, pair count,
-batch size, seed, and the derived quick/full fidelity flag). In-process,
-explicit bounded LRU caches make cache keys auditable and eviction
-bounded. Across processes, profiled traces persist in the on-disk
-:class:`~repro.perf.trace_cache.TraceCache` (``.trace_cache/`` by
-default, ``REPRO_TRACE_CACHE`` to relocate or disable), so parallel
-harness workers and repeated CLI invocations skip re-profiling.
+batch size, seed, and the derived quick/full fidelity flag), in
+explicit bounded LRU caches that make cache keys auditable and eviction
+bounded. Nothing persists across processes implicitly: a new process
+profiles again, and a workload is reused across processes only through
+an explicit trace file (``repro profile --output F`` then
+``repro replay --input F``).
 
 Generated datasets are memoized in-process by (dataset, seed, pair
 count), so the models profiled on one dataset share its pair objects and
@@ -24,7 +24,6 @@ three in-process memos.
 
 from __future__ import annotations
 
-import logging
 from collections import OrderedDict
 from typing import Dict, Optional, Tuple
 
@@ -42,7 +41,6 @@ from ..platforms.runspec import (
 from ..sim.engine import PlatformResult
 from ..trace.profiler import BatchTrace, profile_batches
 from ..core.api import simulate_traces
-from ..perf.trace_cache import default_trace_cache
 
 __all__ = [
     "ExperimentResult",
@@ -61,8 +59,6 @@ __all__ = [
     "prewarm_workloads",
     "write_experiment_data",
 ]
-
-logger = logging.getLogger("repro.experiments.common")
 
 MODEL_ORDER = ("GMN-Li", "GraphSim", "SimGNN")
 DATASET_ORDER = ("AIDS", "COLLAB", "GITHUB", "RD-B", "RD-5K", "RD-12K")
@@ -134,7 +130,7 @@ _DATASET_MEMO = _BoundedLRU(maxsize=8)
 
 
 def clear_workload_caches() -> None:
-    """Drop the in-process memo caches (the disk cache is untouched)."""
+    """Drop the in-process memo caches."""
     _DATASET_MEMO.clear()
     _TRACE_MEMO.clear()
     _RESULT_MEMO.clear()
@@ -154,9 +150,8 @@ def _dataset_pairs(spec: RunSpec):
 def traces_for(spec: RunSpec) -> Tuple[BatchTrace, ...]:
     """Profile (and memoize) the workload a spec describes.
 
-    Lookup order: in-process LRU, then the persistent disk cache, then a
-    fresh profiling run (which populates both). The spec itself is the
-    cache key at every level.
+    An in-process LRU hit returns the memoized traces; a miss profiles
+    the workload and memoizes it. The spec itself is the cache key.
     """
     registry = get_metrics()
     memoized = _TRACE_MEMO.get(spec)
@@ -166,13 +161,6 @@ def traces_for(spec: RunSpec) -> Tuple[BatchTrace, ...]:
         return memoized
     if registry is not None:
         registry.inc("harness.trace_memo.miss")
-    disk = default_trace_cache()
-    if disk is not None:
-        loaded = disk.load(spec)
-        if loaded is not None:
-            traces = tuple(loaded)
-            _TRACE_MEMO.put(spec, traces)
-            return traces
     with span("harness.profile", spec=spec.stem):
         pairs = _dataset_pairs(spec)
         model = build_model(
@@ -181,25 +169,6 @@ def traces_for(spec: RunSpec) -> Tuple[BatchTrace, ...]:
         traces = tuple(
             profile_batches(model, pairs, batch_size=spec.batch_size)
         )
-    if disk is not None:
-        try:
-            disk.store(spec, traces)
-        except OSError as exc:
-            # Read-only filesystem, full disk, etc.: the cache is
-            # best-effort, but a silent outage would degrade every run
-            # to recompute-from-scratch — surface it.
-            if registry is not None:
-                registry.inc(
-                    "harness.trace_cache.store_errors",
-                    kind=type(exc).__name__,
-                )
-            logger.warning(
-                "trace cache store failed for %s (%s: %s); "
-                "continuing without the on-disk cache",
-                spec.stem,
-                type(exc).__name__,
-                exc,
-            )
     _TRACE_MEMO.put(spec, traces)
     return traces
 
@@ -218,21 +187,7 @@ def results_for(
     if registry is not None:
         registry.inc("harness.result_memo.miss")
     with span("harness.simulate", spec=spec.stem):
-        traces = traces_for(spec)
-        results = simulate_traces(traces, platforms)
-    disk = default_trace_cache()
-    if disk is not None and not disk.sidecar_path(spec).is_file():
-        # Persist the schedule/plan summaries this simulation just
-        # built, so the next warm load skips schedule construction.
-        # Deterministic in the spec, so write-once is enough.
-        try:
-            disk.store_schedules(spec, traces)
-        except OSError:
-            logger.warning(
-                "schedule sidecar store failed for %s; "
-                "warm runs will rebuild schedules",
-                spec.stem,
-            )
+        results = simulate_traces(traces_for(spec), platforms)
     _RESULT_MEMO.put(key, results)
     return results
 
@@ -276,8 +231,7 @@ def prewarm_workloads(
 ) -> None:
     """Simulate many workloads up front — fanned across worker processes
     when ``workers`` > 1 — and prime the in-process memo, so subsequent
-    :func:`results_for` calls are cache hits. Worker processes also
-    populate the shared disk trace cache.
+    :func:`results_for` calls are cache hits.
 
     ``workloads`` is an iterable of ``(model, dataset)`` pairs or ready
     :class:`RunSpec` values. For pairs, explicit ``num_pairs`` /

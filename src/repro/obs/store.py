@@ -14,9 +14,9 @@ artifact that carries either kind of number is "a run":
   config for the gate.
 
 Each series is one JSONL file, ``results/obs/runs/<series>.jsonl``.
-Lines carry the source artifact verbatim, so :meth:`Run.report` reads
-a RunReport back whole, serving histograms, windows and exemplars
-included. :func:`ingest` classifies an artifact once: exact
+Lines carry the source artifact verbatim, so
+``RunReport.from_dict(run.artifact)`` reads a RunReport back whole,
+serving histograms, windows and exemplars included. :func:`ingest` classifies an artifact once: exact
 values (deterministic-prefixed counters, gauges and histogram
 fingerprints; scalar bench checks not named as throughput or latency),
 environmental values (info only: everything else, such as perfbench's
@@ -176,12 +176,6 @@ class Run:
     @property
     def config_key(self) -> str:
         return config_digest(self.config)
-
-    def report(self) -> RunReport:
-        """The source RunReport (``kind == "report"`` only)."""
-        if self.kind != "report":
-            raise ValueError(f"run {self.entry_id} is a {self.kind}, not a report")
-        return RunReport.from_dict(self.artifact)
 
     def to_dict(self) -> Dict[str, object]:
         return {

@@ -12,17 +12,17 @@ Two grains of parallelism, matching how the harness spends its time:
 
 Workloads cross the process boundary as serialized
 :class:`~repro.platforms.runspec.RunSpec` payloads — the same canonical
-key the memo and disk caches use — so the worker transport can never
+key the in-process memos use — so the worker transport can never
 drift from the cache keys.
 
 Chunk workers receive their traces through a *shared-memory segment*:
-the parent profiles the workload once (through the cached
+the parent profiles the workload once (through the memoized
 ``traces_for`` path), publishes the uncompressed ``.npz`` image into a
 ``multiprocessing.shared_memory`` block, and each worker attaches and
 rebuilds its chunk as zero-copy views — no per-worker re-profiling, no
 pickled trace arrays over the pipe, and feature pages are shared
-physical memory across all workers. Hosts without shared memory fall
-back to the original rebuild-from-spec workers transparently.
+physical memory across all workers. Hosts without shared memory
+simulate the parent's traces in-process instead.
 
 Chunking at multiples of ``batch_size`` keeps batch boundaries — and
 therefore every simulated cycle count — identical to a serial run.
@@ -377,35 +377,6 @@ def parallel_run_specs(
 # Grain 2: one task per graph-pair chunk within a single workload.
 
 
-def _chunk_task(
-    task: Tuple[dict, Tuple[str, ...], int, int, bool]
-) -> Tuple[int, Dict, Optional[dict]]:
-    """Worker body: profile+simulate one contiguous slice of the workload.
-
-    The worker rebuilds the dataset and model from the spec — both are
-    deterministic — instead of shipping graphs over the pipe.
-    """
-    spec_payload, platforms, start, stop, collect = task
-    from ..core.api import simulate_traces
-    from ..graphs.datasets import load_dataset
-    from ..models import build_model
-    from ..trace.profiler import profile_batches
-
-    spec = RunSpec.from_dict(spec_payload)
-    pairs = load_dataset(spec.dataset, seed=spec.seed, num_pairs=spec.num_pairs)
-    model = build_model(
-        spec.model, input_dim=pairs[0].target.feature_dim, seed=spec.seed
-    )
-    traces = profile_batches(
-        model, pairs[start:stop], batch_size=spec.batch_size
-    )
-    if not collect:
-        return start, simulate_traces(traces, platforms), None
-    with metrics_enabled() as registry:
-        results = simulate_traces(traces, platforms)
-    return start, results, _telemetry_payload(registry)
-
-
 def _chunk_bounds(
     num_pairs: int, batch_size: int, workers: int
 ) -> List[Tuple[int, int]]:
@@ -474,9 +445,10 @@ def parallel_simulate_workload(
 
     Returns ``{platform: PlatformResult}`` with per-chunk results merged
     in chunk order, so repeated runs are deterministic. Traces travel to
-    the workers through shared memory (profiled once in the parent);
-    when the host cannot allocate a segment, workers rebuild their slice
-    from the spec instead.
+    the workers through shared memory (profiled once in the parent).
+    With one chunk or one worker, or when the host cannot allocate a
+    segment, the parent's traces are simulated in-process by
+    :func:`~repro.core.api.simulate_traces`, the serial reference.
     """
     workers = available_workers(workers)
     registry = get_metrics()
@@ -485,19 +457,16 @@ def parallel_simulate_workload(
     bounds = _chunk_bounds(spec.num_pairs, spec.batch_size, workers)
     if not bounds:
         return {}
-    collect = registry is not None
     chunk_results = None
     if workers > 1 and len(bounds) > 1:
         chunk_results = _shm_map_chunks(
-            spec, tuple(platforms), bounds, workers, collect
+            spec, tuple(platforms), bounds, workers, registry is not None
         )
     if chunk_results is None:
-        payload = spec.to_dict()
-        tasks = [
-            (payload, tuple(platforms), start, stop, collect)
-            for start, stop in bounds
-        ]
-        chunk_results = _map_tasks(_chunk_task, tasks, workers)
+        from ..core.api import simulate_traces
+        from ..experiments.common import traces_for
+
+        return simulate_traces(traces_for(spec), platforms)
     chunk_results.sort(key=lambda item: item[0])
     merged: Dict[str, "object"] = {}
     for _, results, telemetry in chunk_results:
@@ -520,8 +489,8 @@ def _shm_map_chunks(
     """Fan chunks out over a shared-memory trace segment.
 
     Returns None when the segment cannot be created (no /dev/shm,
-    exhausted shared memory) so the caller can fall back to
-    rebuild-from-spec workers.
+    exhausted shared memory) so the caller can fall back to simulating
+    in-process.
     """
     from ..experiments.common import traces_for
     from ..trace.io import traces_to_npz_bytes
@@ -541,8 +510,8 @@ def _shm_map_chunks(
                 "perf.parallel.shm_failures", kind=type(exc).__name__
             )
         logger.warning(
-            "shared-memory segment unavailable (%s: %s); workers will "
-            "rebuild traces from the spec",
+            "shared-memory segment unavailable (%s: %s); simulating "
+            "in-process",
             type(exc).__name__,
             exc,
         )

@@ -7,8 +7,7 @@ This package is the single spine for "what runs where":
   (``"CEGMA@bandwidth_gbps=512"``) deriving ablation/sweep variants
   from the stock hardware configs;
 - :class:`RunSpec` — the one canonical, hashable workload key shared by
-  the in-process memos, the on-disk trace cache, and the parallel
-  harness worker transport;
+  the in-process memos and the parallel harness worker transport;
 - :mod:`~repro.platforms.artifacts` — schema-versioned JSON persistence
   of ``{platform: PlatformResult}`` outputs under ``results/``.
 """

@@ -2,12 +2,10 @@
 
 A workload is fully determined by five inputs — model, dataset, number
 of graph pairs, batch size, and seed — plus the derived quick/full
-fidelity flag. Before this module existed, that tuple was hand-assembled
-in three places (the in-process memos of ``experiments.common``, the
-on-disk ``perf.trace_cache`` file stems, and the ``perf.parallel``
-worker task tuples) which could drift apart silently. ``RunSpec`` is now
-the one hashable, frozen value all three consume, serialized in exactly
-one place with a schema-versioned ``to_dict``/``from_dict``.
+fidelity flag. ``RunSpec`` is the one hashable, frozen value that both
+the in-process memos of ``experiments.common`` and the ``perf.parallel``
+worker tasks key on, so the two cannot drift apart; it is serialized in
+exactly one place with a schema-versioned ``to_dict``/``from_dict``.
 """
 
 from __future__ import annotations
@@ -123,7 +121,7 @@ class RunSpec:
     # ------------------------------------------------------------------
     @property
     def stem(self) -> str:
-        """Human-readable identifier used in cache file names."""
+        """Human-readable identifier used in artifact and report names."""
         return (
             f"{self.model}_{self.dataset}_p{self.num_pairs}"
             f"_b{self.batch_size}_s{self.seed}_{self.fidelity}"

@@ -475,10 +475,9 @@ class AcceleratorSimulator:
 
         Returns a :class:`~repro.cgc.summary.ScheduleSummary` instead of
         a full :class:`~repro.cgc.window.WindowSchedule`. When a metrics
-        registry is active, the full matching plan is still computed and
-        the schedule store is bypassed, so ``emf.*`` / ``cgc.*``
-        counters are emitted exactly as the serial path emits them; the
-        sidecar fast path is metric-free runs only.
+        registry is active, the full matching plan is still consulted,
+        so ``emf.*`` / ``cgc.*`` counters are emitted exactly as the
+        serial path emits them.
         """
         config = self.config
         layer = pair_trace.layers[layer_index]
@@ -507,15 +506,9 @@ class AcceleratorSimulator:
 
         capacity = config.buffer_capacity_nodes(feature_dim)
         scheme = "coordinated" if config.cgc_enabled else "single"
-        store = None if registry is not None else pair_trace._sched_store
         summary = schedule_summary_for(
-            pair, scheme, capacity, active_targets, active_queries, store
+            pair, scheme, capacity, active_targets, active_queries
         )
-        # The sidecar persists exactly the schedules this trace asked for,
-        # though other traces over the same pair share the memo.
-        pair_trace._sched_requested[
-            schedule_key(scheme, capacity, active_targets, active_queries)
-        ] = None
         if registry is not None:
             self._record_layer_metrics_summary(
                 registry, config, plan, emf_cycles, summary

@@ -9,7 +9,7 @@ cross-platform comparisons are over identical workloads.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import List, Optional
 
 import numpy as np
 
@@ -73,8 +73,8 @@ class LayerTrace:
         self.similarity = similarity
         self.flops = flops
         self._matching_plan = None
-        # Cached PlanSummary (derived from the plan, or attached by the
-        # trace-cache sidecar so warm runs skip the filter entirely).
+        # Cached PlanSummary of the plan, shared by every platform the
+        # batched engine simulates from this trace.
         self._plan_summary = None
 
     def matching_plan(self):
@@ -123,8 +123,6 @@ class PairTrace:
         "score",
         "matching_usage",
         "head_features",
-        "_sched_store",
-        "_sched_requested",
     )
 
     def __init__(
@@ -148,13 +146,6 @@ class PairTrace:
         # Feature vector entering the prediction head; used to train
         # lightweight scoring heads on top of the (untrained) backbone.
         self.head_features = head_features
-        # Optional {summary_key: ScheduleSummary} attached by the
-        # trace-cache sidecar; consulted by the batched engine only for
-        # metric-free runs (see repro.cgc.summary.schedule_summary_for).
-        self._sched_store = None
-        # Schedule keys the batched engine requested for this trace, in
-        # request order (an ordered set); the sidecar persists these.
-        self._sched_requested: Dict = {}
 
     @property
     def total_flops(self) -> FlopCounter:

@@ -16,7 +16,6 @@ from __future__ import annotations
 import ast
 import io
 import json
-import mmap as _mmap
 import zipfile
 from pathlib import Path
 from typing import Dict, List, Sequence, Union
@@ -67,29 +66,19 @@ def _layer_manifest(
 
 
 def save_traces(
-    batch_traces: Sequence[BatchTrace],
-    path: Union[str, Path],
-    compressed: bool = True,
+    batch_traces: Sequence[BatchTrace], path: Union[str, Path]
 ) -> None:
-    """Serialize batch traces to an ``.npz`` file.
-
-    ``compressed=False`` stores arrays raw (``ZIP_STORED``), which lets
-    :class:`MmapNpzReader` map them back zero-copy — the trace cache's
-    choice; distribution artifacts keep the compressed default.
-    """
-    arrays = _collect_arrays(batch_traces)
-    if compressed:
-        np.savez_compressed(Path(path), **arrays)
-    else:
-        np.savez(Path(path), **arrays)
+    """Serialize batch traces to a compressed ``.npz`` file."""
+    np.savez_compressed(Path(path), **_collect_arrays(batch_traces))
 
 
 def traces_to_npz_bytes(batch_traces: Sequence[BatchTrace]) -> bytes:
     """The uncompressed ``.npz`` serialization as in-memory bytes.
 
-    Byte-for-byte the ``save_traces(..., compressed=False)`` file; used
-    by :mod:`repro.perf.parallel` to publish traces into a shared-memory
-    segment that workers read back with ``MmapNpzReader(buffer=...)``.
+    Arrays are stored raw (``ZIP_STORED``), so :class:`MmapNpzReader`
+    can serve them back zero-copy; :mod:`repro.perf.parallel` publishes
+    this image into a shared-memory segment that workers read back with
+    :func:`traces_from_buffer`.
     """
     arrays = _collect_arrays(batch_traces)
     sink = io.BytesIO()
@@ -189,54 +178,30 @@ class _BufferIO(io.RawIOBase):
 
 
 class MmapNpzReader:
-    """Read-only ``.npz`` access returning views over one ``mmap``.
+    """Read-only ``.npz`` access returning views over one buffer.
 
-    ``np.load`` ignores ``mmap_mode`` for ``.npz`` archives: every
-    member is read and decompressed eagerly. For uncompressed archives
-    (``save_traces(..., compressed=False)``) each member's payload is a
-    contiguous ``.npy`` byte range inside the zip, so this reader maps
-    the whole file once and serves ``np.frombuffer`` views — no copy,
-    no deserialization; pages fault in only when an array is actually
-    touched (the "lazy per-batch materialization" the trace cache's
-    warm path relies on). A compressed member cannot be mapped and
-    raises ``ValueError``; read compressed archives with ``np.load``.
+    ``buffer`` holds a whole uncompressed archive already in memory —
+    e.g. a shared-memory segment published by :mod:`repro.perf.parallel`.
+    Each member's payload is a contiguous ``.npy`` byte range inside
+    the zip, so this reader serves ``np.frombuffer`` views into the
+    buffer: no copy, no deserialization. A compressed member cannot be
+    served as a view and raises ``ValueError``; read compressed archives
+    with ``np.load``. The buffer must span exactly the archive (slice
+    shared memory to the payload length; segments round up to a page).
 
-    ``buffer=`` serves an archive that is already in memory — e.g. a
-    shared-memory segment published by :mod:`repro.perf.parallel` — the
-    same way, with arrays as zero-copy views into that buffer. The
-    buffer must span exactly the archive (slice shared memory to the
-    payload length; segments round up to a page).
-
-    Arrays keep the mmap/buffer alive through their ``base`` reference,
-    so the reader itself may be dropped as soon as loading finishes.
+    Arrays keep the buffer alive through their ``base`` reference, so
+    the reader itself may be dropped as soon as loading finishes.
     """
 
-    def __init__(
-        self, path: Union[str, Path, None] = None, *, buffer=None
-    ) -> None:
-        if (path is None) == (buffer is None):
-            raise ValueError("pass exactly one of path or buffer")
-        if buffer is not None:
-            self.path = None
-            self._mmap = buffer
-        else:
-            self.path = Path(path)
-            with open(self.path, "rb") as handle:
-                self._mmap = _mmap.mmap(
-                    handle.fileno(), 0, access=_mmap.ACCESS_READ
-                )
+    def __init__(self, buffer) -> None:
+        self._buffer = buffer
         self._infos: Dict[str, zipfile.ZipInfo] = {}
-        with self._open_archive() as archive:
+        with zipfile.ZipFile(_BufferIO(buffer)) as archive:
             for info in archive.infolist():
                 name = info.filename
                 if name.endswith(".npy"):
                     name = name[:-4]
                 self._infos[name] = info
-
-    def _open_archive(self) -> zipfile.ZipFile:
-        if self.path is not None:
-            return zipfile.ZipFile(self.path)
-        return zipfile.ZipFile(_BufferIO(self._mmap))
 
     def keys(self):
         return self._infos.keys()
@@ -249,13 +214,13 @@ class MmapNpzReader:
         if info.compress_type != zipfile.ZIP_STORED:
             raise ValueError(
                 f"member {info.filename!r} is compressed; only archives "
-                "written uncompressed (save_traces(..., compressed=False)) "
-                "can be memory-mapped"
+                "written uncompressed (traces_to_npz_bytes) can be served "
+                "as views"
             )
         # The central directory's header_offset points at the local file
         # header; its name/extra lengths (which differ from the central
         # ones) give the payload start.
-        local = self._mmap[info.header_offset : info.header_offset + 30]
+        local = self._buffer[info.header_offset : info.header_offset + 30]
         if local[:4] != b"PK\x03\x04":
             raise ValueError(
                 f"corrupt zip local header for {info.filename!r}"
@@ -266,7 +231,7 @@ class MmapNpzReader:
         return self._read_npy(start, info.file_size, info.filename)
 
     def _read_npy(self, start: int, size: int, member: str) -> np.ndarray:
-        view = memoryview(self._mmap)[start : start + size]
+        view = memoryview(self._buffer)[start : start + size]
         if bytes(view[:6]) != b"\x93NUMPY":
             raise ValueError(f"member {member!r} is not an npy array")
         major = view[6]
@@ -287,29 +252,20 @@ class MmapNpzReader:
         for dim in shape:
             count *= dim
         array = np.frombuffer(
-            self._mmap, dtype=dtype, count=count, offset=start + data_start
+            self._buffer, dtype=dtype, count=count, offset=start + data_start
         )
         order = "F" if header["fortran_order"] else "C"
         return array.reshape(shape, order=order)
 
 
-def load_traces(
-    path: Union[str, Path], mmap: bool = False
-) -> List[BatchTrace]:
+def load_traces(path: Union[str, Path]) -> List[BatchTrace]:
     """Load batch traces previously written by :func:`save_traces`.
-
-    With ``mmap=True`` array payloads stay memory-mapped
-    (:class:`MmapNpzReader`): structurally the traces are fully built,
-    but feature pages are only read from disk when a simulator touches
-    them. The returned arrays are read-only views in that mode.
 
     Any unreadable file — missing, not an ``.npz`` archive, not a trace
     file, or another format version — raises one ``ValueError`` that
     names the file and the problem.
     """
     try:
-        if mmap:
-            return _build_traces(MmapNpzReader(path))
         # Open the archive first: np.load would guess that a non-zip
         # file is a pickle and report that instead.
         zipfile.ZipFile(path).close()

@@ -1,6 +1,6 @@
 """The built-in correctness checks.
 
-Eleven differential pairs and three invariant families, mirroring the
+Ten differential pairs and three invariant families, mirroring the
 redundant implementations the repo maintains on purpose:
 
 ====================================  =========================================
@@ -13,7 +13,6 @@ check                                 redundant pair / invariant
 ``sim.engine_vs_detailed``            analytic engine vs. per-step simulator
 ``sim.batched_vs_serial``             batched numpy engine vs. per-pair loop
 ``harness.serial_vs_parallel``        serial run vs. chunked process pool
-``harness.trace_cache_on_off``        cached trace replay vs. fresh profile
 ``search.serve_vs_direct``            flat query loop vs. serving pipeline
 ``search.sketch_vs_flat``             sketch-gated retrieval vs. flat scoring
 ``models.batched_vs_pair``            segment-batched GMN-Li vs. batches of one
@@ -34,9 +33,6 @@ module attributes, so the mutators' patches are visible to them.
 
 from __future__ import annotations
 
-import os
-import shutil
-import tempfile
 from contextlib import contextmanager
 
 import numpy as np
@@ -478,22 +474,23 @@ def _mutate_batched_summary_misses():
     original = engine_mod.schedule_summary_for
 
     def perturbed(
-        pair,
-        scheme,
-        capacity,
-        active_targets=None,
-        active_queries=None,
-        store=None,
+        pair, scheme, capacity, active_targets=None, active_queries=None
     ):
         summary = original(
-            pair, scheme, capacity, active_targets, active_queries, store
+            pair, scheme, capacity, active_targets, active_queries
         )
-        clone = type(summary).from_array(
-            summary.scheme, summary.capacity, summary.to_array().copy()
+        misses = summary.misses.copy()
+        if misses.size:
+            misses[0] += 1
+        return type(summary)(
+            summary.scheme,
+            summary.capacity,
+            summary.occupancy,
+            misses,
+            summary.matchings,
+            summary.edges,
+            summary.is_cleanup,
         )
-        if clone.misses.size:
-            clone.misses[0] += 1
-        return clone
 
     return _patched(engine_mod, "schedule_summary_for", perturbed)
 
@@ -659,16 +656,21 @@ def check_batched_vs_serial(context: CheckContext):
 # ----------------------------------------------------------------------
 # Pair 4: serial harness vs. process-pool chunked harness
 # ----------------------------------------------------------------------
-def _mutate_chunk_bounds():
+def _mutate_drop_last_chunk():
+    """Lose the last chunk's results on the shared-memory fan-out.
+
+    Fewer chunk bounds would not do: one chunk is simulated whole,
+    in-process, by the serial reference.
+    """
     from ..perf import parallel as parallel_mod
 
-    original = parallel_mod._chunk_bounds
+    original = parallel_mod._shm_map_chunks
 
-    def drop_last_chunk(num_pairs, batch_size, workers):
-        bounds = original(num_pairs, batch_size, workers)
-        return bounds[:-1] if len(bounds) > 1 else bounds
+    def drop_last_chunk(*args):
+        results = original(*args)
+        return None if results is None else results[:-1]
 
-    return _patched(parallel_mod, "_chunk_bounds", drop_last_chunk)
+    return _patched(parallel_mod, "_shm_map_chunks", drop_last_chunk)
 
 
 @register_check(
@@ -678,7 +680,7 @@ def _mutate_chunk_bounds():
         "repro.core.api.simulate_workload",
         "repro.perf.parallel.parallel_simulate_workload",
     ),
-    mutators={"parallel_drops_last_chunk": _mutate_chunk_bounds},
+    mutators={"parallel_drops_last_chunk": _mutate_drop_last_chunk},
 )
 def check_serial_vs_parallel(context: CheckContext):
     """Chunked process-pool simulation merges to the serial result.
@@ -741,74 +743,6 @@ def check_serial_vs_parallel(context: CheckContext):
                 f"{right[field]}",
             )
     return f"{spec.stem}: serial == chunked (2 workers)"
-
-
-# ----------------------------------------------------------------------
-# Pair 5: trace cache replay vs. fresh profiling
-# ----------------------------------------------------------------------
-def _mutate_cache_load():
-    from ..perf import trace_cache as trace_cache_mod
-
-    original = trace_cache_mod.TraceCache.__dict__["load"]
-
-    def load_truncated(self, spec):
-        traces = original(self, spec)
-        if traces is None or len(traces) <= 1:
-            return traces
-        return traces[:-1]
-
-    return _patched(trace_cache_mod.TraceCache, "load", load_truncated)
-
-
-@register_check(
-    "harness.trace_cache_on_off",
-    kind="differential",
-    pair=(
-        "repro.perf.trace_cache.TraceCache.load",
-        "repro.trace.profiler.profile_batches",
-    ),
-    mutators={"cache_drops_last_batch": _mutate_cache_load},
-)
-def check_trace_cache_on_off(context: CheckContext):
-    """Traces replayed from the disk cache simulate bit-identically to a
-    fresh profiling run of the same RunSpec."""
-    from ..core import api as api_mod
-    from ..experiments import common as common_mod
-    from ..platforms.runspec import RunSpec
-
-    spec = RunSpec.make("GMN-Li", "AIDS", 4, 2, 123)
-    cache_dir = tempfile.mkdtemp(prefix="repro_validate_cache_")
-    previous = os.environ.get("REPRO_TRACE_CACHE")
-    try:
-        os.environ["REPRO_TRACE_CACHE"] = cache_dir
-        common_mod.clear_workload_caches()
-        fresh = common_mod.traces_for(spec)  # profiles, fills the cache
-        common_mod.clear_workload_caches()
-        cached = common_mod.traces_for(spec)  # must hit the disk cache
-        _require(
-            len(fresh) == len(cached),
-            f"cache round-trip changed the batch count: "
-            f"{len(fresh)} != {len(cached)}",
-        )
-        left = api_mod.simulate_traces(fresh, ("CEGMA",))["CEGMA"].to_dict()
-        right = api_mod.simulate_traces(cached, ("CEGMA",))["CEGMA"].to_dict()
-        _require(
-            left == right,
-            "cache-on and cache-off runs diverge: "
-            + ", ".join(
-                f"{key}: {left[key]} != {right[key]}"
-                for key in left
-                if left[key] != right[key]
-            ),
-        )
-    finally:
-        common_mod.clear_workload_caches()
-        if previous is None:
-            os.environ.pop("REPRO_TRACE_CACHE", None)
-        else:
-            os.environ["REPRO_TRACE_CACHE"] = previous
-        shutil.rmtree(cache_dir, ignore_errors=True)
-    return f"{spec.stem}: cached replay bit-identical to fresh profile"
 
 
 # ----------------------------------------------------------------------

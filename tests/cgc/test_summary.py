@@ -12,11 +12,9 @@ from repro.cgc import summary as summary_mod
 from repro.cgc.summary import (
     ScheduleSummary,
     memoized,
-    memoized_summaries,
     schedule_summary_for,
     summarize_coordinated,
     summarize_single,
-    summary_key,
 )
 from repro.cgc.window import (
     coordinated_window_schedule,
@@ -211,7 +209,7 @@ class TestLargePairExactness:
         assert seeds_vs_serial["tied"] > 0, seeds_vs_serial
 
 
-def test_paper_sim_pass_seeds_match_serial(seeds_vs_serial, monkeypatch):
+def test_paper_sim_pass_seeds_match_serial(seeds_vs_serial):
     """Every cleanup seed of one quick seed-0 headline pass (the cells
     perfbench's ``paper_sim`` runs) follows the serial rule."""
     from repro.experiments.common import (
@@ -223,7 +221,6 @@ def test_paper_sim_pass_seeds_match_serial(seeds_vs_serial, monkeypatch):
     )
     from repro.platforms import DEFAULT_PLATFORMS
 
-    monkeypatch.setenv("REPRO_TRACE_CACHE", "off")
     clear_workload_caches()
     try:
         for model in MODEL_ORDER:
@@ -239,18 +236,6 @@ def test_paper_sim_pass_seeds_match_serial(seeds_vs_serial, monkeypatch):
 
 
 class TestArrayRoundTrip:
-    def test_to_from_array(self):
-        summary = summarize_single(paper_example_pair(), 4)
-        packed = summary.to_array()
-        assert packed.shape == (5, summary.num_steps)
-        assert packed.dtype == np.int64
-        restored = ScheduleSummary.from_array("single", 4, packed)
-        assert restored == summary
-
-    def test_bad_shape_rejected(self):
-        with pytest.raises(ValueError, match=r"\(5, steps\)"):
-            ScheduleSummary.from_array("single", 4, np.zeros((3, 7)))
-
     def test_totals_match_schedule(self):
         pair = paper_example_pair()
         schedule = coordinated_window_schedule(pair, 4)
@@ -261,40 +246,12 @@ class TestArrayRoundTrip:
         assert summary.num_steps == len(schedule.steps)
 
 
-class TestSummaryKey:
-    def test_wildcards_for_none(self):
-        assert summary_key("single", 8, None, None) == "single|8|*|*"
-
-    def test_actives_serialized(self):
-        assert (
-            summary_key("coordinated", 4, (0, 2), (1,))
-            == "coordinated|4|0,2|1"
-        )
-
-
 class TestMemoAndStore:
     def test_memo_returns_same_object(self):
         pair = random_pair(21)
         first = schedule_summary_for(pair, "single", 4)
         second = schedule_summary_for(pair, "single", 4)
         assert first is second
-
-    def test_memoized_summaries_snapshot(self):
-        pair = random_pair(22)
-        assert memoized_summaries(pair) == {}
-        schedule_summary_for(pair, "coordinated", 4)
-        snapshot = memoized_summaries(pair)
-        assert list(snapshot) == [("coordinated", 4, None, None)]
-
-    def test_store_consulted_before_building(self):
-        pair = random_pair(23)
-        canned = summarize_single(pair, 4)
-        sentinel = ScheduleSummary.from_array(
-            "single", 4, canned.to_array().copy()
-        )
-        store = {summary_key("single", 4, None, None): sentinel}
-        result = schedule_summary_for(pair, "single", 4, store=store)
-        assert result is sentinel
 
     def test_full_table_evicts_oldest_on_miss_only(self, monkeypatch):
         monkeypatch.setattr(summary_mod, "_MEMO_PER_PAIR", 3)

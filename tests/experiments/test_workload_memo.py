@@ -25,7 +25,6 @@ def cold_quick_pass(seed=0):
 @pytest.fixture
 def counted(monkeypatch):
     """Records every dataset generation and every schedule build."""
-    monkeypatch.setenv("REPRO_TRACE_CACHE", "off")
     loads, builds = [], []
     load_dataset = common.load_dataset
 

@@ -162,7 +162,7 @@ class TestImportFootprint:
         script = tmp_path / "footprint.py"
         script.write_text(_FOOTPRINT_SCRIPT)
         source = Path(__file__).resolve().parents[2] / "src"
-        env = dict(os.environ, REPRO_TRACE_CACHE="off")
+        env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(
             filter(None, [str(source), env.get("PYTHONPATH")])
         )

@@ -20,7 +20,9 @@ def _report(spec=SPEC, created_at="2026-08-07T00:00:00Z", sha="deadbeef", macs=1
 
 
 def _macs(run):
-    return run.report().metrics.counter("sim.macs", platform="CEGMA")
+    return RunReport.from_dict(run.artifact).metrics.counter(
+        "sim.macs", platform="CEGMA"
+    )
 
 
 @pytest.fixture

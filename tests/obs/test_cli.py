@@ -15,7 +15,6 @@ COMMITTED_STORE = Path(__file__).resolve().parents[2] / "results" / "obs" / "run
 
 @pytest.fixture(autouse=True)
 def _isolated(monkeypatch, tmp_path):
-    monkeypatch.setenv("REPRO_TRACE_CACHE", "off")
     monkeypatch.chdir(tmp_path)
     from repro.experiments.common import clear_workload_caches
 

@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.obs.report import RunReport
 from repro.obs.store import (
     ENTRY_KIND,
     STORE_SCHEMA_VERSION,
@@ -189,7 +190,8 @@ class TestCommittedMigration:
         (report,) = loaded[_QUICK_SERIES]
         assert report.provenance["metrics_digest"] == _QUICK_DIGEST
         assert {k: v[0] for k, v in report.samples.items()} == _QUICK_TIMINGS
-        assert report.report().windows == report.report().exemplars == []
+        restored = RunReport.from_dict(report.artifact)
+        assert restored.windows == restored.exemplars == []
 
     def test_committed_quick_report_loads_with_current_reader(self):
         from repro.obs.provenance import metrics_digest

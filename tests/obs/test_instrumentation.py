@@ -20,8 +20,7 @@ PLATFORMS = ("HyGCN", "AWB-GCN", "CEGMA")
 
 
 @pytest.fixture(autouse=True)
-def _isolated_caches(monkeypatch):
-    monkeypatch.setenv("REPRO_TRACE_CACHE", "off")
+def _isolated_caches():
     clear_workload_caches()
     yield
     clear_workload_caches()
@@ -117,10 +116,9 @@ class TestHarnessCounters:
 
 
 class TestParallelMerge:
-    def test_chunked_simulation_merges_worker_metrics(self, monkeypatch, tmp_path):
+    def test_chunked_simulation_merges_worker_metrics(self):
         from repro.perf.parallel import parallel_simulate_workload
 
-        monkeypatch.setenv("REPRO_TRACE_CACHE", str(tmp_path))
         spec = RunSpec.make("GMN-Li", "AIDS", 4, 2, 0)
         with metrics_enabled() as registry:
             results = parallel_simulate_workload(spec, ("CEGMA",), workers=2)
@@ -129,10 +127,9 @@ class TestParallelMerge:
         # sees the whole workload's pair count.
         assert registry.counter("sim.pairs", platform="CEGMA") == 4
 
-    def test_spec_fanout_merges_worker_metrics(self, monkeypatch, tmp_path):
+    def test_spec_fanout_merges_worker_metrics(self):
         from repro.perf.parallel import parallel_run_specs
 
-        monkeypatch.setenv("REPRO_TRACE_CACHE", str(tmp_path))
         specs = [
             RunSpec.make("GMN-Li", "AIDS", 2, 2, 0),
             RunSpec.make("GMN-Li", "AIDS", 2, 2, 1),
@@ -142,10 +139,9 @@ class TestParallelMerge:
         assert len(computed) == 2
         assert registry.counter("sim.pairs", platform="CEGMA") == 4
 
-    def test_no_collection_when_metrics_off(self, monkeypatch, tmp_path):
+    def test_no_collection_when_metrics_off(self):
         from repro.perf.parallel import _spec_task
 
-        monkeypatch.setenv("REPRO_TRACE_CACHE", str(tmp_path))
         payload = RunSpec.make("GMN-Li", "AIDS", 2, 2, 0).to_dict()
         _, results, metrics_payload = _spec_task((payload, ("CEGMA",), False))
         assert metrics_payload is None

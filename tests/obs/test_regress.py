@@ -47,7 +47,7 @@ class TestPolicy:
     def test_environmental_counters_excluded(self):
         for name in (
             "harness.trace_memo.hit",
-            "trace_cache.miss",
+            "perf.parallel.shm_failures{kind=OSError}",
             "perf.parallel.worker_failures",
         ):
             assert not is_deterministic(name), name

@@ -32,8 +32,7 @@ PLATFORMS = ("PyG-CPU", "CEGMA")
 
 
 @pytest.fixture(autouse=True)
-def _no_disk_cache(monkeypatch):
-    monkeypatch.setenv("REPRO_TRACE_CACHE", "off")
+def _fresh_memos():
     clear_workload_caches()
     yield
     clear_workload_caches()
@@ -293,8 +292,10 @@ class TestSharedMemoryTransport:
         serial = simulate_workload(
             "GMN-Li", "AIDS", PLATFORMS, num_pairs=4, batch_size=2, seed=0
         )
+        # The fallback is the serial reference itself, run in-process.
+        assert list(results) == list(PLATFORMS)
         for platform in PLATFORMS:
-            assert results[platform].cycles == serial[platform].cycles
+            assert results[platform].to_dict() == serial[platform].to_dict()
         assert (
             registry.counter("perf.parallel.shm_failures", kind="OSError") == 1
         )
@@ -414,7 +415,7 @@ class TestServingPoolExit:
         script = tmp_path / "tracker_stop.py"
         script.write_text(_TRACKER_STOP_SCRIPT)
         source = Path(__file__).resolve().parents[2] / "src"
-        env = dict(os.environ, REPRO_TRACE_CACHE="off")
+        env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(
             filter(None, [str(source), env.get("PYTHONPATH")])
         )

@@ -10,8 +10,7 @@ from repro.sim.engine import AcceleratorSimulator
 
 
 @pytest.fixture(autouse=True)
-def _fresh_memos(monkeypatch):
-    monkeypatch.setenv("REPRO_TRACE_CACHE", "off")
+def _fresh_memos():
     clear_workload_caches()
     yield
     clear_workload_caches()
